@@ -25,12 +25,8 @@ def main():
 
     grid_deg = np.linspace(-89.75, 89.75, 1437)
     gains_db = beam_pattern(cfg, beams.f, np.deg2rad(grid_deg))
-    rows = [
-        (grid_deg[g], beam, gains_db[g, beam])
-        for g in range(grid_deg.size)
-        for beam in range(4)
-    ]
-    count = write_csv("beam_patterns.csv", ["theta_deg", "beam_id", "gain_db"], rows)
+    columns = [np.repeat(grid_deg, 4), np.tile(np.arange(4), grid_deg.size), gains_db]
+    count = write_csv("beam_patterns.csv", ["theta_deg", "beam_id", "gain_db"], columns)
     print(f"wrote beam_patterns.csv ({count} rows)")
     print()
 

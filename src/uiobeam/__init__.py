@@ -38,17 +38,11 @@ from .design import (
     mu_feasible,
 )
 from .dynamics import (
-    Measurement,
     MeasurementModel,
-    NetworkState,
     UavScenario,
-    UnknownInput,
     initial_state,
-    measure,
-    nominal_velocity,
-    perturbation,
+    scenario_inputs,
     simulate_truth,
-    step_truth,
 )
 from .errors import (
     BracketError,
@@ -66,16 +60,13 @@ from .linalg import (
     check_definiteness,
     eig_sym_bounds,
     pinv_full_col_rank,
+    row_norms,
     solve_hermitian,
 )
 from .observer import (
     BoundMonitor,
-    InputEstimator,
-    ObserverState,
-    PerformanceOutput,
     estimate_input,
-    monitor_bounds,
-    performance_output,
+    input_pinv,
     predict,
     track,
 )

@@ -14,14 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, DegenerateGeometryError, ShapeError
-from .linalg import solve_hermitian
+from .errors import ConditioningError, DegenerateGeometryError, ShapeError, SingularMatrixError
+from .linalg import row_norms, solve_hermitian
 
 SPEED_OF_LIGHT = 299_792_458.0
 # Minimum pairwise |sin(theta_i) - sin(theta_j)| for a strict zero-forcing solve.
 MIN_SIN_GAP = 1e-3
 # Diagonal loading (relative to M_CE) used by the fallback when angles collide.
 FALLBACK_RIDGE = 1e-4
+# Ranges below this (m) leave the azimuth undefined.
+MIN_RANGE = 1e-12
 # Amplitude floor before conversion to dB so exact nulls stay finite in output.
 PATTERN_FLOOR = 1e-16
 
@@ -57,21 +59,23 @@ class ArrayConfig:
                    carrier_hz=carrier_hz, bandwidth_hz=bandwidth_hz)
 
 
-def steering_vector(cfg, theta, count=None):
-    """ULA steering vector toward azimuth theta with ``count`` elements
-    (defaults to M_CE): entry m = exp(j*(2pi/lambda)*d*m*sin(theta))."""
+def steering_matrix(cfg, thetas, count=None):
+    """ULA steering vectors toward the azimuths ``thetas``, one column per
+    angle, with ``count`` elements (defaults to M_CE): entry (m, i) is
+    exp(j*(2pi/lambda)*d*m*sin(theta_i))."""
     if count is None:
         count = cfg.m_ce
     if count < 1:
         raise ShapeError("element count must be positive")
-    phase = (2.0 * np.pi / cfg.wavelength) * cfg.spacing * np.sin(theta)
-    return np.exp(1j * phase * np.arange(count))
-
-
-def steering_matrix(cfg, thetas, count=None):
-    """Stacked steering vectors, one column per angle."""
     thetas = np.atleast_1d(np.asarray(thetas, float))
-    return np.column_stack([steering_vector(cfg, t, count) for t in thetas])
+    phase = (2.0 * np.pi / cfg.wavelength) * cfg.spacing * np.sin(thetas)
+    return np.exp(np.arange(count)[:, None] * (1j * phase))
+
+
+def steering_vector(cfg, theta, count=None):
+    """Steering vector toward one azimuth theta: the one-column case of
+    steering_matrix."""
+    return steering_matrix(cfg, theta, count)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -95,14 +99,15 @@ def beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=0.0):
     thetas = np.atleast_1d(np.asarray(thetas, float))
     sines = np.sin(thetas)
     if ridge == 0.0:
-        for i in range(thetas.size):
-            for j in range(i + 1, thetas.size):
-                gap = abs(sines[i] - sines[j])
-                if gap < min_sin_gap:
-                    raise ConditioningError(
-                        f"steering angles {i} and {j} collide: "
-                        f"|sin gap| = {gap:.3e} < {min_sin_gap:.0e}"
-                    )
+        gaps = np.abs(sines[:, None] - sines[None, :])
+        # np.nonzero scans row-major, so the first hit is the first i < j pair
+        rows, cols = np.nonzero(np.triu(gaps < min_sin_gap, k=1))
+        if rows.size:
+            i, j = rows[0], cols[0]
+            raise ConditioningError(
+                f"steering angles {i} and {j} collide: "
+                f"|sin gap| = {gaps[i, j]:.3e} < {min_sin_gap:.0e}"
+            )
     a = steering_matrix(cfg, thetas, cfg.m_ce)
     gram = a.T @ a.conj()
     if ridge > 0.0:
@@ -114,42 +119,38 @@ def beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=0.0):
 def safe_beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=FALLBACK_RIDGE):
     """Strict zero-forcing when well conditioned, diagonally-loaded fallback
     at angle collisions (the orbit geometry crosses equal sines twice per
-    revolution per UAV pair, so long runs need this)."""
+    revolution per UAV pair, so long runs need this) and when the Gram matrix
+    is numerically singular although every sine gap passes (many UAVs on a
+    short array, or more UAVs than antennas)."""
     try:
         return beamformer(cfg, thetas, min_sin_gap=min_sin_gap)
-    except ConditioningError:
+    except (ConditioningError, SingularMatrixError):
         return beamformer(cfg, thetas, ridge=ridge)
 
 
-def angular_position(u, u_p):
-    """Azimuth of a UAV at u seen from u_p as arccos((x - x_p)/range), in
-    [0, pi]. Cannot distinguish points below the x-axis; see
-    signed_angular_position for the quadrant-aware variant."""
-    u = np.asarray(u, float)
-    u_p = np.asarray(u_p, float)
-    delta = u - u_p
-    r = float(np.linalg.norm(delta))
-    if r < 1e-12:
+def angles_from_positions(x_stacked, center, signed=True):
+    """Per-UAV azimuths seen from center, from a stacked position vector:
+    quadrant-aware in (-pi, pi] when signed, else the arccos form
+    arccos((x - x_p)/range) in [0, pi], which cannot distinguish points below
+    the x-axis. Signed azimuths round-trip exactly for points placed at a
+    known angle."""
+    deltas = np.asarray(x_stacked, float).reshape(-1, 2) - np.asarray(center, float)
+    ranges = row_norms(deltas)
+    if np.any(ranges < MIN_RANGE):
         raise DegenerateGeometryError("UAV coincides with the central UAV")
-    return float(np.arccos(np.clip(delta[0] / r, -1.0, 1.0)))
+    if signed:
+        return np.arctan2(deltas[:, 1], deltas[:, 0])
+    return np.arccos(np.clip(deltas[:, 0] / ranges, -1.0, 1.0))
+
+
+def angular_position(u, u_p):
+    """Azimuth of one UAV at u seen from u_p, arccos form in [0, pi]."""
+    return float(angles_from_positions(u, u_p, signed=False)[0])
 
 
 def signed_angular_position(u, u_p):
-    """Quadrant-aware azimuth in (-pi, pi]; round-trips exactly for points
-    placed at a known angle."""
-    u = np.asarray(u, float)
-    u_p = np.asarray(u_p, float)
-    delta = u - u_p
-    if float(np.linalg.norm(delta)) < 1e-12:
-        raise DegenerateGeometryError("UAV coincides with the central UAV")
-    return float(np.arctan2(delta[1], delta[0]))
-
-
-def angles_from_positions(x_stacked, center, signed=True):
-    """Per-UAV azimuths from a stacked position vector."""
-    positions = np.asarray(x_stacked, float).reshape(-1, 2)
-    fn = signed_angular_position if signed else angular_position
-    return np.array([fn(p, center) for p in positions])
+    """Quadrant-aware azimuth of one UAV at u seen from u_p, in (-pi, pi]."""
+    return float(angles_from_positions(u, u_p)[0])
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,7 @@ class ChannelRealization:
         positions = np.asarray(positions, float).reshape(-1, 2)
         deltas = positions - np.asarray(center, float)
         ranges = np.linalg.norm(deltas, axis=1)
-        if np.any(ranges < 1e-12):
+        if np.any(ranges < MIN_RANGE):
             raise DegenerateGeometryError("UAV coincides with the central UAV")
         theta = np.arctan2(deltas[:, 1], deltas[:, 0])
         if phase_mode == "range":

@@ -297,6 +297,18 @@ def config_from_mapping(data):
     )
 
 
+def require_link_array(cfg):
+    """Zero-forcing needs one antenna per served UAV. The link subcommands
+    call this; design and sweep-dt never build a precoder, so a config with
+    more UAVs than antennas stays valid for them."""
+    n_uavs, m_ce = cfg.scenario.n_uavs, cfg.array.m_ce
+    if n_uavs > m_ce:
+        raise ConfigError(
+            f"array.m_ce={m_ce} must be at least scenario.n_uavs={n_uavs}: "
+            f"zero-forcing needs one antenna per served UAV"
+        )
+
+
 def parse_config(path=None):
     """Load a YAML config file (None or empty file means all defaults)."""
     data = {}

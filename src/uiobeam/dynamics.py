@@ -11,12 +11,13 @@ where B_T = diag(dT_1, dT_1, ..., dT_N, dT_N).
 
 The reference scenario flies N UAVs on circles of radius R_i about the
 central UAV with angular rate omega, perturbed by a faster sinusoid of
-amplitude R_i*omega*perturbation_ratio. Everything is deterministic; seeded
-random inputs are available separately for property tests. Stepping
-functions are pure, so independent runs parallelize trivially.
+amplitude R_i*omega*perturbation_ratio. The inputs are closed-form in the
+step index, so they are built for all (step, UAV) at once as (horizon, 2N)
+arrays; only the position accumulation loops over steps. Everything is
+deterministic.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,47 +85,6 @@ class UavScenario:
 
 
 @dataclass(frozen=True)
-class NetworkState:
-    """Stacked true positions (m) at time index k."""
-
-    x: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, float))
-        if self.x.ndim != 1 or self.x.size % 2 != 0:
-            raise ShapeError(f"state must be a stacked 2N-vector, got shape {self.x.shape}")
-        if not np.all(np.isfinite(self.x)):
-            raise ShapeError("state contains non-finite entries")
-
-
-@dataclass(frozen=True)
-class UnknownInput:
-    """Lumped unknown input W = V + B_T^{-1} Lambda and its components.
-
-    w, v are m/s; lam is the per-step position perturbation in metres.
-    """
-
-    w: np.ndarray
-    v: np.ndarray
-    lam: np.ndarray
-
-    def __post_init__(self):
-        for name in ("w", "v", "lam"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
-        if not (self.w.shape == self.v.shape == self.lam.shape):
-            raise ShapeError("w, v, lam must share one stacked shape")
-
-    @classmethod
-    def from_components(cls, v, lam, b_t_diag):
-        """Build the lumped input from nominal velocity and perturbation; the
-        identity w = v + lam / b_t_diag then holds by construction."""
-        v = np.asarray(v, float)
-        lam = np.asarray(lam, float)
-        return cls(w=v + lam / np.asarray(b_t_diag, float), v=v, lam=lam)
-
-
-@dataclass(frozen=True)
 class MeasurementModel:
     """Measurement map Y = X + D W; D is a square 2N x 2N matrix."""
 
@@ -143,124 +103,57 @@ class MeasurementModel:
         return cls(d=scale * np.eye(2 * n_uavs))
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """Stacked measured positions (m) at time index k."""
-
-    y: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y, float))
-
-
-def uav_positions(x_stacked):
-    """View a stacked 2N-vector as an (N, 2) array of positions."""
-    x = np.asarray(x_stacked, float)
-    return x.reshape(-1, 2)
-
-
 def initial_state(scenario):
-    """Place UAV i at center + R_i [sin phi_i, cos phi_i], the point whose
-    tangent matches the nominal velocity profile, so the unperturbed path
-    orbits the central UAV."""
+    """Stacked start positions (2N,): UAV i at center + R_i [sin phi_i, cos phi_i],
+    the point whose tangent matches the nominal velocity profile, so the
+    unperturbed path orbits the central UAV."""
     offsets = np.column_stack(
         [scenario.radii * np.sin(scenario.phases), scenario.radii * np.cos(scenario.phases)]
     )
-    return NetworkState(x=(scenario.center + offsets).reshape(-1), k=0)
+    return (scenario.center + offsets).reshape(-1)
 
 
-def nominal_velocity(scenario, i, k):
-    """Nominal velocity of UAV i at step k: R_i*omega*[cos(omega*dT_i*k + phi_i),
-    -sin(omega*dT_i*k + phi_i)] (m/s)."""
-    if not 0 <= i < scenario.n_uavs:
-        raise IndexError(f"UAV index {i} out of range [0, {scenario.n_uavs})")
-    arg = scenario.omega * scenario.dt[i] * k + scenario.phases[i]
-    return scenario.radii[i] * scenario.omega * np.array([np.cos(arg), -np.sin(arg)])
+def scenario_inputs(scenario, horizon):
+    """Inputs driving the network at steps 0..horizon-1, each (horizon, 2N):
+    nominal velocity V (m/s), position perturbation Lambda (m) and the lumped
+    input W = V + Lambda / dT.
 
+    UAV i flies at R_i*omega*[cos(omega*dT_i*k + phi_i), -sin(...)] and is
+    perturbed with amplitude R_i*omega*perturbation_ratio at
+    perturbation_rate_multiple times the orbital rate.
+    """
+    k = np.arange(horizon)[:, None]
 
-def perturbation(scenario, i, k):
-    """Position perturbation of UAV i at step k (m): amplitude
-    R_i*omega*perturbation_ratio at perturbation_rate_multiple times the
-    orbital rate."""
-    if not 0 <= i < scenario.n_uavs:
-        raise IndexError(f"UAV index {i} out of range [0, {scenario.n_uavs})")
-    amp = scenario.radii[i] * scenario.omega * scenario.perturbation_ratio
-    arg = (
-        scenario.perturbation_rate_multiple * scenario.omega * scenario.dt[i] * k
-        + scenario.phases[i]
-    )
-    return amp * np.array([np.cos(arg), -np.sin(arg)])
+    def sinusoid(amplitude, rate):
+        arg = rate * k + scenario.phases
+        return np.stack([amplitude * np.cos(arg), amplitude * -np.sin(arg)], axis=-1)
 
-
-def nominal_velocities(scenario, k):
-    """Stacked nominal velocities of all UAVs at step k (2N,)."""
-    return np.concatenate([nominal_velocity(scenario, i, k) for i in range(scenario.n_uavs)])
-
-
-def perturbations(scenario, k):
-    """Stacked position perturbations of all UAVs at step k (2N,)."""
-    return np.concatenate([perturbation(scenario, i, k) for i in range(scenario.n_uavs)])
-
-
-def scenario_input(scenario, k):
-    """UnknownInput driving the network at step k."""
-    return UnknownInput.from_components(
-        nominal_velocities(scenario, k), perturbations(scenario, k), scenario.b_t_diag
-    )
-
-
-def step_with_input(state, scenario, inp):
-    """Advance the truth one step under an explicit input:
-    X_{k+1} = X_k + B_T V_k + Lambda_k."""
-    if inp.v.size != state.x.size:
-        raise ShapeError(f"input length {inp.v.size} != state length {state.x.size}")
-    x_next = state.x + scenario.b_t_diag * inp.v + inp.lam
-    return NetworkState(x=x_next, k=state.k + 1)
-
-
-def step_truth(state, scenario):
-    """Advance the truth one step under the scenario's nominal velocity and
-    sinusoidal perturbation; returns the new state and the applied input."""
-    inp = scenario_input(scenario, state.k)
-    return step_with_input(state, scenario, inp), inp
-
-
-def measure(state, inp, model):
-    """Perturbed position measurement Y_k = X_k + D W_k."""
-    if model.d.shape[0] != state.x.size:
-        raise ShapeError(f"D size {model.d.shape[0]} != state length {state.x.size}")
-    if inp.w.size != state.x.size:
-        raise ShapeError(f"input length {inp.w.size} != state length {state.x.size}")
-    return Measurement(y=state.x + model.d @ inp.w, k=state.k)
+    speed = scenario.radii * scenario.omega
+    v = sinusoid(speed, scenario.omega * scenario.dt).reshape(horizon, -1)
+    lam = sinusoid(
+        speed * scenario.perturbation_ratio,
+        scenario.perturbation_rate_multiple * scenario.omega * scenario.dt,
+    ).reshape(horizon, -1)
+    return v, lam, v + lam / scenario.b_t_diag
 
 
 def simulate_truth(scenario, model, horizon):
-    """Roll the truth forward ``horizon`` steps.
+    """Roll the truth forward ``horizon`` steps:
+    X_{k+1} = X_k + B_T V_k + Lambda_k and Y_k = X_k + D W_k.
 
     Returns (X, W, Y): X has shape (horizon+1, 2N) with X[k] the state at
     step k; W and Y have shape (horizon, 2N) holding the input applied at
     step k and the measurement taken at step k.
     """
     n2 = 2 * scenario.n_uavs
+    if model.d.shape[0] != n2:
+        raise ShapeError(f"D size {model.d.shape[0]} != state length {n2}")
+    v, lam, ws = scenario_inputs(scenario, horizon)
+    bv = scenario.b_t_diag * v
     xs = np.empty((horizon + 1, n2))
-    ws = np.empty((horizon, n2))
-    ys = np.empty((horizon, n2))
-    state = initial_state(scenario)
-    xs[0] = state.x
+    xs[0] = initial_state(scenario)
     for k in range(horizon):
-        inp = scenario_input(scenario, k)
-        ys[k] = measure(state, inp, model).y
-        ws[k] = inp.w
-        state = step_with_input(state, scenario, inp)
-        xs[k + 1] = state.x
-    return xs, ws, ys
-
-
-def random_input(scenario, rng, velocity_scale=1.0, perturbation_scale=1.0):
-    """Seeded random UnknownInput for property tests; the lumped-input
-    identity holds by construction."""
-    n2 = 2 * scenario.n_uavs
-    v = velocity_scale * rng.standard_normal(n2)
-    lam = perturbation_scale * rng.standard_normal(n2)
-    return UnknownInput.from_components(v, lam, scenario.b_t_diag)
+        xs[k + 1] = xs[k] + bv[k] + lam[k]
+    if not np.all(np.isfinite(xs)):
+        raise ShapeError("state contains non-finite entries")
+    return xs, ws, xs[:-1] + ws @ model.d.T

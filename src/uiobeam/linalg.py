@@ -90,6 +90,14 @@ def check_definiteness(m, sense, tol=DEFINITENESS_TOL):
     return DefinitenessReport(lo, hi, verdict, tol)
 
 
+def row_norms(a):
+    """Euclidean norm along the last axis. One dot product per row, so each
+    value is bit-identical to np.linalg.norm of that row (np.hypot and a
+    summed square are not)."""
+    a = np.asarray(a, dtype=float)
+    return np.sqrt(np.vecdot(a, a))
+
+
 def pinv_full_col_rank(g):
     """Moore-Penrose pseudo-inverse (G^T G)^{-1} G^T of a full-column-rank G.
 

@@ -1,124 +1,91 @@
 """Online execution of a designed observer: one-step-ahead position
 prediction, unknown-input reconstruction through the generic pseudo-inverse,
-performance output, and empirical monitors for the certified bounds.
+performance output, and the verdict on the certified bounds.
 
-The input estimate at step k needs the k+1 prediction, so the runtime emits
-W^_k with one-step latency. A runtime instance is single-owner and stepped
-sequentially; separate instances (per-level comparison runs) need no
-coordination.
+Everything works on (step, coordinate) arrays. Only the prediction loops over
+steps, on whole vectors; the input estimates, the performance output and the
+bound verdict are computed for all steps at once after the loop. The input
+estimate at step k needs the k+1 prediction, so W^_k has one-step latency.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Measurement, simulate_truth
+from .dynamics import simulate_truth
 from .errors import ShapeError
-from .linalg import pinv_full_col_rank
+from .linalg import pinv_full_col_rank, row_norms
 
 # Steps discarded before the steady-state bound monitors start recording;
 # ~5x the time constant of the slowest reference gain.
 DEFAULT_TRANSIENT_CUTOFF = 50
 
 
-@dataclass(frozen=True)
-class ObserverState:
-    """Predicted stacked positions (m) at time index k."""
-
-    xhat: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "xhat", np.asarray(self.xhat, float))
-        if not np.all(np.isfinite(self.xhat)):
-            raise ShapeError("observer state contains non-finite entries")
-
-
-def predict(obs, gains, y):
-    """Prediction step X^_{k+1} = Q X^_k + L Y_k; the time index advances."""
-    if isinstance(y, Measurement):
-        if y.k != obs.k:
-            raise ShapeError(f"measurement index {y.k} != observer index {obs.k}")
-        y = y.y
+def predict(xhat, gains, y):
+    """Prediction step X^_{k+1} = Q X^_k + L Y_k on stacked 2N-vectors."""
+    xhat = np.asarray(xhat, float)
     y = np.asarray(y, float)
-    if y.shape != obs.xhat.shape:
-        raise ShapeError(f"measurement shape {y.shape} != state shape {obs.xhat.shape}")
-    return ObserverState(xhat=gains.q @ obs.xhat + gains.l @ y, k=obs.k + 1)
+    if y.shape != xhat.shape:
+        raise ShapeError(f"measurement shape {y.shape} != state shape {xhat.shape}")
+    return gains.q @ xhat + gains.l @ y
 
 
-@dataclass(frozen=True)
-class InputEstimator:
-    """Reconstruction operator for the unknown input: G = [B_T; 0] stacked
-    over the state and output residuals, with its Moore-Penrose pseudo-inverse
-    precomputed through the generic normal-equation path."""
-
-    g: np.ndarray
-    g_pinv: np.ndarray
-
-    @classmethod
-    def from_b_t(cls, b_t):
-        b_t = np.asarray(b_t, float)
-        if b_t.ndim == 1:
-            b_t = np.diag(b_t)
-        n = b_t.shape[0]
-        g = np.vstack([b_t, np.zeros((n, n))])
-        return cls(g=g, g_pinv=pinv_full_col_rank(g))
+def input_pinv(b_t):
+    """Reconstruction operator for the unknown input: the Moore-Penrose
+    pseudo-inverse of G = [B_T; 0] (stacked over the state and output
+    residuals), through the generic normal-equation path. b_t is B_T or its
+    diagonal."""
+    b_t = np.asarray(b_t, float)
+    if b_t.ndim == 1:
+        b_t = np.diag(b_t)
+    return pinv_full_col_rank(np.vstack([b_t, np.zeros_like(b_t)]))
 
 
-def estimate_input(est, xhat_next, xhat, y):
+def estimate_input(g_pinv, xhat_next, xhat, y):
     """Unknown-input estimate W^_k = pinv(G) [X^_{k+1} - X^_k; Y_k - X^_k]
-    (m/s). For G = [B_T; 0] this equals B_T^{-1} (X^_{k+1} - X^_k), reproduced
-    here through the generic pseudo-inverse."""
+    (m/s), for one step (2N-vectors) or all steps at once ((horizon, 2N)
+    arrays). For G = [B_T; 0] this equals B_T^{-1} (X^_{k+1} - X^_k),
+    reproduced here through the generic pseudo-inverse."""
     xhat_next = np.asarray(xhat_next, float)
     xhat = np.asarray(xhat, float)
     y = np.asarray(y, float)
     if not xhat_next.shape == xhat.shape == y.shape:
-        raise ShapeError("prediction/measurement vectors must share one shape")
-    return est.g_pinv @ np.concatenate([xhat_next - xhat, y - xhat])
+        raise ShapeError("prediction/measurement arrays must share one shape")
+    return np.concatenate([xhat_next - xhat, y - xhat], axis=-1) @ g_pinv.T
+
+
+def _max_norm(rows):
+    return float(np.max(row_norms(rows), initial=0.0))
 
 
 @dataclass(frozen=True)
-class PerformanceOutput:
-    """Tracking error E = X^ - X (m) and performance output Z^ = H E."""
-
-    e: np.ndarray
-    z: np.ndarray
-
-
-def performance_output(gains, xhat, x_true):
-    e = np.asarray(xhat, float) - np.asarray(x_true, float)
-    return PerformanceOutput(e=e, z=gains.h @ e)
-
-
 class BoundMonitor:
-    """Running check of the certified steady-state bounds.
+    """Verdict on the certified steady-state bounds over one run.
 
-    Tracks gamma_w = sup_k ||W_k|| from ground truth and, from
-    transient_cutoff onward, the worst ||Z^_k|| and ||W^_k - W_k||. The
-    certified inequalities are ||Z^_k|| <= gamma * gamma_w and
+    gamma_w = sup_k ||W_k|| comes from ground truth; the worst ||Z^_k|| and
+    ||W^_k - W_k|| are taken from step transient_cutoff onward. The certified
+    inequalities are ||Z^_k|| <= gamma * gamma_w and
     ||W^_k - W_k|| <= 3 * gamma * gamma_w.
     """
 
-    def __init__(self, gamma, transient_cutoff=DEFAULT_TRANSIENT_CUTOFF):
-        self.gamma = float(gamma)
-        self.transient_cutoff = int(transient_cutoff)
-        self.gamma_w = 0.0
-        self.worst_state_err = 0.0
-        self.worst_input_err = 0.0
-        self._last_k = None
+    gamma: float
+    transient_cutoff: int
+    gamma_w: float
+    worst_state_err: float
+    worst_input_err: float
 
-    def update(self, perf, w_true, w_hat, k):
-        """Fold in one step; k must increase across calls."""
-        if self._last_k is not None and k <= self._last_k:
-            raise ShapeError(f"monitor requires increasing k, got {k} after {self._last_k}")
-        self._last_k = k
-        self.gamma_w = max(self.gamma_w, float(np.linalg.norm(w_true)))
-        if k >= self.transient_cutoff:
-            self.worst_state_err = max(self.worst_state_err, float(np.linalg.norm(perf.z)))
-            if w_hat is not None:
-                err = float(np.linalg.norm(np.asarray(w_hat) - np.asarray(w_true)))
-                self.worst_input_err = max(self.worst_input_err, err)
-        return self
+    @classmethod
+    def from_run(cls, gamma, z, w, w_hat, transient_cutoff=DEFAULT_TRANSIENT_CUTOFF):
+        """Verdict from (horizon, 2N) arrays of the performance output, the
+        true input and its estimate at steps 0..horizon-1."""
+        steady = slice(max(int(transient_cutoff), 0), None)
+        return cls(
+            gamma=float(gamma),
+            transient_cutoff=int(transient_cutoff),
+            gamma_w=_max_norm(w),
+            worst_state_err=_max_norm(z[steady]),
+            worst_input_err=_max_norm(w_hat[steady] - w[steady]),
+        )
 
     @property
     def state_bound(self):
@@ -137,11 +104,6 @@ class BoundMonitor:
         return self.worst_input_err <= self.input_bound
 
 
-def monitor_bounds(mon, perf, w_true, w_hat, k):
-    """Functional alias for BoundMonitor.update."""
-    return mon.update(perf, w_true, w_hat, k)
-
-
 def track(scenario, model, gains, horizon, gamma=np.nan, init="measurement",
           transient_cutoff=DEFAULT_TRANSIENT_CUTOFF):
     """Run truth + observer for ``horizon`` steps and collect everything the
@@ -150,29 +112,24 @@ def track(scenario, model, gains, horizon, gamma=np.nan, init="measurement",
     gamma is the certified performance level feeding the bound monitor.
     init: 'measurement' starts the observer at Y_0, 'zero' at the origin.
     Returns a dict with X/XHAT (horizon+1, 2N), Y/W/WHAT (horizon, 2N),
-    E/Z (horizon+1, 2N) and the filled BoundMonitor.
+    E/Z (horizon+1, 2N) and the BoundMonitor verdict.
     """
     xs, ws, ys = simulate_truth(scenario, model, horizon)
-    n2 = xs.shape[1]
     xhat = np.empty_like(xs)
     if init == "measurement":
         xhat[0] = ys[0]
     elif init == "zero":
-        xhat[0] = np.zeros(n2)
+        xhat[0] = 0.0
     else:
         raise ShapeError(f"unknown observer init {init!r}")
-    what = np.empty_like(ws)
-    est = InputEstimator.from_b_t(scenario.b_t)
-    mon = BoundMonitor(gamma=gamma, transient_cutoff=transient_cutoff)
     for k in range(horizon):
-        state = ObserverState(xhat=xhat[k], k=k)
-        xhat[k + 1] = predict(state, gains, Measurement(y=ys[k], k=k)).xhat
-        what[k] = estimate_input(est, xhat[k + 1], xhat[k], ys[k])
-        perf = performance_output(gains, xhat[k], xs[k])
-        mon.update(perf, ws[k], what[k], k)
+        xhat[k + 1] = predict(xhat[k], gains, ys[k])
+    if not np.all(np.isfinite(xhat)):
+        raise ShapeError("observer state contains non-finite entries")
+    what = estimate_input(input_pinv(scenario.b_t_diag), xhat[1:], xhat[:-1], ys)
     errs = xhat - xs
     zs = errs @ gains.h.T
     return {
-        "X": xs, "Y": ys, "W": ws, "XHAT": xhat, "WHAT": what,
-        "E": errs, "Z": zs, "monitor": mon,
+        "X": xs, "Y": ys, "W": ws, "XHAT": xhat, "WHAT": what, "E": errs, "Z": zs,
+        "monitor": BoundMonitor.from_run(gamma, zs[:-1], ws, what, transient_cutoff),
     }

@@ -2,11 +2,14 @@
 
 Every CSV body is byte-stable for a fixed config + seed: floats are written
 with 17 significant digits, rows in a fixed order, no timestamps. Wall-clock
-lives only in the manifest. Per-design and per-mode runs are independent and
-each writes its own files; the orchestration here runs them sequentially.
+lives only in the manifest. Tables are built as whole columns over
+(step, UAV) and written with one format template per file. Per-design and
+per-mode runs are independent; the orchestration here runs them
+sequentially.
 """
 
 import json
+import shutil
 import time
 from pathlib import Path
 
@@ -14,32 +17,33 @@ import numpy as np
 
 from . import beamforming as bf
 from . import observer as obs
-from .config import config_hash
+from .config import config_hash, require_link_array
 from .design import LmiProblem, critical_dt
 from .design import design as solve_design
-from .errors import ConfigError, DegenerateGeometryError
+from .errors import ConfigError, ShapeError
+from .linalg import row_norms
 
 PATTERN_SPAN_DEG = 89.75
+_FORMATS = {"b": "%d", "i": "%d", "f": "%.17g"}
 
 
-def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".17g")
+def write_csv(path, header, columns):
+    """Write one row per index of the equal-length ``columns``; returns the
+    row count.
 
-
-def write_csv(path, header, rows):
-    """Write rows with deterministic formatting; returns the row count."""
-    path = Path(path)
+    Each file gets one %-template: integer and boolean columns are written
+    with %d, float columns with %.17g (the digits of format(x, '.17g')) and
+    any other column with %s.
+    """
+    columns = [np.ravel(c) for c in columns]
+    sizes = {c.size for c in columns}
+    if len(sizes) != 1:
+        raise ShapeError(f"CSV columns differ in length: {sorted(sizes)}")
+    template = ",".join(_FORMATS.get(c.dtype.kind, "%s") for c in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return len(rows)
+        fh.writelines(template % row for row in zip(*(c.tolist() for c in columns)))
+    return sizes.pop()
 
 
 def mu_label(mu):
@@ -79,28 +83,20 @@ def run_design(cfg):
     return records, designs
 
 
-def _true_angles(cfg, x_stacked):
-    return bf.angles_from_positions(x_stacked, cfg.scenario.center, signed=True)
-
-
 def _predicted_angles(cfg, xhat_stacked):
-    # Quadrant-aware variant: the arccos form cannot steer below-axis UAVs.
+    # Quadrant-aware form: the arccos form cannot steer below-axis UAVs.
     # A prediction still sitting on the central UAV (zero-init transient) has
     # no defined azimuth; steer broadside until it moves away.
-    positions = np.asarray(xhat_stacked, float).reshape(-1, 2)
-    angles = np.empty(positions.shape[0])
-    for i, pos in enumerate(positions):
-        try:
-            angles[i] = bf.signed_angular_position(pos, cfg.scenario.center)
-        except DegenerateGeometryError:
-            angles[i] = 0.0
-    return angles
+    deltas = xhat_stacked.reshape(-1, 2) - cfg.scenario.center
+    angles = np.arctan2(deltas[:, 1], deltas[:, 0])
+    return np.where(row_norms(deltas) < bf.MIN_RANGE, 0.0, angles)
 
 
 def _channel_at(cfg, x_stacked, rng):
-    positions = np.asarray(x_stacked, float).reshape(-1, 2)
+    """Line-of-sight channel at the true positions; its theta holds the true
+    azimuths."""
     return bf.ChannelRealization.line_of_sight(
-        cfg.array, positions, cfg.scenario.center, cfg.sigma2,
+        cfg.array, x_stacked.reshape(-1, 2), cfg.scenario.center, cfg.sigma2,
         phase_mode=cfg.phase_mode, rng=rng,
     )
 
@@ -117,11 +113,9 @@ def link_timeseries(cfg, run, mode="uio", windows=()):
     sinr_db = np.empty((horizon, n))
     se = np.empty((horizon, n))
     for k in range(horizon):
-        angles = provider.angles(
-            k, _true_angles(cfg, run["X"][k]), _predicted_angles(cfg, run["XHAT"][k])
-        )
-        beams = bf.safe_beamformer(cfg.array, angles)
         chan = _channel_at(cfg, run["X"][k], rng)
+        angles = provider.angles(k, chan.theta, _predicted_angles(cfg, run["XHAT"][k]))
+        beams = bf.safe_beamformer(cfg.array, angles)
         power = bf.equal_power_allocation(beams, cfg.total_power)
         report = bf.link_report(cfg.array, chan, beams, power)
         sinr_db[k] = report.sinr_db
@@ -129,62 +123,51 @@ def link_timeseries(cfg, run, mode="uio", windows=()):
     return sinr_db, se
 
 
+def _step_uav_columns(n, horizon):
+    """k and uav_id columns of a table with one row per (step, UAV)."""
+    return np.repeat(np.arange(horizon), n), np.tile(np.arange(n), horizon)
+
+
 def _write_tracking_csvs(cfg, run, out_dir, files):
-    n = cfg.scenario.n_uavs
-    dt0 = float(cfg.scenario.dt[0])
-    traj_rows = []
-    input_rows = []
-    for k in range(cfg.horizon):
-        t = k * dt0
-        xt = run["X"][k].reshape(n, 2)
-        xp = run["XHAT"][k].reshape(n, 2)
-        wt = run["W"][k].reshape(n, 2)
-        wh = run["WHAT"][k].reshape(n, 2)
-        for i in range(n):
-            traj_rows.append((
-                k, t, i, xt[i, 0], xt[i, 1], xp[i, 0], xp[i, 1],
-                float(np.linalg.norm(xp[i] - xt[i])),
-            ))
-            input_rows.append((
-                k, i, wt[i, 0], wt[i, 1], wh[i, 0], wh[i, 1],
-                float(np.linalg.norm(wh[i] - wt[i])),
-            ))
+    n, horizon = cfg.scenario.n_uavs, cfg.horizon
+    k, uav = _step_uav_columns(n, horizon)
+    xt, xp, wt, wh = (
+        run[key][:horizon].reshape(horizon, n, 2) for key in ("X", "XHAT", "W", "WHAT")
+    )
     files["trajectories.csv"] = write_csv(
         out_dir / "trajectories.csv",
         ["k", "t", "uav_id", "x_true", "y_true", "x_pred", "y_pred", "err_norm"],
-        traj_rows,
+        [k, k * float(cfg.scenario.dt[0]), uav, xt[..., 0], xt[..., 1], xp[..., 0],
+         xp[..., 1], row_norms(xp - xt)],
     )
     files["inputs.csv"] = write_csv(
         out_dir / "inputs.csv",
         ["k", "uav_id", "wx_true", "wy_true", "wx_est", "wy_est", "err_norm"],
-        input_rows,
+        [k, uav, wt[..., 0], wt[..., 1], wh[..., 0], wh[..., 1], row_norms(wh - wt)],
     )
 
 
 def _write_se_csv(cfg, run, out_dir, files, mode="uio"):
     sinr_db, se = link_timeseries(cfg, run, mode=mode)
-    rows = []
-    for k in range(cfg.horizon):
-        for i in range(cfg.scenario.n_uavs):
-            rows.append((k, i, mode, sinr_db[k, i], se[k, i]))
+    k, uav = _step_uav_columns(cfg.scenario.n_uavs, cfg.horizon)
     files["se.csv"] = write_csv(
-        out_dir / "se.csv", ["k", "uav_id", "mode", "sinr_db", "se_bpshz"], rows
+        out_dir / "se.csv", ["k", "uav_id", "mode", "sinr_db", "se_bpshz"],
+        [k, uav, np.full(k.size, mode), sinr_db, se],
     )
 
 
 def _write_pattern_csvs(cfg, run, out_dir, files):
+    n = cfg.scenario.n_uavs
     grid_deg = np.linspace(-PATTERN_SPAN_DEG, PATTERN_SPAN_DEG, cfg.pattern_points)
     grid = np.deg2rad(grid_deg)
     for k in cfg.pattern_snapshots:
-        angles = _predicted_angles(cfg, run["XHAT"][k])
-        beams = bf.safe_beamformer(cfg.array, angles)
+        beams = bf.safe_beamformer(cfg.array, _predicted_angles(cfg, run["XHAT"][k]))
         gains_db = bf.beam_pattern(cfg.array, beams.f, grid)
-        rows = []
-        for g in range(grid.size):
-            for beam in range(cfg.scenario.n_uavs):
-                rows.append((grid_deg[g], beam, gains_db[g, beam]))
         name = f"pattern_k{k}.csv"
-        files[name] = write_csv(out_dir / name, ["theta_deg", "beam_id", "gain_db"], rows)
+        files[name] = write_csv(
+            out_dir / name, ["theta_deg", "beam_id", "gain_db"],
+            [np.repeat(grid_deg, n), np.tile(np.arange(n), grid.size), gains_db],
+        )
 
 
 def write_manifest(out_dir, cfg, files, wall_clock_s):
@@ -203,24 +186,43 @@ def write_manifest(out_dir, cfg, files, wall_clock_s):
     return manifest
 
 
+def _same_gains(a, b):
+    return all(np.array_equal(getattr(a, m), getattr(b, m)) for m in ("l", "q", "h"))
+
+
 def run_simulate(cfg, out_dir):
-    """Tracking + link + pattern CSVs, one subdirectory per configured design."""
+    """Tracking + link + pattern CSVs, one subdirectory per configured design.
+
+    The outputs depend on a design only through its gains, so each distinct
+    design is run once and its files are copied into the directories of the
+    designs with equal gains.
+    """
+    require_link_array(cfg)
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records, designs = run_design(cfg)
     files = {}
+    written = []  # (gains, directory, {file name: rows}) per distinct design
     for record, (solution, gains) in zip(records, designs):
         sub = out_dir / f"design_mu{mu_label(record['mu_max'])}"
         sub.mkdir(parents=True, exist_ok=True)
-        run = obs.track(
-            cfg.scenario, cfg.model, gains, cfg.horizon, gamma=solution.gamma,
-            init=cfg.observer_init, transient_cutoff=cfg.transient_cutoff,
-        )
-        sub_files = {}
-        _write_tracking_csvs(cfg, run, sub, sub_files)
-        _write_se_csv(cfg, run, sub, sub_files)
-        _write_pattern_csvs(cfg, run, sub, sub_files)
+        twin = next((w for w in written if _same_gains(w[0], gains)), None)
+        if twin is None:
+            run = obs.track(
+                cfg.scenario, cfg.model, gains, cfg.horizon, gamma=solution.gamma,
+                init=cfg.observer_init, transient_cutoff=cfg.transient_cutoff,
+            )
+            sub_files = {}
+            _write_tracking_csvs(cfg, run, sub, sub_files)
+            _write_se_csv(cfg, run, sub, sub_files)
+            _write_pattern_csvs(cfg, run, sub, sub_files)
+            written.append((gains, sub, sub_files))
+        else:
+            _, source, sub_files = twin
+            if source != sub:
+                for name in sub_files:
+                    shutil.copyfile(source / name, sub / name)
         for name, rows in sub_files.items():
             files[f"{sub.name}/{name}"] = rows
     with open(out_dir / "design_records.json", "w", encoding="utf-8") as fh:
@@ -235,13 +237,11 @@ def run_sweep_dt(cfg, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bracket = (cfg.sweep_dt_low, cfg.sweep_dt_high)
-    rows = []
-    for mu_max in cfg.mu_list:
-        prob = design_problem(cfg, mu_max)
-        rows.append((mu_max, critical_dt(prob, bracket)))
+    rows = [(mu_max, critical_dt(design_problem(cfg, mu_max), bracket))
+            for mu_max in cfg.mu_list]
     files = {
         "sweep_dt.csv": write_csv(
-            out_dir / "sweep_dt.csv", ["mu_max", "critical_dt_s"], rows
+            out_dir / "sweep_dt.csv", ["mu_max", "critical_dt_s"], list(zip(*rows))
         )
     }
     write_manifest(out_dir, cfg, files, time.perf_counter() - t0)
@@ -258,6 +258,7 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
     """
     if not cfg.windows:
         raise ConfigError("compare-baseline needs at least one blockage window")
+    require_link_array(cfg)
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -272,14 +273,13 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
     uio = bf.AngleProvider("uio", dt=dt0)
     rng = np.random.default_rng(cfg.seed)
     n = cfg.scenario.n_uavs
-    rows = []
     se_uio = np.empty(cfg.horizon)
     se_echo = np.empty(cfg.horizon)
     blocked = np.empty(cfg.horizon, dtype=bool)
     for k in range(cfg.horizon):
-        true_angles = _true_angles(cfg, run["X"][k])
-        pred_angles = true_angles if force_uio_truth else _predicted_angles(cfg, run["XHAT"][k])
         chan = _channel_at(cfg, run["X"][k], rng)
+        true_angles = chan.theta
+        pred_angles = true_angles if force_uio_truth else _predicted_angles(cfg, run["XHAT"][k])
         symbols, noise = bf.draw_link_samples(n, cfg.sigma2, rng, cfg.noise_draws)
         per_mode = {}
         for name, provider, predicted in (
@@ -294,12 +294,12 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
         se_uio[k] = per_mode["uio"]
         se_echo[k] = per_mode["echo_baseline"]
         blocked[k] = echo.blocked(k)
-        rows.append((k, k * dt0, blocked[k], se_uio[k], se_echo[k]))
+    steps = np.arange(cfg.horizon)
     files = {
         "se_compare.csv": write_csv(
             out_dir / "se_compare.csv",
             ["k", "t", "in_window", "se_uio", "se_echo_baseline"],
-            rows,
+            [steps, steps * dt0, blocked, se_uio, se_echo],
         )
     }
     summary = {

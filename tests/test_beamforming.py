@@ -57,6 +57,15 @@ def test_steering_30_degrees_quarter_turns():
     np.testing.assert_allclose(v, [1.0, 1j, -1.0, -1j], atol=1e-9)
 
 
+def test_steering_matrix_matches_per_angle_formula():
+    thetas = np.linspace(-1.5, 1.5, 13)
+    a = steering_matrix(CFG, thetas, 32)
+    for i, theta in enumerate(thetas):
+        phase = (2.0 * np.pi / CFG.wavelength) * CFG.spacing * np.sin(theta)
+        np.testing.assert_array_equal(a[:, i], np.exp(1j * phase * np.arange(32)))
+        np.testing.assert_array_equal(steering_vector(CFG, theta, 32), a[:, i])
+
+
 def test_steering_unit_modulus():
     rng = np.random.default_rng(4)
     for theta in rng.uniform(-np.pi / 2, np.pi / 2, 16):
@@ -95,6 +104,30 @@ def test_beamformer_names_colliding_pair():
     # equal sines: theta and pi - theta
     with pytest.raises(ConditioningError, match="0 and 1"):
         beamformer(CFG, [0.5, np.pi - 0.5])
+
+
+def test_collision_scan_matches_pairwise_loop():
+    # the array scan reports what a loop over pairs i < j would report first
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        thetas = rng.uniform(-1.2, 1.2, int(rng.integers(2, 12)))
+        sines = np.sin(thetas)
+        first = next(
+            ((i, j) for i in range(thetas.size) for j in range(i + 1, thetas.size)
+             if abs(sines[i] - sines[j]) < 0.05),
+            None,
+        )
+        if first is None:
+            beamformer(CFG, thetas, min_sin_gap=0.05)
+        else:
+            with pytest.raises(ConditioningError, match=f"angles {first[0]} and {first[1]} "):
+                beamformer(CFG, thetas, min_sin_gap=0.05)
+
+
+def test_beamformer_names_first_colliding_pair_in_row_major_order():
+    # pairs (0, 3) and (1, 2) both collide; the scan meets (0, 3) first
+    with pytest.raises(ConditioningError, match="angles 0 and 3 collide"):
+        beamformer(CFG, [0.1, 0.5, np.pi - 0.5, 0.1 + 1e-5])
 
 
 def test_safe_beamformer_survives_collisions():

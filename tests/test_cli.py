@@ -8,7 +8,8 @@ import pytest
 
 from uiobeam.cli import main
 from uiobeam.config import config_from_mapping
-from uiobeam.simulate import run_compare, run_simulate
+from uiobeam.errors import ShapeError
+from uiobeam.simulate import run_compare, run_simulate, write_csv
 
 
 def write_yaml(tmp_path, text, name="cfg.yaml"):
@@ -217,3 +218,55 @@ def test_library_simulate_matches_cli(tmp_path):
     cfg = config_from_mapping({"observer": {"mu_max": [0.05]}, "run": {"horizon": 30}})
     manifest = run_simulate(cfg, tmp_path / "lib")
     assert manifest["files"]["design_mu0.05/trajectories.csv"] == 30 * 4
+
+
+def link_config(tmp_path, n_uavs, m_ce, n_u=4):
+    """Short simulate/compare config for a fleet of n_uavs evenly phased UAVs."""
+    return write_yaml(tmp_path, json.dumps({
+        "scenario": {"radii": np.linspace(100.0, 250.0, n_uavs).tolist()},
+        "array": {"m_ce": m_ce, "n_u": n_u},
+        "observer": {"mu_max": [0.05]},
+        "blockage": {"windows": [[0.0, 0.6]]},
+        "run": {"horizon": 8, "pattern_points": 11},
+    }))
+
+
+def test_singular_gram_falls_back_to_ridge(tmp_path):
+    # 64 UAVs on a 128-element array: every sine gap passes the strict check,
+    # yet at step 3 the Gram matrix is numerically singular. The precoder
+    # falls back to the ridge build instead of ending the run with exit 1.
+    cfg = link_config(tmp_path, 64, 128)
+    for sub in ("simulate", "compare-baseline"):
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+    _, rows = read_csv(tmp_path / "simulate" / "design_mu0.05" / "se.csv")
+    assert len(rows) == 64 * 8
+    assert all(np.isfinite(float(r[4])) for r in rows)
+
+
+def test_more_uavs_than_antennas_fails_validation(tmp_path, capsys):
+    # 8 UAVs on 4 antennas cannot be zero-forced: the link subcommands reject
+    # the config naming the field, while design never builds a precoder
+    cfg = link_config(tmp_path, 8, 4, n_u=2)
+    for sub in ("simulate", "compare-baseline"):
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 1
+        assert "array.m_ce" in capsys.readouterr().err
+    assert main(["design", "--config", cfg, "--out", str(tmp_path / "design")]) == 0
+
+
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    # one template per file writes what per-value formatting wrote: ints and
+    # booleans as integers, floats with format(x, '.17g'), text as is
+    floats = np.array([0.1, -0.0, 1.0 / 3.0, 1e-300, 123456789012345678.0, 2.5e16,
+                       -7.0, np.pi, np.inf, -np.inf, np.nan])
+    ints = np.arange(floats.size) - 3
+    flags = ints % 2 == 0
+    text = np.full(floats.size, "uio")
+    path = tmp_path / "t.csv"
+    assert write_csv(path, ["i", "f", "b", "s"], [ints, floats, flags, text]) == floats.size
+    expected = ["i,f,b,s"] + [
+        f"{int(i)},{format(float(f), '.17g')},{'1' if b else '0'},{s}"
+        for i, f, b, s in zip(ints, floats, flags, text)
+    ]
+    assert path.read_text().split("\n") == expected + [""]
+    with pytest.raises(ShapeError):
+        write_csv(path, ["i", "f"], [ints, floats[:-1]])

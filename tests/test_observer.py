@@ -3,25 +3,13 @@ pseudo-inverse, performance output and the bound monitor."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uiobeam.design import ObserverGains
-from uiobeam.dynamics import (
-    Measurement,
-    MeasurementModel,
-    UavScenario,
-    simulate_truth,
-)
+from uiobeam.dynamics import MeasurementModel, UavScenario, simulate_truth
 from uiobeam.errors import ShapeError
-from uiobeam.observer import (
-    BoundMonitor,
-    InputEstimator,
-    ObserverState,
-    estimate_input,
-    monitor_bounds,
-    performance_output,
-    predict,
-    track,
-)
+from uiobeam.observer import BoundMonitor, estimate_input, input_pinv, predict, track
 
 
 def gains_scalar(ell, n=8):
@@ -29,127 +17,136 @@ def gains_scalar(ell, n=8):
 
 
 def test_predict_reference_gain():
-    obs = ObserverState(xhat=np.zeros(8), k=0)
     y = np.zeros(8)
     y[0] = 1.0
-    out = predict(obs, gains_scalar(0.39), Measurement(y=y, k=0))
+    out = predict(np.zeros(8), gains_scalar(0.39), y)
     expected = np.zeros(8)
     expected[0] = 0.39
-    np.testing.assert_allclose(out.xhat, expected)
-    assert out.k == 1
+    np.testing.assert_allclose(out, expected)
 
 
 def test_predict_dead_beat():
     rng = np.random.default_rng(1)
     y = rng.standard_normal(8)
-    obs = ObserverState(xhat=rng.standard_normal(8), k=4)
-    out = predict(obs, gains_scalar(1.0), Measurement(y=y, k=4))
-    np.testing.assert_array_equal(out.xhat, y)
+    out = predict(rng.standard_normal(8), gains_scalar(1.0), y)
+    np.testing.assert_array_equal(out, y)
 
 
 def test_predict_fixed_point():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(8)
-    out = predict(ObserverState(xhat=x, k=0), gains_scalar(0.39), Measurement(y=x, k=0))
-    np.testing.assert_allclose(out.xhat, x, rtol=1e-14)
+    out = predict(x, gains_scalar(0.39), x)
+    np.testing.assert_allclose(out, x, rtol=1e-14)
 
 
-def test_predict_index_mismatch():
-    obs = ObserverState(xhat=np.zeros(8), k=0)
+def test_predict_shape_mismatch():
     with pytest.raises(ShapeError):
-        predict(obs, gains_scalar(0.5), Measurement(y=np.zeros(8), k=1))
+        predict(np.zeros(8), gains_scalar(0.5), np.zeros(6))
 
 
 def test_estimate_input_stationary():
-    est = InputEstimator.from_b_t(0.15 * np.eye(8))
+    g_pinv = input_pinv(0.15 * np.eye(8))
     x = np.ones(8)
-    np.testing.assert_allclose(estimate_input(est, x, x, x + 1.0), np.zeros(8), atol=1e-12)
+    np.testing.assert_allclose(estimate_input(g_pinv, x, x, x + 1.0), np.zeros(8), atol=1e-12)
 
 
 def test_estimate_input_closed_form_scaling():
-    est = InputEstimator.from_b_t(0.15 * np.eye(8))
+    g_pinv = input_pinv(0.15 * np.eye(8))
     xhat = np.zeros(8)
     xhat_next = np.zeros(8)
     xhat_next[0] = 0.15
-    w = estimate_input(est, xhat_next, xhat, np.zeros(8))
+    w = estimate_input(g_pinv, xhat_next, xhat, np.zeros(8))
     expected = np.zeros(8)
     expected[0] = 1.0
     np.testing.assert_allclose(w, expected, rtol=1e-10)
 
 
 def test_estimate_input_unit_sampling_time():
-    est = InputEstimator.from_b_t(np.eye(6))
+    g_pinv = input_pinv(np.eye(6))
     rng = np.random.default_rng(3)
     diff = rng.standard_normal(6)
-    w = estimate_input(est, diff, np.zeros(6), rng.standard_normal(6))
+    w = estimate_input(g_pinv, diff, np.zeros(6), rng.standard_normal(6))
     np.testing.assert_allclose(w, diff, rtol=1e-12)
 
 
+def test_estimate_input_all_steps_match_single_steps():
+    rng = np.random.default_rng(4)
+    g_pinv = input_pinv(np.diag(10.0 ** rng.uniform(-2, 1, size=6)))
+    xhat = rng.standard_normal((31, 6))
+    ys = rng.standard_normal((30, 6))
+    batched = estimate_input(g_pinv, xhat[1:], xhat[:-1], ys)
+    for k in range(30):
+        np.testing.assert_array_equal(
+            batched[k], estimate_input(g_pinv, xhat[k + 1], xhat[k], ys[k]))
+    with pytest.raises(ShapeError):
+        estimate_input(g_pinv, xhat[1:], xhat[:-1], ys[:-1])
+
+
 def test_estimator_invariants():
-    est = InputEstimator.from_b_t(np.diag([0.1, 0.1, 2.0, 2.0]))
-    assert est.g.shape == (8, 4)
-    np.testing.assert_allclose(est.g_pinv @ est.g, np.eye(4), atol=1e-10)
+    b_t = np.diag([0.1, 0.1, 2.0, 2.0])
+    g = np.vstack([b_t, np.zeros((4, 4))])
+    g_pinv = input_pinv(b_t)
+    assert g.shape == (8, 4) and g_pinv.shape == (4, 8)
+    np.testing.assert_allclose(g_pinv @ g, np.eye(4), atol=1e-10)
+    np.testing.assert_array_equal(input_pinv(np.diag(b_t)), g_pinv)
 
 
 def test_generic_pinv_matches_diagonal_closed_form():
     rng = np.random.default_rng(9)
     for _ in range(20):
         diag = 10.0 ** rng.uniform(-2, 1, size=8)
-        est = InputEstimator.from_b_t(np.diag(diag))
         closed = np.hstack([np.diag(1.0 / diag), np.zeros((8, 8))])
-        assert np.max(np.abs(est.g_pinv - closed)) <= 1e-10
+        assert np.max(np.abs(input_pinv(np.diag(diag)) - closed)) <= 1e-10
 
 
 def test_performance_output_cases():
-    gains = gains_scalar(0.39)
-    x = np.arange(8.0)
-    perf = performance_output(gains, x, x)
-    np.testing.assert_array_equal(perf.z, np.zeros(8))
-    e = np.linspace(-1, 1, 8)
-    perf = performance_output(gains, x + e, x)
-    np.testing.assert_allclose(perf.e, e, atol=1e-15)
-    np.testing.assert_allclose(perf.z, e, atol=1e-15)  # H = I default
+    # E = X^ - X and Z^ = H E on every step of a run
+    scn = UavScenario.evenly_phased([100.0, 150.0, 200.0, 250.0], 0.5, 0.15)
+    model = MeasurementModel.scaled_identity(4, 0.5)
+    run = track(scn, model, gains_scalar(0.39), 20)
+    np.testing.assert_array_equal(run["E"], run["XHAT"] - run["X"])
+    np.testing.assert_allclose(run["Z"], run["E"], atol=1e-15)  # H = I default
     selector = np.zeros((8, 8))
     selector[0, 0] = 1.0
     gains_sel = ObserverGains.from_l(0.39 * np.eye(8), h=selector)
-    perf = performance_output(gains_sel, x + e, x)
-    expected = np.zeros(8)
-    expected[0] = e[0]
-    np.testing.assert_allclose(perf.z, expected)
+    run = track(scn, model, gains_sel, 20)
+    expected = np.zeros_like(run["E"])
+    expected[:, 0] = run["E"][:, 0]
+    np.testing.assert_allclose(run["Z"], expected)
+    # a prediction that equals the truth has zero performance output: with
+    # D = 0 the observer starts at Y_0 = X_0
+    run = track(scn, MeasurementModel.scaled_identity(4, 0.0), gains_scalar(0.39), 20)
+    np.testing.assert_array_equal(run["Z"][0], np.zeros(8))
 
 
 def test_monitor_zero_input_thresholds():
-    mon = BoundMonitor(gamma=0.21, transient_cutoff=2)
-    gains = gains_scalar(0.39)
-    for k in range(5):
-        perf = performance_output(gains, np.zeros(8), np.zeros(8))
-        monitor_bounds(mon, perf, np.zeros(8), np.zeros(8), k)
+    zeros = np.zeros((5, 8))
+    mon = BoundMonitor.from_run(0.21, zeros, zeros, zeros, transient_cutoff=2)
     assert mon.gamma_w == 0.0
     assert mon.state_bound == 0.0 and mon.input_bound == 0.0
     assert mon.state_ok and mon.input_ok
 
 
 def test_monitor_constant_input_thresholds():
-    mon = BoundMonitor(gamma=0.5, transient_cutoff=0)
-    w = np.zeros(8)
-    w[0] = 3.0
-    gains = gains_scalar(0.39)
-    perf = performance_output(gains, np.zeros(8), np.zeros(8))
-    mon.update(perf, w, w, 0)
+    w = np.zeros((1, 8))
+    w[0, 0] = 3.0
+    mon = BoundMonitor.from_run(0.5, np.zeros((1, 8)), w, w, transient_cutoff=0)
     assert mon.gamma_w == 3.0
     assert mon.state_bound == pytest.approx(1.5)
     assert mon.input_bound == pytest.approx(4.5)
 
 
-def test_monitor_respects_cutoff_and_monotone_k():
-    mon = BoundMonitor(gamma=0.5, transient_cutoff=10)
-    gains = gains_scalar(0.39)
-    perf = performance_output(gains, np.ones(8), np.zeros(8))
-    mon.update(perf, np.ones(8), 2 * np.ones(8), 3)
+def test_monitor_respects_cutoff():
+    # one nonzero step at k = 3, before the cutoff: it sets gamma_w but no
+    # worst error
+    z, w, w_hat = np.zeros((4, 8)), np.zeros((4, 8)), np.zeros((4, 8))
+    z[3], w[3], w_hat[3] = 1.0, 1.0, 2.0
+    mon = BoundMonitor.from_run(0.5, z, w, w_hat, transient_cutoff=10)
     assert mon.worst_state_err == 0.0 and mon.worst_input_err == 0.0
     assert mon.gamma_w > 0
-    with pytest.raises(ShapeError):
-        mon.update(perf, np.ones(8), np.ones(8), 3)
+    mon = BoundMonitor.from_run(0.5, z, w, w_hat, transient_cutoff=3)
+    assert mon.worst_state_err == pytest.approx(np.sqrt(8))
+    assert mon.worst_input_err == pytest.approx(np.sqrt(8))
 
 
 def stationary_scenario():
@@ -163,13 +160,12 @@ def test_zero_input_exponential_decay_origin_frame():
     # at the origin keeps the recursion scale-free so the relative comparison
     # holds down to 0.61^100
     gains = gains_scalar(0.39)
-    state = ObserverState(xhat=np.linspace(-80.0, 120.0, 8), k=0)
-    e0 = np.linalg.norm(state.xhat)
+    xhat = np.linspace(-80.0, 120.0, 8)
+    e0 = np.linalg.norm(xhat)
     q = 1.0 - 0.39
     for k in range(1, 101):
-        state = predict(ObserverState(xhat=state.xhat, k=0), gains,
-                        Measurement(y=np.zeros(8), k=0))
-        assert np.linalg.norm(state.xhat) == pytest.approx(q**k * e0, rel=1e-10, abs=0)
+        xhat = predict(xhat, gains, np.zeros(8))
+        assert np.linalg.norm(xhat) == pytest.approx(q**k * e0, rel=1e-10, abs=0)
 
 
 def test_zero_input_exponential_decay_through_scenario():
@@ -192,7 +188,6 @@ def test_zero_initial_error_bound_holds_for_all_k():
     model = MeasurementModel.scaled_identity(4, 0.5)
     xs, ws, ys = simulate_truth(scn, model, 300)
     gains = gains_scalar(0.39)
-    est = InputEstimator.from_b_t(scn.b_t)
     xhat = xs[0].copy()  # zero initial error
     w_sup = np.max(np.linalg.norm(ws, axis=1))
     for k in range(300):
@@ -217,3 +212,25 @@ def test_track_monitor_filled():
     mon = run["monitor"]
     assert mon.gamma_w > 0
     assert mon.state_ok and mon.input_ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    radii=st.lists(st.floats(50.0, 300.0), min_size=1, max_size=4),
+    dt=st.floats(0.05, 0.5),
+    d_diag=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+    ell=st.floats(0.05, 1.5),
+    init=st.sampled_from(["measurement", "zero"]),
+)
+def test_error_recursion_holds_on_track_output(radii, dt, d_diag, ell, init):
+    # E_{k+1} = Q E_k + (L D - B_T) W_k, since X_{k+1} = X_k + B_T W_k and
+    # Q + L = I; rounding in the stored positions bounds the residual
+    n = len(radii)
+    scn = UavScenario.evenly_phased(radii, 0.5, dt)
+    d = np.diag(d_diag[: 2 * n])
+    gains = gains_scalar(ell, 2 * n)
+    run = track(scn, MeasurementModel(d=d), gains, 40, init=init)
+    e, w = run["E"], run["W"]
+    predicted = e[:-1] @ gains.q.T + w @ (gains.l @ d - scn.b_t).T
+    scale = 1.0 + np.max(np.abs(run["X"])) + np.max(np.abs(run["XHAT"]))
+    assert np.max(np.abs(e[1:] - predicted)) <= 1e-12 * scale
