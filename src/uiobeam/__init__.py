@@ -12,18 +12,14 @@ angular positions (:mod:`uiobeam.beamforming`). :mod:`uiobeam.simulate` and
 __version__ = "0.1.0"
 
 from .beamforming import (
-    AngleProvider,
     ArrayConfig,
     BeamformerMatrix,
     ChannelRealization,
     LinkReport,
-    angular_position,
     apply_channel,
     beam_pattern,
     beamformer,
     link_report,
-    signed_angular_position,
-    steering_vector,
 )
 from .design import (
     LmiProblem,

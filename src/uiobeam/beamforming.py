@@ -1,5 +1,5 @@
-"""Uniform-linear-array steering, zero-forcing precoding, angular position
-recovery, line-of-sight channel application and link quality evaluation.
+"""Uniform-linear-array steering, zero-forcing precoding, the line-of-sight
+channel (which holds the true azimuths) and link quality evaluation.
 
 Conventions: steering entry m is exp(j*(2pi/lambda)*d*m*sin(theta)). The
 precoder F = A*(theta^) (A^T(theta^) A*(theta^))^-1 zero-forces against the
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DegenerateGeometryError, ShapeError, SingularMatrixError
-from .linalg import row_norms, solve_hermitian
+from .linalg import solve_hermitian
 
 SPEED_OF_LIGHT = 299_792_458.0
 # Minimum pairwise |sin(theta_i) - sin(theta_j)| for a strict zero-forcing solve.
@@ -37,8 +37,6 @@ class ArrayConfig:
     n_u: int
     wavelength: float
     spacing: float = None
-    carrier_hz: float = None
-    bandwidth_hz: float = None
 
     def __post_init__(self):
         if self.m_ce < 1 or self.n_u < 1:
@@ -53,10 +51,9 @@ class ArrayConfig:
             raise ShapeError("spacing must be positive")
 
     @classmethod
-    def at_carrier(cls, m_ce, n_u, carrier_hz, spacing=None, bandwidth_hz=None):
+    def at_carrier(cls, m_ce, n_u, carrier_hz, spacing=None):
         lam = SPEED_OF_LIGHT / carrier_hz
-        return cls(m_ce=m_ce, n_u=n_u, wavelength=lam, spacing=spacing,
-                   carrier_hz=carrier_hz, bandwidth_hz=bandwidth_hz)
+        return cls(m_ce=m_ce, n_u=n_u, wavelength=lam, spacing=spacing)
 
 
 def steering_matrix(cfg, thetas, count=None):
@@ -70,12 +67,6 @@ def steering_matrix(cfg, thetas, count=None):
     thetas = np.atleast_1d(np.asarray(thetas, float))
     phase = (2.0 * np.pi / cfg.wavelength) * cfg.spacing * np.sin(thetas)
     return np.exp(np.arange(count)[:, None] * (1j * phase))
-
-
-def steering_vector(cfg, theta, count=None):
-    """Steering vector toward one azimuth theta: the one-column case of
-    steering_matrix."""
-    return steering_matrix(cfg, theta, count)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -126,31 +117,6 @@ def safe_beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=FALLBACK_RIDGE):
         return beamformer(cfg, thetas, min_sin_gap=min_sin_gap)
     except (ConditioningError, SingularMatrixError):
         return beamformer(cfg, thetas, ridge=ridge)
-
-
-def angles_from_positions(x_stacked, center, signed=True):
-    """Per-UAV azimuths seen from center, from a stacked position vector:
-    quadrant-aware in (-pi, pi] when signed, else the arccos form
-    arccos((x - x_p)/range) in [0, pi], which cannot distinguish points below
-    the x-axis. Signed azimuths round-trip exactly for points placed at a
-    known angle."""
-    deltas = np.asarray(x_stacked, float).reshape(-1, 2) - np.asarray(center, float)
-    ranges = row_norms(deltas)
-    if np.any(ranges < MIN_RANGE):
-        raise DegenerateGeometryError("UAV coincides with the central UAV")
-    if signed:
-        return np.arctan2(deltas[:, 1], deltas[:, 0])
-    return np.arccos(np.clip(deltas[:, 0] / ranges, -1.0, 1.0))
-
-
-def angular_position(u, u_p):
-    """Azimuth of one UAV at u seen from u_p, arccos form in [0, pi]."""
-    return float(angles_from_positions(u, u_p, signed=False)[0])
-
-
-def signed_angular_position(u, u_p):
-    """Quadrant-aware azimuth of one UAV at u seen from u_p, in (-pi, pi]."""
-    return float(angles_from_positions(u, u_p)[0])
 
 
 @dataclass(frozen=True)
@@ -214,14 +180,14 @@ def apply_channel(cfg, chan, f, s_hat, rng):
         )
     scale = 1.0 / np.sqrt(cfg.m_ce * cfg.n_u)
     tx = f @ s_hat
+    rows = steering_matrix(cfg, chan.theta, cfg.m_ce).T
+    combiners = steering_matrix(cfg, chan.theta, cfg.n_u).T
     out = np.empty((n, cfg.n_u), dtype=complex)
     for i in range(n):
-        row = steering_vector(cfg, chan.theta[i], cfg.m_ce)
-        b = steering_vector(cfg, chan.theta[i], cfg.n_u)
         noise = np.sqrt(chan.sigma2 / 2.0) * (
             rng.standard_normal(cfg.n_u) + 1j * rng.standard_normal(cfg.n_u)
         )
-        out[i] = scale * chan.h[i] * b * (row @ tx) + noise
+        out[i] = scale * chan.h[i] * combiners[i] * (rows[i] @ tx) + noise
     return out
 
 
@@ -328,42 +294,3 @@ def half_power_width(theta_grid, gain_db):
 
     return abs(crossing(+1) - crossing(-1))
 
-
-class AngleProvider:
-    """Steering-angle source per step for the three operating modes.
-
-    'truth' returns the true angles; 'uio' returns angles derived from the
-    observer's predicted positions; 'echo_baseline' mimics echo-based sensing
-    that loses its update inside blockage windows, holding the last angles
-    seen before the window (the initial angles if blocked from the start).
-    Windows are [t_start, t_end) in seconds; t = k * dt.
-    """
-
-    MODES = ("uio", "echo_baseline", "truth")
-
-    def __init__(self, mode, blockage_windows=(), dt=1.0):
-        if mode not in self.MODES:
-            raise ShapeError(f"unknown angle provider mode {mode!r}")
-        self.mode = mode
-        self.windows = [(float(t0), float(t1)) for t0, t1 in blockage_windows]
-        self.dt = float(dt)
-        self._held = None
-
-    def blocked(self, k):
-        t = k * self.dt
-        return any(t0 <= t < t1 for t0, t1 in self.windows)
-
-    def angles(self, k, true_angles, predicted_angles=None):
-        true_angles = np.asarray(true_angles, float)
-        if self.mode == "truth":
-            return true_angles
-        if self.mode == "uio":
-            if predicted_angles is None:
-                raise ShapeError("uio mode needs predicted angles")
-            return np.asarray(predicted_angles, float)
-        if self.blocked(k):
-            if self._held is None:
-                self._held = true_angles.copy()
-            return self._held
-        self._held = true_angles.copy()
-        return true_angles

@@ -16,7 +16,9 @@ from .errors import (
     UiobeamError,
     UnsupportedStructureError,
 )
-from .simulate import mu_label, run_compare, run_design, run_simulate, run_sweep_dt, write_manifest
+from .simulate import (
+    mu_label, run_compare, run_design, run_simulate, run_sweep_dt, write_json, write_manifest,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -76,9 +78,7 @@ def _cmd_design(cfg, out):
         )
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "design_records.json", "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "design_records.json", records)
     write_manifest(out, cfg, {"design_records.json": len(records)},
                    time.perf_counter() - t0)
     return EXIT_OK

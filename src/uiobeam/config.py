@@ -23,7 +23,7 @@ _SCHEMA = {
     },
     "measurement": {"d_scale", "d_diag"},
     "observer": {"alpha", "mu_max", "h_diag", "init"},
-    "array": {"m_ce", "n_u", "carrier_hz", "wavelength", "spacing", "bandwidth_hz"},
+    "array": {"m_ce", "n_u", "carrier_hz", "wavelength", "spacing"},
     "channel": {
         "sigma2", "target_snr_db", "snr_ref_range", "total_power",
         "phase_mode", "noise_draws",
@@ -169,17 +169,13 @@ def config_from_mapping(data):
     carrier = float(_get(data, "array", "carrier_hz", 30.0e9))
     wavelength_raw = _get(data, "array", "wavelength", None)
     spacing_raw = _get(data, "array", "spacing", None)
-    bandwidth = float(_get(data, "array", "bandwidth_hz", 50.0e6))
     try:
         if wavelength_raw is not None:
             array = ArrayConfig(
-                m_ce=m_ce, n_u=n_u, wavelength=float(wavelength_raw),
-                spacing=spacing_raw, carrier_hz=carrier, bandwidth_hz=bandwidth,
+                m_ce=m_ce, n_u=n_u, wavelength=float(wavelength_raw), spacing=spacing_raw,
             )
         else:
-            array = ArrayConfig.at_carrier(
-                m_ce, n_u, carrier, spacing=spacing_raw, bandwidth_hz=bandwidth
-            )
+            array = ArrayConfig.at_carrier(m_ce, n_u, carrier, spacing=spacing_raw)
     except ShapeError as exc:
         raise ConfigError(f"array: {exc}") from None
 
@@ -268,7 +264,6 @@ def config_from_mapping(data):
             "carrier_hz": carrier,
             "wavelength": array.wavelength,
             "spacing": array.spacing,
-            "bandwidth_hz": bandwidth,
         },
         "channel": {
             "sigma2": sigma2,
@@ -297,10 +292,15 @@ def config_from_mapping(data):
     )
 
 
-def require_link_array(cfg):
-    """Zero-forcing needs one antenna per served UAV. The link subcommands
-    call this; design and sweep-dt never build a precoder, so a config with
-    more UAVs than antennas stays valid for them."""
+def require_link_config(cfg):
+    """Zero-forcing needs one antenna per served UAV, and the time column,
+    the blockage windows and the echo hold run on one clock. The link
+    subcommands call this; design and sweep-dt build neither, so more UAVs
+    than antennas and per-UAV dt stay valid for them."""
+    dt = cfg.scenario.dt
+    if np.any(dt != dt[0]):
+        raise ConfigError(f"scenario.dt must be one interval for simulate and "
+                          f"compare-baseline (one clock), got {dt.tolist()}")
     n_uavs, m_ce = cfg.scenario.n_uavs, cfg.array.m_ce
     if n_uavs > m_ce:
         raise ConfigError(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import beamforming as bf
 from . import observer as obs
-from .config import config_hash, require_link_array
+from .config import config_hash, require_link_config
 from .design import LmiProblem, critical_dt
 from .design import design as solve_design
 from .errors import ConfigError, ShapeError
@@ -44,6 +44,13 @@ def write_csv(path, header, columns):
         fh.write(",".join(header) + "\n")
         fh.writelines(template % row for row in zip(*(c.tolist() for c in columns)))
     return sizes.pop()
+
+
+def write_json(path, obj):
+    """Indented, key-sorted JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def mu_label(mu):
@@ -83,13 +90,30 @@ def run_design(cfg):
     return records, designs
 
 
-def _predicted_angles(cfg, xhat_stacked):
-    # Quadrant-aware form: the arccos form cannot steer below-axis UAVs.
-    # A prediction still sitting on the central UAV (zero-init transient) has
-    # no defined azimuth; steer broadside until it moves away.
-    deltas = xhat_stacked.reshape(-1, 2) - cfg.scenario.center
-    angles = np.arctan2(deltas[:, 1], deltas[:, 0])
+def _predicted_angles(cfg, xhat):
+    """(step, UAV) azimuths of the predicted positions, one stacked position
+    vector per row of xhat. A prediction still sitting on the central UAV
+    (zero-init transient) has no defined azimuth; it steers broadside until
+    it moves away."""
+    deltas = xhat.reshape(len(xhat), -1, 2) - cfg.scenario.center
+    angles = np.arctan2(deltas[..., 1], deltas[..., 0])
     return np.where(row_norms(deltas) < bf.MIN_RANGE, 0.0, angles)
+
+
+def echo_blockage(windows, dt, horizon):
+    """Echo-sensing blockage at steps k = 0..horizon-1, t = k*dt.
+
+    Returns (in_window, last_clear): whether t lies in any [t_start, t_end)
+    window, and the last step at or before k whose echo was not blocked, 0
+    when blocked from the start. The echo-fed link steers with the true
+    angles of step last_clear[k].
+    """
+    steps = np.arange(horizon)
+    t = steps * dt
+    in_window = np.zeros(horizon, dtype=bool)
+    for t0, t1 in windows:
+        in_window |= (t0 <= t) & (t < t1)
+    return in_window, np.maximum.accumulate(np.where(in_window, 0, steps))
 
 
 def _channel_at(cfg, x_stacked, rng):
@@ -101,22 +125,26 @@ def _channel_at(cfg, x_stacked, rng):
     )
 
 
-def link_timeseries(cfg, run, mode="uio", windows=()):
-    """Analytic per-step link reports along a tracking run.
+def _precode(cfg, angles):
+    """Zero-forcing precoder at the steering angles and its equal power split."""
+    beams = bf.safe_beamformer(cfg.array, angles)
+    return beams, bf.equal_power_allocation(beams, cfg.total_power)
+
+
+def link_timeseries(cfg, run, angles):
+    """Analytic per-step link reports along a tracking run, with the beams
+    steered at ``angles`` (step, UAV).
 
     Returns (sinr_db, se), each (horizon, N).
     """
     n = cfg.scenario.n_uavs
     horizon = cfg.horizon
-    provider = bf.AngleProvider(mode, windows, dt=float(cfg.scenario.dt[0]))
     rng = np.random.default_rng(cfg.seed)
     sinr_db = np.empty((horizon, n))
     se = np.empty((horizon, n))
     for k in range(horizon):
         chan = _channel_at(cfg, run["X"][k], rng)
-        angles = provider.angles(k, chan.theta, _predicted_angles(cfg, run["XHAT"][k]))
-        beams = bf.safe_beamformer(cfg.array, angles)
-        power = bf.equal_power_allocation(beams, cfg.total_power)
+        beams, power = _precode(cfg, angles[k])
         report = bf.link_report(cfg.array, chan, beams, power)
         sinr_db[k] = report.sinr_db
         se[k] = report.se
@@ -147,21 +175,21 @@ def _write_tracking_csvs(cfg, run, out_dir, files):
     )
 
 
-def _write_se_csv(cfg, run, out_dir, files, mode="uio"):
-    sinr_db, se = link_timeseries(cfg, run, mode=mode)
+def _write_se_csv(cfg, run, angles, out_dir, files):
+    sinr_db, se = link_timeseries(cfg, run, angles)
     k, uav = _step_uav_columns(cfg.scenario.n_uavs, cfg.horizon)
     files["se.csv"] = write_csv(
         out_dir / "se.csv", ["k", "uav_id", "mode", "sinr_db", "se_bpshz"],
-        [k, uav, np.full(k.size, mode), sinr_db, se],
+        [k, uav, np.full(k.size, "uio"), sinr_db, se],
     )
 
 
-def _write_pattern_csvs(cfg, run, out_dir, files):
+def _write_pattern_csvs(cfg, angles, out_dir, files):
     n = cfg.scenario.n_uavs
     grid_deg = np.linspace(-PATTERN_SPAN_DEG, PATTERN_SPAN_DEG, cfg.pattern_points)
     grid = np.deg2rad(grid_deg)
     for k in cfg.pattern_snapshots:
-        beams = bf.safe_beamformer(cfg.array, _predicted_angles(cfg, run["XHAT"][k]))
+        beams = bf.safe_beamformer(cfg.array, angles[k])
         gains_db = bf.beam_pattern(cfg.array, beams.f, grid)
         name = f"pattern_k{k}.csv"
         files[name] = write_csv(
@@ -180,9 +208,7 @@ def write_manifest(out_dir, cfg, files, wall_clock_s):
         "files": dict(sorted(files.items())),
         "wall_clock_s": wall_clock_s,
     }
-    with open(Path(out_dir) / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(Path(out_dir) / "manifest.json", manifest)
     return manifest
 
 
@@ -197,7 +223,7 @@ def run_simulate(cfg, out_dir):
     design is run once and its files are copied into the directories of the
     designs with equal gains.
     """
-    require_link_array(cfg)
+    require_link_config(cfg)
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -213,10 +239,11 @@ def run_simulate(cfg, out_dir):
                 cfg.scenario, cfg.model, gains, cfg.horizon, gamma=solution.gamma,
                 init=cfg.observer_init, transient_cutoff=cfg.transient_cutoff,
             )
+            angles = _predicted_angles(cfg, run["XHAT"])
             sub_files = {}
             _write_tracking_csvs(cfg, run, sub, sub_files)
-            _write_se_csv(cfg, run, sub, sub_files)
-            _write_pattern_csvs(cfg, run, sub, sub_files)
+            _write_se_csv(cfg, run, angles, sub, sub_files)
+            _write_pattern_csvs(cfg, angles, sub, sub_files)
             written.append((gains, sub, sub_files))
         else:
             _, source, sub_files = twin
@@ -225,9 +252,7 @@ def run_simulate(cfg, out_dir):
                     shutil.copyfile(source / name, sub / name)
         for name, rows in sub_files.items():
             files[f"{sub.name}/{name}"] = rows
-    with open(out_dir / "design_records.json", "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "design_records.json", records)
     return write_manifest(out_dir, cfg, files, time.perf_counter() - t0)
 
 
@@ -249,51 +274,41 @@ def run_sweep_dt(cfg, out_dir):
 
 
 def run_compare(cfg, out_dir, force_uio_truth=False):
-    """Paired blockage comparison of the prediction-fed and echo-fed links.
+    """Paired blockage comparison of the prediction-fed and echo-fed links at
+    the first configured mu bound.
 
     Both modes consume identical per-step draws (symbols + post-combining
     noise) and the same physical channel; only the steering angles differ.
+    The echo-fed link steers with the true angles of the last unblocked step.
     force_uio_truth substitutes true angles into the prediction path, the
     paired-noise sanity check.
     """
     if not cfg.windows:
         raise ConfigError("compare-baseline needs at least one blockage window")
-    require_link_array(cfg)
+    require_link_config(cfg)
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records, designs = run_design(cfg)
-    solution, gains = designs[0]
+    solution, gains = solve_design(design_problem(cfg, cfg.mu_list[0]))
     run = obs.track(
         cfg.scenario, cfg.model, gains, cfg.horizon, gamma=solution.gamma,
         init=cfg.observer_init, transient_cutoff=cfg.transient_cutoff,
     )
     dt0 = float(cfg.scenario.dt[0])
-    echo = bf.AngleProvider("echo_baseline", cfg.windows, dt=dt0)
-    uio = bf.AngleProvider("uio", dt=dt0)
+    blocked, last_clear = echo_blockage(cfg.windows, dt0, cfg.horizon)
     rng = np.random.default_rng(cfg.seed)
     n = cfg.scenario.n_uavs
+    theta = np.empty((cfg.horizon, n))
+    predicted = theta if force_uio_truth else _predicted_angles(cfg, run["XHAT"])
     se_uio = np.empty(cfg.horizon)
     se_echo = np.empty(cfg.horizon)
-    blocked = np.empty(cfg.horizon, dtype=bool)
     for k in range(cfg.horizon):
         chan = _channel_at(cfg, run["X"][k], rng)
-        true_angles = chan.theta
-        pred_angles = true_angles if force_uio_truth else _predicted_angles(cfg, run["XHAT"][k])
+        theta[k] = chan.theta
         symbols, noise = bf.draw_link_samples(n, cfg.sigma2, rng, cfg.noise_draws)
-        per_mode = {}
-        for name, provider, predicted in (
-            ("uio", uio, pred_angles), ("echo_baseline", echo, None),
-        ):
-            angles = provider.angles(k, true_angles, predicted)
-            beams = bf.safe_beamformer(cfg.array, angles)
-            power = bf.equal_power_allocation(beams, cfg.total_power)
-            per_mode[name] = float(np.mean(
-                bf.empirical_link_se(cfg.array, chan, beams, power, symbols, noise)
-            ))
-        se_uio[k] = per_mode["uio"]
-        se_echo[k] = per_mode["echo_baseline"]
-        blocked[k] = echo.blocked(k)
+        for se, angles in ((se_uio, predicted[k]), (se_echo, theta[last_clear[k]])):
+            beams, power = _precode(cfg, angles)
+            se[k] = np.mean(bf.empirical_link_se(cfg.array, chan, beams, power, symbols, noise))
     steps = np.arange(cfg.horizon)
     files = {
         "se_compare.csv": write_csv(
@@ -315,8 +330,6 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
     summary["window_se_gap"] = (
         summary["window_mean_se_uio"] - summary["window_mean_se_echo_baseline"]
     )
-    with open(out_dir / "compare_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "compare_summary.json", summary)
     write_manifest(out_dir, cfg, files, time.perf_counter() - t0)
     return summary

@@ -12,11 +12,8 @@ import numpy as np
 import pytest
 
 from uiobeam.beamforming import (
-    AngleProvider,
     ArrayConfig,
     ChannelRealization,
-    angles_from_positions,
-    angular_position,
     apply_channel,
     beam_pattern,
     beamformer,
@@ -27,11 +24,11 @@ from uiobeam.beamforming import (
     half_power_width,
     link_report,
     safe_beamformer,
-    signed_angular_position,
     steering_matrix,
-    steering_vector,
 )
+from uiobeam.config import config_from_mapping
 from uiobeam.errors import ConditioningError, DegenerateGeometryError, ShapeError
+from uiobeam.simulate import _predicted_angles, echo_blockage
 
 CFG = ArrayConfig.at_carrier(64, 4, 30.0e9)
 
@@ -44,16 +41,17 @@ def test_array_config_invariants():
 
 
 def test_steering_broadside_is_all_ones():
-    np.testing.assert_array_equal(steering_vector(CFG, 0.0, 16), np.ones(16))
+    np.testing.assert_array_equal(steering_matrix(CFG, 0.0, 16)[:, 0], np.ones(16))
 
 
 def test_steering_endfire_alternates():
-    np.testing.assert_allclose(steering_vector(CFG, np.pi / 2, 2), [1.0, -1.0], atol=1e-9)
+    np.testing.assert_allclose(steering_matrix(CFG, np.pi / 2, 2)[:, 0], [1.0, -1.0],
+                               atol=1e-9)
 
 
 def test_steering_30_degrees_quarter_turns():
     # sin(pi/6) = 1/2, half-wavelength spacing: phases m * pi/2
-    v = steering_vector(CFG, np.pi / 6, 4)
+    v = steering_matrix(CFG, np.pi / 6, 4)[:, 0]
     np.testing.assert_allclose(v, [1.0, 1j, -1.0, -1j], atol=1e-9)
 
 
@@ -63,19 +61,19 @@ def test_steering_matrix_matches_per_angle_formula():
     for i, theta in enumerate(thetas):
         phase = (2.0 * np.pi / CFG.wavelength) * CFG.spacing * np.sin(theta)
         np.testing.assert_array_equal(a[:, i], np.exp(1j * phase * np.arange(32)))
-        np.testing.assert_array_equal(steering_vector(CFG, theta, 32), a[:, i])
+        np.testing.assert_array_equal(steering_matrix(CFG, theta, 32)[:, 0], a[:, i])
 
 
 def test_steering_unit_modulus():
     rng = np.random.default_rng(4)
     for theta in rng.uniform(-np.pi / 2, np.pi / 2, 16):
-        np.testing.assert_allclose(np.abs(steering_vector(CFG, theta, 64)), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(steering_matrix(CFG, theta, 64)), 1.0, atol=1e-12)
 
 
 def test_single_stream_beamformer_matched_form():
     theta = 0.37
     bf = beamformer(CFG, [theta])
-    expected = steering_vector(CFG, theta, 64).conj()[:, None] / 64.0
+    expected = steering_matrix(CFG, theta, 64).conj() / 64.0
     np.testing.assert_allclose(bf.f, expected, atol=1e-12)
 
 
@@ -137,34 +135,34 @@ def test_safe_beamformer_survives_collisions():
     assert np.linalg.norm(bf.f) < 1e3
 
 
+def true_angles(positions, center):
+    """Azimuths that the line-of-sight channel assigns to the positions."""
+    return ChannelRealization.line_of_sight(CFG, positions, center, 0.0).theta
+
+
 def test_angular_position_axes():
-    assert angular_position([1.0, 0.0], [0.0, 0.0]) == pytest.approx(0.0)
-    assert angular_position([0.0, 1.0], [0.0, 0.0]) == pytest.approx(np.pi / 2)
-    assert angular_position([-1.0, 0.0], [0.0, 0.0]) == pytest.approx(np.pi)
+    # quadrant-aware azimuths in (-pi, pi]
+    np.testing.assert_allclose(
+        true_angles([1.0, 0.0, 0.0, 1.0, -1.0, 0.0, 1.0, -1.0], [0.0, 0.0]),
+        [0.0, np.pi / 2, np.pi, -np.pi / 4], atol=1e-12,
+    )
 
 
 def test_angular_position_degenerate():
     with pytest.raises(DegenerateGeometryError):
-        angular_position([1.0, 1.0], [1.0, 1.0])
+        true_angles([1.0, 1.0], [1.0, 1.0])
 
 
 def test_signed_angle_round_trip():
     center = np.array([3.0, -2.0])
     for theta in np.linspace(-np.pi + 1e-6, np.pi, 37):
         u = center + 150.0 * np.array([np.cos(theta), np.sin(theta)])
-        assert signed_angular_position(u, center) == pytest.approx(theta, abs=1e-12)
-
-
-def test_arccos_folds_below_axis():
-    assert angular_position([1.0, -1.0], [0.0, 0.0]) == pytest.approx(np.pi / 4)
-    assert signed_angular_position([1.0, -1.0], [0.0, 0.0]) == pytest.approx(-np.pi / 4)
+        assert true_angles(u, center)[0] == pytest.approx(theta, abs=1e-12)
 
 
 def test_angles_from_positions_stacked():
     x = np.array([100.0, 0.0, 0.0, 50.0])
-    np.testing.assert_allclose(
-        angles_from_positions(x, [0.0, 0.0]), [0.0, np.pi / 2], atol=1e-12
-    )
+    np.testing.assert_allclose(true_angles(x, [0.0, 0.0]), [0.0, np.pi / 2], atol=1e-12)
 
 
 def _channel(thetas, ranges, sigma2, h=None):
@@ -183,7 +181,7 @@ def test_apply_channel_noise_free_single_stream():
     bf = beamformer(CFG, [0.3])
     rng = np.random.default_rng(0)
     r = apply_channel(CFG, chan, bf.f, np.array([2.0 + 0j]), rng)
-    expected = (1.0 / np.sqrt(64 * 4)) * steering_vector(CFG, 0.3, 4) * 2.0
+    expected = (1.0 / np.sqrt(64 * 4)) * steering_matrix(CFG, 0.3, 4)[:, 0] * 2.0
     np.testing.assert_allclose(r[0], expected, atol=1e-12)
 
 
@@ -245,9 +243,9 @@ def mc_sinr(cfg, chan, bf, power, n_draws, seed):
     s_hat = units * np.sqrt(power)[None, :]
     out = np.empty(n)
     for i in range(n):
-        a_row = steering_vector(cfg, chan.theta[i], cfg.m_ce)
-        b_true = steering_vector(cfg, chan.theta[i], cfg.n_u)
-        w = steering_vector(cfg, bf.theta[i], cfg.n_u) / np.sqrt(cfg.n_u)
+        a_row = steering_matrix(cfg, chan.theta[i], cfg.m_ce)[:, 0]
+        b_true = steering_matrix(cfg, chan.theta[i], cfg.n_u)[:, 0]
+        w = steering_matrix(cfg, bf.theta[i], cfg.n_u)[:, 0] / np.sqrt(cfg.n_u)
         inner = s_hat @ (bf.f.T @ a_row)
         nu = np.sqrt(chan.sigma2 / 2.0) * (
             rng.standard_normal((n_draws, cfg.n_u))
@@ -388,41 +386,36 @@ def test_pattern_grid_domain_check():
         beam_pattern(CFG, bf.f, np.linspace(-2.0, 2.0, 11))
 
 
-def test_angle_provider_truth_and_uio():
-    provider = AngleProvider("truth")
-    true = np.array([0.1, 0.2])
-    np.testing.assert_array_equal(provider.angles(0, true), true)
-    uio = AngleProvider("uio")
-    pred = np.array([0.15, 0.25])
-    np.testing.assert_array_equal(uio.angles(0, true, pred), pred)
-    with pytest.raises(ShapeError):
-        uio.angles(0, true)
+@pytest.mark.parametrize(
+    "windows, dt, horizon, blocked, last_clear",
+    [
+        ([], 0.15, 5, [], [0, 1, 2, 3, 4]),
+        # blocked at t in [0.3, 0.7): k = 3..6 hold the k=2 angles
+        ([(0.3, 0.7)], 0.1, 10, [3, 4, 5, 6], [0, 1, 2, 2, 2, 2, 2, 7, 8, 9]),
+        # blocked from the start: every step holds the initial angles
+        ([(0.0, 100.0)], 0.1, 5, [0, 1, 2, 3, 4], [0, 0, 0, 0, 0]),
+        # t = 2 * 0.1 is not inside [0, 0.2); t = 7 * 0.1 is not inside [0.5, 0.7)
+        ([(0.0, 0.2), (0.5, 0.7)], 0.1, 9, [0, 1, 5, 6], [0, 0, 2, 3, 4, 4, 4, 7, 8]),
+    ],
+    ids=["no-windows", "inside-window", "full-horizon-window", "two-windows"],
+)
+def test_echo_blockage_holds_last_clear_step(windows, dt, horizon, blocked, last_clear):
+    in_window, held = echo_blockage(windows, dt, horizon)
+    np.testing.assert_array_equal(np.flatnonzero(in_window), blocked)
+    np.testing.assert_array_equal(held, last_clear)
 
 
-def test_angle_provider_echo_without_windows_is_truth():
-    provider = AngleProvider("echo_baseline", [], dt=0.15)
-    for k in range(5):
-        true = np.array([0.1 * k, -0.2 * k])
-        np.testing.assert_array_equal(provider.angles(k, true), true)
-
-
-def test_angle_provider_echo_freezes_inside_window():
-    provider = AngleProvider("echo_baseline", [(0.3, 0.7)], dt=0.1)
-    seen = []
-    for k in range(10):
-        true = np.array([float(k)])
-        seen.append(provider.angles(k, true)[0])
-    # blocked at t in [0.3, 0.7): k = 3..6 hold the k=2 angles
-    assert seen == [0.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 7.0, 8.0, 9.0]
-
-
-def test_angle_provider_full_window_freezes_initial():
-    provider = AngleProvider("echo_baseline", [(0.0, 100.0)], dt=0.1)
-    for k in range(5):
-        true = np.array([float(k) + 1.0])
-        np.testing.assert_array_equal(provider.angles(k, true), [1.0])
-
-
-def test_angle_provider_mode_validation():
-    with pytest.raises(ShapeError):
-        AngleProvider("radar")
+def test_predicted_angles_match_per_step_rows():
+    # one arctan2 over all (step, UAV) pairs gives the per-step values bit for
+    # bit; a prediction on the central UAV steers broadside
+    cfg = config_from_mapping({"scenario": {"center": [3.0, -2.0]}})
+    xhat = np.random.default_rng(3).normal(0.0, 200.0, (50, 8))
+    xhat[7, 2:4] = cfg.scenario.center
+    angles = _predicted_angles(cfg, xhat)
+    assert angles.shape == (50, 4)
+    for k, row in enumerate(xhat):
+        deltas = row.reshape(-1, 2) - cfg.scenario.center
+        expected = np.arctan2(deltas[:, 1], deltas[:, 0])
+        expected[np.linalg.norm(deltas, axis=1) < 1e-12] = 0.0
+        np.testing.assert_array_equal(angles[k], expected)
+    assert angles[7, 1] == 0.0

@@ -214,6 +214,24 @@ def test_compare_paired_noise_equality_outside_windows(tmp_path):
         assert abs(float(r[3]) - float(r[4])) <= 1e-9
 
 
+def test_compare_uses_only_the_first_mu_bound(tmp_path):
+    # compare-baseline solves the first bound alone: an infeasible later bound
+    # neither ends the run nor changes its outputs
+    outs = []
+    for label, bounds in (("one", "[0.05]"), ("two", "[0.05, 1.0e-9]")):
+        cfg = write_yaml(
+            tmp_path,
+            f"observer:\n  mu_max: {bounds}\n"
+            "blockage:\n  windows: [[1.5, 3.0]]\n"
+            "run:\n  horizon: 40\n",
+            name=f"{label}.yaml",
+        )
+        outs.append(tmp_path / label)
+        assert main(["compare-baseline", "--config", cfg, "--out", str(outs[-1])]) == 0
+    for name in ("se_compare.csv", "compare_summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_library_simulate_matches_cli(tmp_path):
     cfg = config_from_mapping({"observer": {"mu_max": [0.05]}, "run": {"horizon": 30}})
     manifest = run_simulate(cfg, tmp_path / "lib")
@@ -250,6 +268,22 @@ def test_more_uavs_than_antennas_fails_validation(tmp_path, capsys):
     for sub in ("simulate", "compare-baseline"):
         assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 1
         assert "array.m_ce" in capsys.readouterr().err
+    assert main(["design", "--config", cfg, "--out", str(tmp_path / "design")]) == 0
+
+
+def test_per_uav_dt_fails_validation_for_link_subcommands(tmp_path, capsys):
+    # the time column, the blockage windows and the echo hold run on one
+    # clock, so the link subcommands reject per-UAV intervals naming the
+    # field, while design keeps them
+    cfg = write_yaml(tmp_path, json.dumps({
+        "scenario": {"dt": [0.15, 0.2, 0.15, 0.15]},
+        "observer": {"mu_max": [0.05]},
+        "blockage": {"windows": [[0.0, 0.6]]},
+        "run": {"horizon": 8, "pattern_points": 11},
+    }))
+    for sub in ("simulate", "compare-baseline"):
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 1
+        assert "scenario.dt" in capsys.readouterr().err
     assert main(["design", "--config", cfg, "--out", str(tmp_path / "design")]) == 0
 
 

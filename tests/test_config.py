@@ -50,9 +50,11 @@ def test_negative_dt_rejected_with_field_name():
 
 def test_unknown_keys_listed():
     with pytest.raises(ConfigError) as excinfo:
-        config_from_mapping({"observerx": {}, "run": {"horzon": 10}})
+        config_from_mapping({"observerx": {}, "run": {"horzon": 10},
+                             "array": {"bandwidth_hz": 50.0e6}})
     message = str(excinfo.value)
     assert "observerx" in message and "run.horzon" in message
+    assert "array.bandwidth_hz" in message
 
 
 def test_scalar_mu_and_h_expand():
