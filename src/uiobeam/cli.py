@@ -56,6 +56,8 @@ def _load_config(args):
     # re-resolve through the validator so horizon-dependent defaults
     # (snapshots, window bounds) stay consistent with the overrides
     data = json.loads(json.dumps(cfg.resolved))
+    if data["array"]["carrier_hz"] is not None:
+        del data["array"]["wavelength"]  # derived from the carrier; derive it again
     if args.seed is not None:
         data["run"]["seed"] = args.seed
     if args.horizon is not None:

@@ -160,6 +160,8 @@ def config_from_mapping(data):
     )
     if h_diag.size != 2 * n_uavs:
         raise ConfigError(f"observer.h_diag needs {2 * n_uavs} entries, got {h_diag.size}")
+    if not np.all(np.isfinite(h_diag)):
+        raise ConfigError(f"observer.h_diag must be finite, got {h_diag.tolist()}")
     observer_init = str(_get(data, "observer", "init", "measurement"))
     if observer_init not in ("measurement", "zero"):
         raise ConfigError(f"observer.init must be 'measurement' or 'zero', got {observer_init!r}")
@@ -261,7 +263,8 @@ def config_from_mapping(data):
         "array": {
             "m_ce": m_ce,
             "n_u": n_u,
-            "carrier_hz": carrier,
+            # the carrier counts only when it sets the wavelength
+            "carrier_hz": carrier if wavelength_raw is None else None,
             "wavelength": array.wavelength,
             "spacing": array.spacing,
         },

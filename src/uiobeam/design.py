@@ -19,11 +19,13 @@ condition of the error dynamics E_{k+1} = Q E_k + (L D - B_T) W_k produces
 -P under the Schur complement.
 
 In the UAV problem B_T, D and H are all diagonal, so both blocks are
-permutation-similar to one independent 3x3 / 2x2 pair per state coordinate.
-The solver searches those scalar blocks (grid over p, golden section over z
-against the max-eigenvalue oracle, bisection over mu) and re-assembles the
-dense blocks once at the end to certify the result at full scale. The
-solver is stateless; per-coordinate and per-alpha searches are independent.
+permutation-similar to one independent 3x3 / 2x2 pair per state coordinate
+(b, d, h). The Schur complement of M1 on its -P block gives a closed form
+(Boyd, El Ghaoui, Feron, Balakrishnan, LMIs in System and Control Theory,
+SIAM 1994): a coordinate is feasible iff mu >= mu_floor(alpha, b, d, h), and
+this floor decides every feasibility question here. The numeric search (p grid,
+golden section over z on the max-eigenvalue oracle) only picks the certificate
+at the final mu; the dense blocks, re-assembled once, certify it.
 """
 
 from dataclasses import dataclass, replace
@@ -71,6 +73,8 @@ class LmiProblem:
             object.__setattr__(self, name, m)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ShapeError(f"{name} must be square, got shape {m.shape}")
+            if not np.all(np.isfinite(m)):
+                raise ShapeError(f"{name} contains non-finite entries")
             if m.shape != self.b_t.shape:
                 raise ShapeError(f"{name} shape {m.shape} != b_t shape {self.b_t.shape}")
         bt_diag = np.diag(self.b_t)
@@ -233,43 +237,34 @@ def _coordinate_search(alpha, b, d, h, mu, tol=INNER_TOL):
     return [(float(ps[i]), float(zs[i])) for i in idx]
 
 
-def _require_diagonal(prob):
+def _coordinates(prob):
+    """(dim, 3) array of the diagonal (b, d, h) of each state coordinate."""
     if not prob.is_diagonal():
-        raise UnsupportedStructureError(
-            "structured solver requires diagonal B_T, D and H"
-        )
+        raise UnsupportedStructureError("structured solver requires diagonal B_T, D and H")
+    return np.column_stack([np.diag(prob.b_t), np.diag(prob.d), np.diag(prob.h)])
 
 
-def _search_all_coordinates(prob, mu):
-    """Per-coordinate candidate lists at level mu, or None if any coordinate
-    fails; identical (b, d, h) triples share one search."""
-    triples = list(zip(np.diag(prob.b_t), np.diag(prob.d), np.diag(prob.h)))
-    cache = {}
-    out = []
-    for b, d, h in triples:
-        key = (float(b), float(d), float(h))
-        if key not in cache:
-            cache[key] = _coordinate_search(prob.alpha, *key, mu)
-        if not cache[key]:
-            return None
-        out.append(cache[key])
-    return out
+def mu_floor(alpha, b, d, h):
+    """Smallest mu certifying coordinate(s) (b, d, h). With gain ell = z/p the
+    Schur complements of M1 and M2 leave h^2/mu <= p <= alpha (1 - alpha -
+    (1 - ell)^2) / ((1 - alpha) (ell d - b)^2); the best ell gives this floor."""
+    return h * h * np.maximum(0.0, (d - b) ** 2 - (1.0 - alpha) * d * d) / alpha
 
 
 def mu_feasible(prob, mu):
     """Structured feasibility test at performance level mu."""
-    _require_diagonal(prob)
-    return _search_all_coordinates(prob, mu) is not None
+    return bool(np.all(mu_floor(prob.alpha, *_coordinates(prob).T) <= mu))
 
 
 def design(prob):
     """Smallest-mu certified design within prob.mu_max.
 
-    Bisects mu over the log bracket MU_BRACKET intersected with (0, mu_max],
-    then assembles diagonal P, Z from the per-coordinate searches and
-    re-certifies the dense blocks. Gains follow as L = P^{-1} Z, Q = I - L.
-    """
-    _require_diagonal(prob)
+    Bisects mu over MU_BRACKET within (0, mu_max] against the closed-form
+    floor, searches one certificate per distinct coordinate at the final mu
+    and re-certifies the dense blocks. Gains: L = P^{-1} Z, Q = I - L."""
+    coords = _coordinates(prob)
+    floors = mu_floor(prob.alpha, *coords.T)
+    worst = int(np.argmax(floors))
     lo, hi = MU_BRACKET
     hi = min(hi, prob.mu_max)
     if hi < lo:
@@ -278,86 +273,91 @@ def design(prob):
             f"bracket floor {lo:g}; no admissible mu was searched",
             mu_attempted=prob.mu_max,
         )
-    pairs = _search_all_coordinates(prob, hi)
-    if pairs is None:
+    if not floors[worst] <= hi:
         raise InfeasibleError(
             f"no certificate found at mu={hi:g} (largest level attempted under "
-            f"mu_max={prob.mu_max:g})",
+            f"mu_max={prob.mu_max:g}): coordinate {worst} (UAV {worst // 2}) "
+            f"needs mu >= {floors[worst]:.6g}",
             mu_attempted=hi,
         )
+    # The floor answers every feasibility question, but mu stays the last feasible
+    # midpoint of this log-bisection: the mu (and gamma) in design_records.json.
     mu_star = hi
-    low_pairs = _search_all_coordinates(prob, lo)
-    if low_pairs is not None:
-        mu_star, pairs = lo, low_pairs
+    if floors[worst] <= lo:
+        mu_star = lo
     else:
         log_lo, log_hi = np.log10(lo), np.log10(hi)
         while log_hi - log_lo > 1e-4:
             mid = 10.0 ** (0.5 * (log_lo + log_hi))
-            mid_pairs = _search_all_coordinates(prob, mid)
-            if mid_pairs is None:
-                log_lo = np.log10(mid)
-            else:
+            if floors[worst] <= mid:
                 log_hi = np.log10(mid)
-                mu_star, pairs = mid, mid_pairs
+                mu_star = mid
+            else:
+                log_lo = np.log10(mid)
+    rows, inverse = np.unique(coords, axis=0, return_inverse=True)
+    row_cands = [_coordinate_search(prob.alpha, *map(float, row), mu_star) for row in rows]
+    pairs = [row_cands[k] for k in inverse.ravel()]
+    for coord, cands in enumerate(pairs):
+        if not cands:
+            raise InfeasibleError(
+                f"no certificate candidate found at mu={mu_star:g} for coordinate "
+                f"{coord} (UAV {coord // 2}, closed-form floor {floors[coord]:.6g})",
+                mu_attempted=mu_star,
+            )
     # preferred candidate per coordinate; if the dense re-certification balks
     # (eigensolver noise at large certificate scales), fall back to the
     # smallest-p candidates, which are the best conditioned.
     for pick in (lambda cands: cands[0], lambda cands: min(cands)):
         p_diag = np.array([pick(cands)[0] for cands in pairs])
         z_diag = np.array([pick(cands)[1] for cands in pairs])
-        p_mat = np.diag(p_diag)
-        z_mat = np.diag(z_diag)
-        certified = feasible(prob, p_mat, z_mat, mu_star, tol=ORACLE_TOL)
+        certified = feasible(prob, np.diag(p_diag), np.diag(z_diag), mu_star, tol=ORACLE_TOL)
         if certified:
             break
-    solution = LmiSolution.from_mu(p_mat, z_mat, mu_star, certified)
+    solution = LmiSolution.from_mu(np.diag(p_diag), np.diag(z_diag), mu_star, certified)
     gains = ObserverGains.from_l(np.diag(z_diag / p_diag), h=prob.h)
     return solution, gains
 
 
-def gain_point_feasible(prob, ell, mu, grid_points=400, tol=ORACLE_TOL):
-    """Check a prescribed scalar gain L = ell*I at level mu by 1-D search over
-    p (with z = ell*p) against the eigenvalue oracle, per coordinate."""
-    _require_diagonal(prob)
-    for b, d, h in set(zip(np.diag(prob.b_t), np.diag(prob.d), np.diag(prob.h))):
-        p_lo = max(h * h / mu, P_FLOOR)
-        ps = np.geomspace(p_lo, P_GRID_SPAN * p_lo, grid_points)
-        ok = (_max_eig_m1(prob.alpha, b, d, ps, ell * ps) <= tol) & (
-            _min_eig_m2(ps, h, mu) >= -tol
-        )
-        if not np.any(ok):
-            return False
-    return True
+def gain_point_feasible(prob, ell, mu):
+    """Check a prescribed scalar gain L = ell*I at level mu: with z = ell*p,
+    every coordinate must admit p = h^2/mu (see mu_floor)."""
+    b, d, h = _coordinates(prob).T
+    a = prob.alpha
+    return bool(np.all(mu * a * (1.0 - a - (1.0 - ell) ** 2)
+                       >= h * h * (1.0 - a) * (ell * d - b) ** 2))
+
+
+def dt_interval(prob, mu):
+    """Uniform measurement intervals feasible at level mu, as (low, high):
+    coordinate (d, h) needs |d - dt| <= sqrt(alpha mu / h^2 + (1 - alpha) d^2),
+    so h = 0 admits every dt. low > high when no dt is feasible."""
+    _, d, h = _coordinates(prob).T
+    with np.errstate(divide="ignore"):
+        r = np.sqrt(prob.alpha * mu / (h * h) + (1.0 - prob.alpha) * d * d)
+    return float(np.max(d - r)), float(np.min(d + r))
 
 
 def critical_dt(prob, dt_bracket, mu=None, resolution=1e-3):
-    """Largest uniform measurement interval keeping the problem feasible at
-    performance level mu (defaults to prob.mu_max), bisected to ``resolution``
-    seconds. The bracket must be feasible at its low end and infeasible at its
-    high end."""
-    _require_diagonal(prob)
-    if mu is None:
-        mu = prob.mu_max
+    """Largest uniform measurement interval feasible at level mu (default
+    prob.mu_max), bisected against dt_interval to ``resolution`` seconds. The
+    bracket must be feasible at its low end and infeasible at its high end."""
+    mu = prob.mu_max if mu is None else mu
     lo, hi = float(dt_bracket[0]), float(dt_bracket[1])
-    if not lo < hi:
-        raise BracketError(f"dt bracket must satisfy lo < hi, got ({lo}, {hi})")
-
-    def feasible_at(dt):
-        return mu_feasible(replace(prob, b_t=dt * np.eye(prob.dim)), mu)
-
-    if not feasible_at(lo):
-        raise BracketError(
-            f"dt bracket low end {lo:g} s is already infeasible at mu={mu:g}; "
-            "lower it"
-        )
-    if feasible_at(hi):
-        raise BracketError(
-            f"dt bracket high end {hi:g} s is still feasible at mu={mu:g}; "
-            "raise it"
-        )
+    if not 0 < lo < hi:
+        raise BracketError(f"dt bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    low, high = dt_interval(prob, mu)
+    where = (f"feasible dt lies in [{max(low, 0.0):.4g}, {high:.4g}] s" if low <= high
+             else "no dt is feasible")
+    if not low <= lo <= high:
+        raise BracketError(f"dt bracket low end {lo:g} s is already infeasible at mu={mu:g}; "
+                           f"{where}")
+    if hi <= high:
+        raise BracketError(f"dt bracket high end {hi:g} s is still feasible at mu={mu:g}; "
+                           f"{where}")
+    # bisected, not returned as `high`, so the reported frontier keeps its bits
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        if feasible_at(mid):
+        if mid <= high:
             lo = mid
         else:
             hi = mid

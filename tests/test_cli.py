@@ -166,6 +166,43 @@ def test_sweep_dt_entirely_feasible_bracket(tmp_path):
     assert main(["sweep-dt", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+def test_sweep_dt_bracket_errors_state_the_feasible_interval(tmp_path, capsys):
+    # at mu = 0.05 the feasible interval is [0.1127, 0.8873] s, so lowering a
+    # 0.1 s low end cannot help; with H = 0 every dt is feasible
+    cases = (
+        ("scenario:\n  dt: 0.1\nobserver:\n  mu_max: [0.05]\n",
+         "low end 0.1 s is already infeasible", "[0.1127, 0.8873] s"),
+        ("observer:\n  mu_max: [0.05]\n  h_diag: 0.0\n",
+         "high end 2 s is still feasible", "[0, inf] s"),
+    )
+    for text, phrase, interval in cases:
+        cfg = write_yaml(tmp_path, text)
+        assert main(["sweep-dt", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert phrase in err and f"feasible dt lies in {interval}" in err
+        assert "lower it" not in err and "raise it" not in err
+
+
+def test_infeasible_design_names_the_binding_coordinate(tmp_path, capsys):
+    cfg = write_yaml(
+        tmp_path,
+        "measurement:\n  d_diag: [0.5, 0.5, 0.7, 0.7, 0.3, 0.3, 0.5, 0.5]\n"
+        "observer:\n  mu_max: 0.1\n",
+    )
+    assert main(["design", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "coordinate 2 (UAV 1) needs mu >= 0.115" in capsys.readouterr().err
+
+
+def test_seed_flag_keeps_the_config_hash_of_the_same_seed_in_yaml(tmp_path):
+    flag_out, yaml_out = tmp_path / "flag", tmp_path / "yaml"
+    assert main(["design", "--out", str(flag_out), "--seed", "3"]) == 0
+    cfg = write_yaml(tmp_path, "run:\n  seed: 3\n")
+    assert main(["design", "--config", cfg, "--out", str(yaml_out)]) == 0
+    hashes = [json.loads((out / "manifest.json").read_text())["config_hash"]
+              for out in (flag_out, yaml_out)]
+    assert hashes[0] == hashes[1]
+
+
 def test_compare_requires_window(tmp_path):
     cfg = write_yaml(tmp_path, "observer:\n  mu_max: [0.05]\nrun:\n  horizon: 50\n")
     assert main(["compare-baseline", "--config", cfg, "--out", str(tmp_path / "out")]) == 1

@@ -131,3 +131,16 @@ def test_yaml_round_trip(tmp_path):
     assert cfg.scenario.omega == 0.25
     assert cfg.mu_list == (0.05,)
     assert cfg.horizon == 50 and cfg.seed == 7
+
+
+def test_non_finite_h_diag_rejected_with_field_name():
+    for h_diag in (float("inf"), float("nan"), [1.0] * 7 + [float("nan")]):
+        with pytest.raises(ConfigError, match="observer.h_diag"):
+            config_from_mapping({"observer": {"h_diag": h_diag}})
+
+
+def test_carrier_not_hashed_when_wavelength_given():
+    a = config_from_mapping({"array": {"wavelength": 0.01}})
+    b = config_from_mapping({"array": {"wavelength": 0.01, "carrier_hz": 1.0e9}})
+    assert a.array == b.array
+    assert config_hash(a) == config_hash(b)

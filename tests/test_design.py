@@ -5,13 +5,19 @@ Independent oracles used here:
     evaluated on the scalar-coordinate reduction (minor_feasible below);
   * the closed-form critical interval dt* = d + sqrt((1 + 4 mu) / 8) valid
     for alpha = 1/2, d = 1/2, h = 1, derived by maximizing the admissible
-    certificate scale over the gain ratio.
+    certificate scale over the gain ratio;
+  * the dense LMI check feasible(), against which the closed-form floor and
+    its optimal gain are property-tested.
 Derived example points (p, z, mu) were verified against the minors by hand
 before being frozen.
 """
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uiobeam.design import (
     AlphaSweepEntry,
@@ -22,12 +28,17 @@ from uiobeam.design import (
     critical_dt,
     design,
     design_alpha_sweep,
+    dt_interval,
     feasible,
     gain_point_feasible,
     mu_feasible,
+    mu_floor,
 )
 from uiobeam.errors import BracketError, InfeasibleError, ShapeError, UnsupportedStructureError
 from uiobeam.linalg import check_definiteness
+
+# the package re-exports the function design(), which shadows the module name
+design_module = importlib.import_module("uiobeam.design")
 
 
 def reference_problem(mu_max=1.0, alpha=0.5, dt=0.15):
@@ -136,7 +147,7 @@ def test_design_reference_levels_and_reported_gain_points():
         assert solution.mu <= mu_max
         # dense re-check (structured/dense agreement)
         assert feasible(prob, solution.p, solution.z, solution.mu)
-        # the reported scalar gain point verifies via 1-D search over p
+        # the reported scalar gain point verifies in closed form
         assert gain_point_feasible(prob, ell, gamma_ref**2)
         # gains structure; scalar-identity solutions have radius |1 - z/p|
         np.testing.assert_array_equal(gains.q + gains.l, np.eye(8))
@@ -234,3 +245,104 @@ def test_problem_validation():
         LmiProblem.uniform(2, -0.15)
     with pytest.raises(ShapeError):
         LmiProblem.uniform(2, 0.15, mu_max=-1.0)
+
+
+def test_problem_rejects_non_finite_entries():
+    for name in ("b_t", "d", "h"):
+        for bad in (np.inf, np.nan):
+            data = {"b_t": 0.15 * np.eye(2), "d": 0.5 * np.eye(2), "h": np.eye(2)}
+            data[name] = data[name].copy()
+            data[name][1, 1] = bad
+            with pytest.raises(ShapeError, match=f"^{name} contains non-finite"):
+                LmiProblem(alpha=0.5, mu_max=1.0, **data)
+
+
+def mixed_d_problem(mu_max):
+    # UAV 1 carries the d = 0.7 class, whose floor is (0.55^2 - 0.5 * 0.49) / 0.5 = 0.115
+    d = np.diag([0.5, 0.5, 0.7, 0.7, 0.3, 0.3, 0.5, 0.5])
+    return LmiProblem(alpha=0.5, b_t=0.15 * np.eye(8), d=d, h=np.eye(8), mu_max=mu_max)
+
+
+def test_design_names_a_coordinate_without_candidates(monkeypatch):
+    real = design_module._coordinate_search
+
+    def no_candidates_for_d07(alpha, b, d, h, mu):
+        return [] if d == 0.7 else real(alpha, b, d, h, mu)
+
+    monkeypatch.setattr(design_module, "_coordinate_search", no_candidates_for_d07)
+    with pytest.raises(InfeasibleError, match=r"for coordinate 2 \(UAV 1, closed-form floor 0\.115\)"):
+        design(mixed_d_problem(1.0))
+
+
+def test_search_runs_once_per_distinct_coordinate_in_design_only(monkeypatch):
+    real = design_module._coordinate_search
+    rows = []
+
+    def counting(alpha, b, d, h, mu):
+        rows.append((b, d, h))
+        return real(alpha, b, d, h, mu)
+
+    monkeypatch.setattr(design_module, "_coordinate_search", counting)
+    prob = mixed_d_problem(1.0)
+    solution, _ = design(prob)
+    assert solution.certified
+    assert sorted(rows) == [(0.15, 0.3, 1.0), (0.15, 0.5, 1.0), (0.15, 0.7, 1.0)]
+    rows.clear()
+    mu_feasible(prob, 0.5)
+    gain_point_feasible(prob, 0.39, 0.25)
+    critical_dt(reference_problem(mu_max=0.25), (0.15, 2.0))
+    assert rows == []
+
+
+def test_mu_floor_reduces_to_reference_frontier():
+    # alpha = d = 1/2, h = 1: mu >= floor  <=>  dt <= 1/2 + sqrt((1 + 4 mu) / 8)
+    for mu in (0.05, 0.25, 1.0):
+        dt_star = closed_form_critical_dt(mu)
+        assert mu_floor(0.5, dt_star, 0.5, 1.0) == pytest.approx(mu, rel=1e-12)
+        assert dt_interval(reference_problem(), mu)[1] == pytest.approx(dt_star)
+
+
+coordinates = st.tuples(
+    st.floats(0.05, 0.95),  # alpha
+    st.floats(0.01, 2.0),  # b
+    st.floats(-1.0, 1.5),  # d
+    st.floats(0.1, 3.0),  # h
+)
+
+
+def scalar_problem(alpha, b, d, h):
+    return LmiProblem(alpha=alpha, b_t=[[b]], d=[[d]], h=[[h]], mu_max=1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coordinates, st.floats(1e-6, 10.0), st.floats(1e-3, 10.0))
+def test_closed_form_certificate_passes_dense_check(coord, excess, mu_free):
+    alpha, b, d, h = coord
+    mu = max(mu_floor(alpha, b, d, h) * (1.0 + excess), mu_free)
+    c = h * h * (1.0 - alpha)
+    ell = (mu * alpha + c * b * d) / (mu * alpha + c * d * d)
+    p = h * h / mu
+    assert feasible(scalar_problem(*coord), [[p]], [[ell * p]], mu)
+    assert mu_feasible(scalar_problem(*coord), mu)
+    assert gain_point_feasible(scalar_problem(*coord), ell, mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coordinates, st.floats(1e-3, 1.0))
+def test_search_finds_nothing_below_floor(coord, fraction):
+    floor = mu_floor(*coord)
+    assume(floor > 1e-3)
+    mu = (1.0 - 1e-3) * fraction * floor
+    assert design_module._coordinate_search(*coord, mu) == []
+    assert not mu_feasible(scalar_problem(*coord), mu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coordinates, st.floats(-0.5, 2.5), st.floats(1e-2, 10.0))
+def test_gain_point_agrees_with_dense_check(coord, ell, mu):
+    alpha, b, d, h = coord
+    margin = mu * alpha * (1.0 - alpha - (1.0 - ell) ** 2) - h * h * (1.0 - alpha) * (ell * d - b) ** 2
+    assume(abs(margin) > 1e-6)
+    p = h * h / mu
+    prob = scalar_problem(*coord)
+    assert gain_point_feasible(prob, ell, mu) == feasible(prob, [[p]], [[ell * p]], mu)
