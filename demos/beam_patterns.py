@@ -24,7 +24,7 @@ def main():
     print()
 
     grid_deg = np.linspace(-89.75, 89.75, 1437)
-    gains_db = beam_pattern(cfg, beams.f, np.deg2rad(grid_deg))
+    (gains_db,) = beam_pattern(cfg, [beams.f], np.deg2rad(grid_deg))
     columns = [np.repeat(grid_deg, 4), np.tile(np.arange(4), grid_deg.size), gains_db]
     count = write_csv("beam_patterns.csv", ["theta_deg", "beam_id", "gain_db"], columns)
     print(f"wrote beam_patterns.csv ({count} rows)")
@@ -36,7 +36,7 @@ def main():
         big = ArrayConfig.at_carrier(m_ce, 4, 30.0e9)
         single = beamformer(big, [0.25])
         local = 0.25 + np.linspace(-0.1, 0.1, 20001)
-        widths[m_ce] = half_power_width(local, beam_pattern(big, single.f, local)[:, 0])
+        widths[m_ce] = half_power_width(local, beam_pattern(big, [single.f], local)[0][:, 0])
         print(f"M_CE = {m_ce:>3}: -3 dB width = {np.rad2deg(widths[m_ce]):.3f} deg")
     print(f"ratio 128/64 = {widths[128] / widths[64]:.3f} (expected ~0.5)")
 

@@ -16,7 +16,6 @@ from .beamforming import (
     BeamformerMatrix,
     ChannelRealization,
     LinkReport,
-    apply_channel,
     beam_pattern,
     beamformer,
     link_report,

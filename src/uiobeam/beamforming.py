@@ -1,5 +1,6 @@
 """Uniform-linear-array steering, zero-forcing precoding, the line-of-sight
-channel (which holds the true azimuths) and link quality evaluation.
+channel (which holds the true azimuths and their steering) and link quality
+evaluation.
 
 Conventions: steering entry m is exp(j*(2pi/lambda)*d*m*sin(theta)). The
 precoder F = A*(theta^) (A^T(theta^) A*(theta^))^-1 zero-forces against the
@@ -8,6 +9,13 @@ true angle is a^T(theta) (a conjugation absorbed into the steering
 definition); perfect angle estimates then give exactly zero inter-stream
 interference. Spectral efficiency is log2(1 + SINR) per stream with matched
 unit-norm combining b(theta^)/sqrt(N_U).
+
+Each steering matrix is built once per angle set: the channel carries the
+transmit and receive steering at its true angles, which every link
+evaluation of that snapshot reads; a precoder builds its steering matrix
+and Gram matrix once, also when it falls back to the ridge; and the pattern
+grid's steering matrix is built once for all the precoders it is
+evaluated on.
 """
 
 from dataclasses import dataclass
@@ -66,17 +74,51 @@ def steering_matrix(cfg, thetas, count=None):
         raise ShapeError("element count must be positive")
     thetas = np.atleast_1d(np.asarray(thetas, float))
     phase = (2.0 * np.pi / cfg.wavelength) * cfg.spacing * np.sin(thetas)
-    return np.exp(np.arange(count)[:, None] * (1j * phase))
+    # (cos, sin) of the real argument m*phase are the bits of
+    # exp(m * 1j*phase); the argument is held in the real part, so no
+    # temporary is allocated. Adding 0.0 turns a phase of -0.0 into the +0.0
+    # that 1j*phase has.
+    out = np.empty((count, thetas.size), dtype=complex)
+    np.multiply(np.arange(count)[:, None], phase + 0.0, out=out.real)
+    np.sin(out.real, out=out.imag)
+    np.cos(out.real, out=out.real)
+    return out
 
 
 @dataclass(frozen=True)
 class BeamformerMatrix:
     """Zero-forcing precoder F with the steering matrix A and the angle
-    estimates it was built from."""
+    estimates it was built from, and the diagonal loading (relative to
+    M_CE) of its Gram matrix: 0.0 for a strict zero-forcing solve."""
 
     f: np.ndarray
     a: np.ndarray
     theta: np.ndarray
+    ridge: float
+
+
+def _check_sine_gaps(thetas, min_sin_gap):
+    """Raise ConditioningError naming the first pair i < j of angles closer
+    than ``min_sin_gap`` in sine."""
+    sines = np.sin(thetas)
+    gaps = np.abs(sines[:, None] - sines[None, :])
+    # np.nonzero scans row-major, so the first hit is the first i < j pair
+    rows, cols = np.nonzero(np.triu(gaps < min_sin_gap, k=1))
+    if rows.size:
+        i, j = rows[0], cols[0]
+        raise ConditioningError(
+            f"steering angles {i} and {j} collide: "
+            f"|sin gap| = {gaps[i, j]:.3e} < {min_sin_gap:.0e}"
+        )
+
+
+def _zero_forcing(cfg, thetas, a, a_conj, gram, ridge):
+    """F = A*(A^T A* + ridge*M_CE*I)^{-1} from the steering matrix A, its
+    conjugate and its unloaded Gram matrix A^T A*."""
+    if ridge > 0.0:
+        gram = gram + ridge * cfg.m_ce * np.eye(thetas.size)
+    f = a_conj @ solve_hermitian(gram, np.eye(thetas.size, dtype=complex))
+    return BeamformerMatrix(f=f, a=a, theta=thetas, ridge=ridge)
 
 
 def beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=0.0):
@@ -88,23 +130,11 @@ def beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=0.0):
     exact nulls for a bounded-norm precoder near collisions.
     """
     thetas = np.atleast_1d(np.asarray(thetas, float))
-    sines = np.sin(thetas)
     if ridge == 0.0:
-        gaps = np.abs(sines[:, None] - sines[None, :])
-        # np.nonzero scans row-major, so the first hit is the first i < j pair
-        rows, cols = np.nonzero(np.triu(gaps < min_sin_gap, k=1))
-        if rows.size:
-            i, j = rows[0], cols[0]
-            raise ConditioningError(
-                f"steering angles {i} and {j} collide: "
-                f"|sin gap| = {gaps[i, j]:.3e} < {min_sin_gap:.0e}"
-            )
+        _check_sine_gaps(thetas, min_sin_gap)
     a = steering_matrix(cfg, thetas, cfg.m_ce)
-    gram = a.T @ a.conj()
-    if ridge > 0.0:
-        gram = gram + ridge * cfg.m_ce * np.eye(thetas.size)
-    f = a.conj() @ solve_hermitian(gram, np.eye(thetas.size, dtype=complex))
-    return BeamformerMatrix(f=f, a=a, theta=thetas)
+    a_conj = a.conj()
+    return _zero_forcing(cfg, thetas, a, a_conj, a.T @ a_conj, ridge)
 
 
 def safe_beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=FALLBACK_RIDGE):
@@ -112,22 +142,34 @@ def safe_beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=FALLBACK_RIDGE):
     at angle collisions (the orbit geometry crosses equal sines twice per
     revolution per UAV pair, so long runs need this) and when the Gram matrix
     is numerically singular although every sine gap passes (many UAVs on a
-    short array, or more UAVs than antennas)."""
+    short array, or more UAVs than antennas).
+
+    The steering matrix and its Gram matrix are built once; the fallback
+    loads that same Gram matrix, so its result equals
+    ``beamformer(cfg, thetas, ridge=ridge)`` bit for bit."""
+    thetas = np.atleast_1d(np.asarray(thetas, float))
+    a = steering_matrix(cfg, thetas, cfg.m_ce)
+    a_conj = a.conj()
+    gram = a.T @ a_conj
     try:
-        return beamformer(cfg, thetas, min_sin_gap=min_sin_gap)
+        _check_sine_gaps(thetas, min_sin_gap)
+        return _zero_forcing(cfg, thetas, a, a_conj, gram, 0.0)
     except (ConditioningError, SingularMatrixError):
-        return beamformer(cfg, thetas, ridge=ridge)
+        return _zero_forcing(cfg, thetas, a, a_conj, gram, ridge)
 
 
 @dataclass(frozen=True)
 class ChannelRealization:
     """Line-of-sight channel snapshot: complex coefficient, true azimuth and
-    range per UAV, plus the per-antenna noise power."""
+    range per UAV, the per-antenna noise power, and the steering at the true
+    azimuths: transmit rows a (M_CE x N) and receive columns b (N_U x N)."""
 
     h: np.ndarray
     sigma2: float
     theta: np.ndarray
     ranges: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
         if self.sigma2 < 0:
@@ -153,7 +195,10 @@ class ChannelRealization:
         else:
             raise ShapeError(f"unknown phase_mode {phase_mode!r}")
         h = (cfg.wavelength / (4.0 * np.pi * ranges)) * np.exp(1j * phases)
-        return cls(h=h, sigma2=float(sigma2), theta=theta, ranges=ranges)
+        return cls(
+            h=h, sigma2=float(sigma2), theta=theta, ranges=ranges,
+            a=steering_matrix(cfg, theta, cfg.m_ce), b=steering_matrix(cfg, theta, cfg.n_u),
+        )
 
 
 def default_noise_power(cfg, total_power, n_streams, ref_range, target_snr_db):
@@ -161,34 +206,6 @@ def default_noise_power(cfg, total_power, n_streams, ref_range, target_snr_db):
     zero-forcing with well-separated angles."""
     h_ref = cfg.wavelength / (4.0 * np.pi * ref_range)
     return total_power * h_ref**2 / (n_streams * 10.0 ** (target_snr_db / 10.0))
-
-
-def apply_channel(cfg, chan, f, s_hat, rng):
-    """Received vectors r_i (one row per UAV, N_U entries each):
-
-        r_i = (1/sqrt(M_CE N_U)) h_i b(theta_i) (a^T(theta_i) F s^) + nu_i
-
-    with nu_i circular complex Gaussian, variance sigma2 per entry, drawn
-    from ``rng``."""
-    f = np.asarray(f, complex)
-    s_hat = np.asarray(s_hat, complex)
-    n = chan.h.size
-    if f.shape != (cfg.m_ce, n) or s_hat.shape != (n,):
-        raise ShapeError(
-            f"F shape {f.shape} / symbol shape {s_hat.shape} inconsistent with "
-            f"{n} UAVs and M_CE={cfg.m_ce}"
-        )
-    scale = 1.0 / np.sqrt(cfg.m_ce * cfg.n_u)
-    tx = f @ s_hat
-    rows = steering_matrix(cfg, chan.theta, cfg.m_ce).T
-    combiners = steering_matrix(cfg, chan.theta, cfg.n_u).T
-    out = np.empty((n, cfg.n_u), dtype=complex)
-    for i in range(n):
-        noise = np.sqrt(chan.sigma2 / 2.0) * (
-            rng.standard_normal(cfg.n_u) + 1j * rng.standard_normal(cfg.n_u)
-        )
-        out[i] = scale * chan.h[i] * combiners[i] * (rows[i] @ tx) + noise
-    return out
 
 
 def equal_power_allocation(bf, total_power):
@@ -204,11 +221,9 @@ def _gain_matrix(cfg, chan, bf, power):
     n = chan.h.size
     if bf.f.shape[1] != n or power.shape != (n,):
         raise ShapeError("beamformer/power dimensions inconsistent with the channel")
-    a_true = steering_matrix(cfg, chan.theta, cfg.m_ce)
-    t = a_true.T @ bf.f
+    t = chan.a.T @ bf.f
     b_hat = steering_matrix(cfg, bf.theta, cfg.n_u)
-    b_true = steering_matrix(cfg, chan.theta, cfg.n_u)
-    combine = np.sum(b_hat.conj() * b_true, axis=0) / np.sqrt(cfg.n_u)
+    combine = np.sum(b_hat.conj() * chan.b, axis=0) / np.sqrt(cfg.n_u)
     scale = 1.0 / np.sqrt(cfg.m_ce * cfg.n_u)
     return scale * chan.h[:, None] * combine[:, None] * t * np.sqrt(power)[None, :]
 
@@ -259,19 +274,23 @@ def empirical_link_se(cfg, chan, bf, power, symbols, noise):
     return np.log2(1.0 + sinr)
 
 
-def beam_pattern(cfg, f, theta_grid):
-    """Per-beam transmit pattern |a^T(theta) f_i| over the grid, normalized to
-    each beam's own maximum, in dB (amplitudes floored at PATTERN_FLOOR so
-    exact zero-forcing nulls stay finite)."""
+def beam_pattern(cfg, fs, theta_grid):
+    """Per-beam transmit patterns |a^T(theta) f_i| over the grid, one
+    (grid point, beam) array per precoder F in ``fs``, each beam normalized
+    to its own maximum, in dB (amplitudes floored at PATTERN_FLOOR so exact
+    zero-forcing nulls stay finite). The grid's steering matrix is built
+    once for all the precoders."""
     theta_grid = np.asarray(theta_grid, float)
     if np.any(np.abs(theta_grid) >= np.pi / 2):
         raise ShapeError("pattern grid must lie within (-pi/2, pi/2)")
-    f = np.asarray(f, complex)
-    a_grid = steering_matrix(cfg, theta_grid, cfg.m_ce)
-    response = np.abs(a_grid.T @ f)
-    peaks = np.max(response, axis=0)
-    normalized = np.maximum(response / peaks[None, :], PATTERN_FLOOR)
-    return 20.0 * np.log10(normalized)
+    rows = steering_matrix(cfg, theta_grid, cfg.m_ce).T
+    patterns = []
+    for f in fs:
+        response = np.abs(rows @ np.asarray(f, complex))
+        peaks = np.max(response, axis=0)
+        normalized = np.maximum(response / peaks[None, :], PATTERN_FLOOR)
+        patterns.append(20.0 * np.log10(normalized))
+    return patterns
 
 
 def half_power_width(theta_grid, gain_db):

@@ -91,6 +91,15 @@ def _positive(value, name):
     return value
 
 
+def _finite(value, name):
+    """``value`` as a float array; a ConfigError naming the field if any entry
+    is infinite or NaN."""
+    values = np.asarray(value, float)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{name} must be finite, got {values.tolist()}")
+    return values
+
+
 def config_from_mapping(data):
     """Validate a parsed mapping and resolve every default."""
     if data is None:
@@ -99,15 +108,16 @@ def config_from_mapping(data):
         raise ConfigError("top-level configuration must be a mapping")
     _check_unknown_keys(data)
 
-    radii = np.asarray(_get(data, "scenario", "radii", [100.0, 150.0, 200.0, 250.0]), float)
+    radii = _finite(_get(data, "scenario", "radii", [100.0, 150.0, 200.0, 250.0]),
+                    "scenario.radii")
     n_uavs = int(_get(data, "scenario", "n_uavs", radii.size))
     if n_uavs != radii.size:
         raise ConfigError(
             f"scenario.n_uavs={n_uavs} disagrees with {radii.size} radii entries"
         )
-    omega = float(_get(data, "scenario", "omega", 0.5))
-    dt_raw = _get(data, "scenario", "dt", 0.15)
-    dt = np.full(n_uavs, float(dt_raw)) if np.isscalar(dt_raw) else np.asarray(dt_raw, float)
+    omega = float(_finite(_get(data, "scenario", "omega", 0.5), "scenario.omega"))
+    dt_raw = _finite(_get(data, "scenario", "dt", 0.15), "scenario.dt")
+    dt = np.full(n_uavs, float(dt_raw)) if dt_raw.ndim == 0 else dt_raw
     if dt.size != n_uavs:
         raise ConfigError(f"scenario.dt needs 1 or {n_uavs} entries, got {dt.size}")
     if not np.all(dt > 0):
@@ -115,7 +125,7 @@ def config_from_mapping(data):
     if not np.all(radii > 0):
         raise ConfigError("scenario.radii must be positive")
     phases_raw = _get(data, "scenario", "phases", None)
-    center = np.asarray(_get(data, "scenario", "center", [0.0, 0.0]), float)
+    center = _finite(_get(data, "scenario", "center", [0.0, 0.0]), "scenario.center")
     ratio = float(_get(data, "scenario", "perturbation_ratio", 0.2))
     if ratio < 0:
         raise ConfigError("scenario.perturbation_ratio must be non-negative")
@@ -128,7 +138,7 @@ def config_from_mapping(data):
             )
         else:
             scenario = UavScenario(
-                radii=radii, omega=omega, phases=np.asarray(phases_raw, float),
+                radii=radii, omega=omega, phases=_finite(phases_raw, "scenario.phases"),
                 center=center, dt=dt,
                 perturbation_ratio=ratio, perturbation_rate_multiple=rate_multiple,
             )
@@ -137,14 +147,14 @@ def config_from_mapping(data):
 
     d_diag_raw = _get(data, "measurement", "d_diag", None)
     if d_diag_raw is not None:
-        d_diag = np.asarray(d_diag_raw, float)
+        d_diag = _finite(d_diag_raw, "measurement.d_diag")
         if d_diag.size != 2 * n_uavs:
             raise ConfigError(
                 f"measurement.d_diag needs {2 * n_uavs} entries, got {d_diag.size}"
             )
         model = MeasurementModel(d=np.diag(d_diag))
     else:
-        d_scale = float(_get(data, "measurement", "d_scale", 0.5))
+        d_scale = float(_finite(_get(data, "measurement", "d_scale", 0.5), "measurement.d_scale"))
         model = MeasurementModel.scaled_identity(n_uavs, d_scale)
 
     alpha = float(_get(data, "observer", "alpha", 0.5))
@@ -160,8 +170,7 @@ def config_from_mapping(data):
     )
     if h_diag.size != 2 * n_uavs:
         raise ConfigError(f"observer.h_diag needs {2 * n_uavs} entries, got {h_diag.size}")
-    if not np.all(np.isfinite(h_diag)):
-        raise ConfigError(f"observer.h_diag must be finite, got {h_diag.tolist()}")
+    _finite(h_diag, "observer.h_diag")
     observer_init = str(_get(data, "observer", "init", "measurement"))
     if observer_init not in ("measurement", "zero"):
         raise ConfigError(f"observer.init must be 'measurement' or 'zero', got {observer_init!r}")

@@ -2,10 +2,16 @@
 
 Every CSV body is byte-stable for a fixed config + seed: floats are written
 with 17 significant digits, rows in a fixed order, no timestamps. Wall-clock
-lives only in the manifest. Tables are built as whole columns over
+lives only in the manifest, together with the steps whose zero-forcing
+precoder fell back to the ridge. Tables are built as whole columns over
 (step, UAV) and written with one format template per file. Per-design and
 per-mode runs are independent; the orchestration here runs them
 sequentially.
+
+The link layer builds each precoder once per distinct steering input: the
+pattern snapshots reuse the precoders of the link time series, the echo-fed
+precoder of `run_compare` is held while the echo stays blocked, and the
+pattern grid is steered once per design.
 """
 
 import json
@@ -118,7 +124,7 @@ def echo_blockage(windows, dt, horizon):
 
 def _channel_at(cfg, x_stacked, rng):
     """Line-of-sight channel at the true positions; its theta holds the true
-    azimuths."""
+    azimuths and its a/b the steering toward them."""
     return bf.ChannelRealization.line_of_sight(
         cfg.array, x_stacked.reshape(-1, 2), cfg.scenario.center, cfg.sigma2,
         phase_mode=cfg.phase_mode, rng=rng,
@@ -135,20 +141,28 @@ def link_timeseries(cfg, run, angles):
     """Analytic per-step link reports along a tracking run, with the beams
     steered at ``angles`` (step, UAV).
 
-    Returns (sinr_db, se), each (horizon, N).
+    Returns (sinr_db, se, ridge, snapshots): sinr_db and se are (horizon, N),
+    ridge (horizon,) holds the ridge of each step's precoder (0.0 when
+    strict), and snapshots the precoder F of each step in
+    cfg.pattern_snapshots, in that order.
     """
     n = cfg.scenario.n_uavs
     horizon = cfg.horizon
     rng = np.random.default_rng(cfg.seed)
     sinr_db = np.empty((horizon, n))
     se = np.empty((horizon, n))
+    ridge = np.empty(horizon)
+    kept = {}
     for k in range(horizon):
         chan = _channel_at(cfg, run["X"][k], rng)
         beams, power = _precode(cfg, angles[k])
         report = bf.link_report(cfg.array, chan, beams, power)
         sinr_db[k] = report.sinr_db
         se[k] = report.se
-    return sinr_db, se
+        ridge[k] = beams.ridge
+        if k in cfg.pattern_snapshots:
+            kept[k] = beams.f
+    return sinr_db, se, ridge, [kept[k] for k in cfg.pattern_snapshots]
 
 
 def _step_uav_columns(n, horizon):
@@ -175,30 +189,32 @@ def _write_tracking_csvs(cfg, run, out_dir, files):
     )
 
 
-def _write_se_csv(cfg, run, angles, out_dir, files):
-    sinr_db, se = link_timeseries(cfg, run, angles)
-    k, uav = _step_uav_columns(cfg.scenario.n_uavs, cfg.horizon)
+def _write_link_csvs(cfg, run, angles, out_dir, files):
+    """se.csv and the pattern_k<k>.csv snapshots; returns the steps whose
+    precoder fell back to the ridge."""
+    n = cfg.scenario.n_uavs
+    sinr_db, se, ridge, snapshots = link_timeseries(cfg, run, angles)
+    k, uav = _step_uav_columns(n, cfg.horizon)
     files["se.csv"] = write_csv(
         out_dir / "se.csv", ["k", "uav_id", "mode", "sinr_db", "se_bpshz"],
         [k, uav, np.full(k.size, "uio"), sinr_db, se],
     )
-
-
-def _write_pattern_csvs(cfg, angles, out_dir, files):
-    n = cfg.scenario.n_uavs
     grid_deg = np.linspace(-PATTERN_SPAN_DEG, PATTERN_SPAN_DEG, cfg.pattern_points)
     grid = np.deg2rad(grid_deg)
-    for k in cfg.pattern_snapshots:
-        beams = bf.safe_beamformer(cfg.array, angles[k])
-        gains_db = bf.beam_pattern(cfg.array, beams.f, grid)
-        name = f"pattern_k{k}.csv"
+    patterns = bf.beam_pattern(cfg.array, snapshots, grid)
+    for step, gains_db in zip(cfg.pattern_snapshots, patterns):
+        name = f"pattern_k{step}.csv"
         files[name] = write_csv(
             out_dir / name, ["theta_deg", "beam_id", "gain_db"],
             [np.repeat(grid_deg, n), np.tile(np.arange(n), grid.size), gains_db],
         )
+    return np.flatnonzero(ridge > 0.0).tolist()
 
 
-def write_manifest(out_dir, cfg, files, wall_clock_s):
+def write_manifest(out_dir, cfg, files, wall_clock_s, **report):
+    """manifest.json: config hash, version, seed, rows per output file and
+    wall-clock, plus any run ``report`` fields (such as the steps whose
+    zero-forcing precoder fell back to the ridge)."""
     from . import __version__
 
     manifest = {
@@ -207,6 +223,7 @@ def write_manifest(out_dir, cfg, files, wall_clock_s):
         "seed": cfg.seed,
         "files": dict(sorted(files.items())),
         "wall_clock_s": wall_clock_s,
+        **report,
     }
     write_json(Path(out_dir) / "manifest.json", manifest)
     return manifest
@@ -221,7 +238,8 @@ def run_simulate(cfg, out_dir):
 
     The outputs depend on a design only through its gains, so each distinct
     design is run once and its files are copied into the directories of the
-    designs with equal gains.
+    designs with equal gains. The manifest lists, per design directory, the
+    steps whose precoder fell back to the ridge (``zf_fallback_steps``).
     """
     require_link_config(cfg)
     t0 = time.perf_counter()
@@ -229,7 +247,8 @@ def run_simulate(cfg, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     records, designs = run_design(cfg)
     files = {}
-    written = []  # (gains, directory, {file name: rows}) per distinct design
+    fallback_steps = {}
+    written = []  # (gains, directory, {file name: rows}, fallback steps) per distinct design
     for record, (solution, gains) in zip(records, designs):
         sub = out_dir / f"design_mu{mu_label(record['mu_max'])}"
         sub.mkdir(parents=True, exist_ok=True)
@@ -242,18 +261,19 @@ def run_simulate(cfg, out_dir):
             angles = _predicted_angles(cfg, run["XHAT"])
             sub_files = {}
             _write_tracking_csvs(cfg, run, sub, sub_files)
-            _write_se_csv(cfg, run, angles, sub, sub_files)
-            _write_pattern_csvs(cfg, angles, sub, sub_files)
-            written.append((gains, sub, sub_files))
+            steps = _write_link_csvs(cfg, run, angles, sub, sub_files)
+            written.append((gains, sub, sub_files, steps))
         else:
-            _, source, sub_files = twin
+            _, source, sub_files, steps = twin
             if source != sub:
                 for name in sub_files:
                     shutil.copyfile(source / name, sub / name)
         for name, rows in sub_files.items():
             files[f"{sub.name}/{name}"] = rows
+        fallback_steps[sub.name] = steps
     write_json(out_dir / "design_records.json", records)
-    return write_manifest(out_dir, cfg, files, time.perf_counter() - t0)
+    return write_manifest(out_dir, cfg, files, time.perf_counter() - t0,
+                          zf_fallback_steps=fallback_steps)
 
 
 def run_sweep_dt(cfg, out_dir):
@@ -279,9 +299,12 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
 
     Both modes consume identical per-step draws (symbols + post-combining
     noise) and the same physical channel; only the steering angles differ.
-    The echo-fed link steers with the true angles of the last unblocked step.
-    force_uio_truth substitutes true angles into the prediction path, the
-    paired-noise sanity check.
+    The echo-fed link steers with the true angles of the last unblocked step,
+    so its precoder is built once per distinct last unblocked step and held
+    through each blockage. force_uio_truth substitutes true angles into the
+    prediction path, the paired-noise sanity check. The manifest lists, per
+    mode, the steps whose precoder fell back to the ridge
+    (``zf_fallback_steps``).
     """
     if not cfg.windows:
         raise ConfigError("compare-baseline needs at least one blockage window")
@@ -302,13 +325,18 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
     predicted = theta if force_uio_truth else _predicted_angles(cfg, run["XHAT"])
     se_uio = np.empty(cfg.horizon)
     se_echo = np.empty(cfg.horizon)
+    fallback_steps = {"uio": [], "echo_baseline": []}
     for k in range(cfg.horizon):
         chan = _channel_at(cfg, run["X"][k], rng)
         theta[k] = chan.theta
         symbols, noise = bf.draw_link_samples(n, cfg.sigma2, rng, cfg.noise_draws)
-        for se, angles in ((se_uio, predicted[k]), (se_echo, theta[last_clear[k]])):
-            beams, power = _precode(cfg, angles)
+        uio = _precode(cfg, predicted[k])
+        if k == 0 or last_clear[k] != last_clear[k - 1]:
+            echo = _precode(cfg, theta[last_clear[k]])  # held while the echo is blocked
+        for mode, se, (beams, power) in (("uio", se_uio, uio), ("echo_baseline", se_echo, echo)):
             se[k] = np.mean(bf.empirical_link_se(cfg.array, chan, beams, power, symbols, noise))
+            if beams.ridge > 0.0:
+                fallback_steps[mode].append(k)
     steps = np.arange(cfg.horizon)
     files = {
         "se_compare.csv": write_csv(
@@ -331,5 +359,6 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
         summary["window_mean_se_uio"] - summary["window_mean_se_echo_baseline"]
     )
     write_json(out_dir / "compare_summary.json", summary)
-    write_manifest(out_dir, cfg, files, time.perf_counter() - t0)
+    write_manifest(out_dir, cfg, files, time.perf_counter() - t0,
+                   zf_fallback_steps=fallback_steps)
     return summary

@@ -187,7 +187,7 @@ def test_criterion_8_main_lobe_scaling():
         cfg = ArrayConfig.at_carrier(m_ce, 4, 30.0e9)
         bform = beamformer(cfg, [0.25])
         grid = 0.25 + np.linspace(-0.1, 0.1, 20001)
-        widths[m_ce] = half_power_width(grid, beam_pattern(cfg, bform.f, grid)[:, 0])
+        widths[m_ce] = half_power_width(grid, beam_pattern(cfg, [bform.f], grid)[0][:, 0])
     ratio = widths[128] / widths[64]
     ok = 0.45 <= ratio <= 0.55
     _report(8, ok, f"-3 dB width ratio 128/64 = {ratio:.4f} within 0.5 +- 10%")

@@ -4,17 +4,23 @@ Independent oracles:
   * Monte-Carlo SINR estimate: the received samples are re-derived from the
     physical model (steering rows, matched combiner, complex Gaussian noise)
     with vectorized draws, then correlated against the own-stream symbols;
+  * ``apply_channel``, the per-UAV received vectors of the same physical
+    model, one UAV at a time;
   * the Dirichlet-kernel closed form for the single-beam array factor,
     including a bisected half-power point for the main-lobe width.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uiobeam.beamforming import (
+    FALLBACK_RIDGE,
     ArrayConfig,
     ChannelRealization,
-    apply_channel,
     beam_pattern,
     beamformer,
     default_noise_power,
@@ -27,7 +33,12 @@ from uiobeam.beamforming import (
     steering_matrix,
 )
 from uiobeam.config import config_from_mapping
-from uiobeam.errors import ConditioningError, DegenerateGeometryError, ShapeError
+from uiobeam.errors import (
+    ConditioningError,
+    DegenerateGeometryError,
+    ShapeError,
+    SingularMatrixError,
+)
 from uiobeam.simulate import _predicted_angles, echo_blockage
 
 CFG = ArrayConfig.at_carrier(64, 4, 30.0e9)
@@ -62,6 +73,22 @@ def test_steering_matrix_matches_per_angle_formula():
         phase = (2.0 * np.pi / CFG.wavelength) * CFG.spacing * np.sin(theta)
         np.testing.assert_array_equal(a[:, i], np.exp(1j * phase * np.arange(32)))
         np.testing.assert_array_equal(steering_matrix(CFG, theta, 32)[:, 0], a[:, i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    count=st.sampled_from([1, 4, 64, 1024]),
+    spacing=st.floats(0.1, 2.0),
+    thetas=st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=16),
+)
+def test_steering_matrix_is_the_complex_exponential_bit_for_bit(count, spacing, thetas):
+    cfg = ArrayConfig(m_ce=64, n_u=4, wavelength=0.01, spacing=spacing * 0.01)
+    phase = (2.0 * np.pi / cfg.wavelength) * cfg.spacing * np.sin(np.asarray(thetas))
+    expected = np.exp(np.arange(count)[:, None] * (1j * phase))
+    got = steering_matrix(cfg, thetas, count)
+    assert got.shape == expected.shape
+    # the raw bits, so that signed zeros count too
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_steering_unit_modulus():
@@ -135,6 +162,69 @@ def test_safe_beamformer_survives_collisions():
     assert np.linalg.norm(bf.f) < 1e3
 
 
+@pytest.mark.parametrize(
+    "cfg, thetas, error",
+    [
+        (CFG, [0.5, np.pi - 0.5, -0.3, 1.0], ConditioningError),
+        # every sine gap passes, but 8 beams do not fit on 4 antennas
+        (ArrayConfig(m_ce=4, n_u=2, wavelength=0.01), np.arcsin(np.linspace(-0.9, 0.9, 8)),
+         SingularMatrixError),
+    ],
+    ids=["colliding-angles", "singular-gram"],
+)
+def test_safe_beamformer_builds_one_steering_matrix_on_fallback(
+    steering_shapes, cfg, thetas, error
+):
+    with pytest.raises(error):
+        beamformer(cfg, thetas)
+    reference = beamformer(cfg, thetas, ridge=FALLBACK_RIDGE)
+    steering_shapes.clear()
+    loaded = safe_beamformer(cfg, thetas)
+    assert steering_shapes == [(cfg.m_ce, len(thetas))]
+    assert loaded.ridge == FALLBACK_RIDGE
+    for field in ("f", "a", "theta"):
+        np.testing.assert_array_equal(
+            getattr(loaded, field).view(np.uint64), getattr(reference, field).view(np.uint64)
+        )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m_ce=st.sampled_from([16, 64, 128]),
+    start=st.floats(-0.95, -0.6),
+    extra_gaps=st.lists(st.floats(0.0, 0.1), max_size=7),
+)
+def test_zero_forcing_identity_on_well_separated_angles(m_ce, start, extra_gaps):
+    # north-star invariant A^T F = I, with every sine gap at least the
+    # array's resolution 2 / M_CE
+    sines = start + np.cumsum([0.0] + [2.0 / m_ce + g for g in extra_gaps])
+    assume(sines[-1] <= 0.95)
+    cfg = ArrayConfig.at_carrier(m_ce, 4, 30.0e9)
+    thetas = np.arcsin(sines)
+    strict = safe_beamformer(cfg, thetas)
+    assert strict.ridge == 0.0
+    assert np.max(np.abs(strict.a.T @ strict.f - np.eye(thetas.size))) <= 1e-9
+    np.testing.assert_array_equal(strict.f, beamformer(cfg, thetas).f)
+
+
+def test_channel_carries_its_true_angle_steering():
+    chan = ChannelRealization.line_of_sight(CFG, [100.0, 20.0, -30.0, 90.0], [0.0, 0.0], 0.0)
+    np.testing.assert_array_equal(chan.a, steering_matrix(CFG, chan.theta))
+    np.testing.assert_array_equal(chan.b, steering_matrix(CFG, chan.theta, CFG.n_u))
+
+
+def test_beam_pattern_builds_the_grid_once_for_every_precoder(steering_shapes):
+    grid = np.linspace(-1.3, 1.3, 101)
+    fs = [beamformer(CFG, thetas).f for thetas in ([0.3], [-0.7, 0.2, 1.0], [0.1, 0.6])]
+    one_by_one = [beam_pattern(CFG, [f], grid)[0] for f in fs]
+    steering_shapes.clear()
+    patterns = beam_pattern(CFG, fs, grid)
+    assert steering_shapes == [(CFG.m_ce, grid.size)]
+    assert [p.shape for p in patterns] == [(grid.size, f.shape[1]) for f in fs]
+    for got, expected in zip(patterns, one_by_one):
+        np.testing.assert_array_equal(got, expected)
+
+
 def true_angles(positions, center):
     """Azimuths that the line-of-sight channel assigns to the positions."""
     return ChannelRealization.line_of_sight(CFG, positions, center, 0.0).theta
@@ -172,8 +262,32 @@ def _channel(thetas, ranges, sigma2, h=None):
         h = (CFG.wavelength / (4.0 * np.pi * ranges)) * np.exp(
             -2j * np.pi * ranges / CFG.wavelength
         )
-    return ChannelRealization(h=np.asarray(h, complex), sigma2=sigma2,
-                              theta=thetas, ranges=ranges)
+    return ChannelRealization(
+        h=np.asarray(h, complex), sigma2=sigma2, theta=thetas, ranges=ranges,
+        a=steering_matrix(CFG, thetas), b=steering_matrix(CFG, thetas, CFG.n_u),
+    )
+
+
+def apply_channel(cfg, chan, f, s_hat, rng):
+    """Received vectors r_i (one row per UAV, N_U entries each):
+
+        r_i = (1/sqrt(M_CE N_U)) h_i b(theta_i) (a^T(theta_i) F s^) + nu_i
+
+    with nu_i circular complex Gaussian, variance sigma2 per entry, drawn
+    from ``rng``; the steering is the channel's own a and b."""
+    f = np.asarray(f, complex)
+    s_hat = np.asarray(s_hat, complex)
+    n = chan.h.size
+    assert f.shape == (cfg.m_ce, n) and s_hat.shape == (n,)
+    scale = 1.0 / np.sqrt(cfg.m_ce * cfg.n_u)
+    tx = f @ s_hat
+    out = np.empty((n, cfg.n_u), dtype=complex)
+    for i in range(n):
+        noise = np.sqrt(chan.sigma2 / 2.0) * (
+            rng.standard_normal(cfg.n_u) + 1j * rng.standard_normal(cfg.n_u)
+        )
+        out[i] = scale * chan.h[i] * chan.b[:, i] * (chan.a[:, i] @ tx) + noise
+    return out
 
 
 def test_apply_channel_noise_free_single_stream():
@@ -270,7 +384,7 @@ def test_se_vanishes_with_noise():
     sigmas = np.geomspace(chan.sigma2, 1e8 * chan.sigma2, 12)
     ses = []
     for s2 in sigmas:
-        noisy = ChannelRealization(h=chan.h, sigma2=s2, theta=chan.theta, ranges=chan.ranges)
+        noisy = dataclasses.replace(chan, sigma2=s2)
         ses.append(np.sum(link_report(CFG, noisy, bf, power).se))
     assert all(a >= b - 1e-12 for a, b in zip(ses, ses[1:]))
     assert ses[-1] < 1e-4
@@ -328,7 +442,7 @@ def test_pattern_nulls_and_peak_location():
     np.testing.assert_allclose(np.diag(cross), 1.0, atol=1e-9)
     assert np.max(np.abs(cross - np.diag(np.diag(cross)))) <= 1e-8
     grid = np.linspace(-1.3, 1.3, 2001)
-    gains_db = beam_pattern(CFG, bf.f, grid)
+    (gains_db,) = beam_pattern(CFG, [bf.f], grid)
     for i, theta in enumerate(thetas):
         peak = grid[np.argmax(gains_db[:, i])]
         assert abs(peak - theta) <= grid[1] - grid[0]
@@ -338,7 +452,7 @@ def test_single_beam_pattern_matches_dirichlet():
     theta_hat = 0.2
     bf = beamformer(CFG, [theta_hat])
     grid = np.linspace(-0.8, 0.8, 1601)
-    gains_db = beam_pattern(CFG, bf.f, grid)[:, 0]
+    gains_db = beam_pattern(CFG, [bf.f], grid)[0][:, 0]
     closed = dirichlet(CFG, np.sin(grid) - np.sin(theta_hat), 64)
     closed_db = 20.0 * np.log10(np.maximum(closed / np.max(closed), 1e-16))
     keep = closed > 1e-6
@@ -363,7 +477,7 @@ def test_half_power_width_matches_bisected_dirichlet():
         cfg = ArrayConfig.at_carrier(m, 4, 30.0e9)
         bf = beamformer(cfg, [theta_hat])
         grid = np.linspace(-0.1, 0.1, 20001)
-        width = half_power_width(grid, beam_pattern(cfg, bf.f, grid)[:, 0])
+        width = half_power_width(grid, beam_pattern(cfg, [bf.f], grid)[0][:, 0])
         x_star = bisect_half_power_delta_sin(cfg, m)
         expected = 2.0 * np.arcsin(x_star)
         assert width == pytest.approx(expected, rel=1e-3)
@@ -376,14 +490,14 @@ def test_main_lobe_halves_when_antennas_double():
         cfg = ArrayConfig.at_carrier(m, 4, 30.0e9)
         bf = beamformer(cfg, [theta_hat])
         grid = theta_hat + np.linspace(-0.1, 0.1, 20001)
-        widths[m] = half_power_width(grid, beam_pattern(cfg, bf.f, grid)[:, 0])
+        widths[m] = half_power_width(grid, beam_pattern(cfg, [bf.f], grid)[0][:, 0])
     assert 0.45 * widths[64] <= widths[128] <= 0.55 * widths[64]
 
 
 def test_pattern_grid_domain_check():
     bf = beamformer(CFG, [0.3])
     with pytest.raises(ShapeError):
-        beam_pattern(CFG, bf.f, np.linspace(-2.0, 2.0, 11))
+        beam_pattern(CFG, [bf.f], np.linspace(-2.0, 2.0, 11))
 
 
 @pytest.mark.parametrize(

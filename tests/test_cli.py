@@ -9,7 +9,7 @@ import pytest
 from uiobeam.cli import main
 from uiobeam.config import config_from_mapping
 from uiobeam.errors import ShapeError
-from uiobeam.simulate import run_compare, run_simulate, write_csv
+from uiobeam.simulate import echo_blockage, run_compare, run_simulate, write_csv
 
 
 def write_yaml(tmp_path, text, name="cfg.yaml"):
@@ -269,6 +269,39 @@ def test_compare_uses_only_the_first_mu_bound(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_compare_builds_each_steering_matrix_once(tmp_path, steering_shapes):
+    # per step one true-angle build (the channel's, shared by both modes) and
+    # one prediction-fed precoder; the echo-fed precoder only when its last
+    # unblocked step changes
+    cfg = config_from_mapping({
+        "observer": {"mu_max": [0.05]},
+        "blockage": {"windows": [[1.5, 3.0]]},
+        "run": {"horizon": 40},
+    })
+    _, last_clear = echo_blockage(cfg.windows, float(cfg.scenario.dt[0]), cfg.horizon)
+    run_compare(cfg, tmp_path / "out")
+    m_ce_builds = sum(shape[0] == cfg.array.m_ce for shape in steering_shapes)
+    assert m_ce_builds == 2 * cfg.horizon + np.unique(last_clear).size == 110
+
+
+@pytest.mark.parametrize(
+    "extra, distinct",
+    [({}, 1), ({"measurement": {"d_scale": 0.7}, "observer": {"mu_max": [0.2, 1.0]}}, 2)],
+    ids=["three-equal-designs", "two-distinct-designs"],
+)
+def test_simulate_builds_the_pattern_grid_once_per_distinct_design(
+    tmp_path, steering_shapes, extra, distinct
+):
+    # per distinct design: one channel and one precoder build per step (the
+    # pattern snapshots reuse the step's precoder) and one pattern grid
+    cfg = config_from_mapping({**extra, "run": {"horizon": 20, "pattern_points": 11}})
+    manifest = run_simulate(cfg, tmp_path / "out")
+    assert len(manifest["zf_fallback_steps"]) == len(cfg.mu_list)
+    m_ce = cfg.array.m_ce
+    assert steering_shapes.count((m_ce, 11)) == distinct
+    assert steering_shapes.count((m_ce, 4)) == 2 * cfg.horizon * distinct
+
+
 def test_library_simulate_matches_cli(tmp_path):
     cfg = config_from_mapping({"observer": {"mu_max": [0.05]}, "run": {"horizon": 30}})
     manifest = run_simulate(cfg, tmp_path / "lib")
@@ -296,6 +329,26 @@ def test_singular_gram_falls_back_to_ridge(tmp_path):
     _, rows = read_csv(tmp_path / "simulate" / "design_mu0.05" / "se.csv")
     assert len(rows) == 64 * 8
     assert all(np.isfinite(float(r[4])) for r in rows)
+
+
+def test_manifests_list_zero_forcing_fallback_steps(tmp_path):
+    # the singular-Gram fleet falls back on some steps of every link; the
+    # reference fleet's predicted angles never collide
+    cfg = link_config(tmp_path, 64, 128)
+    for sub in ("simulate", "compare-baseline"):
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+    simulated, compared = (
+        json.loads((tmp_path / sub / "manifest.json").read_text())["zf_fallback_steps"]
+        for sub in ("simulate", "compare-baseline")
+    )
+    assert list(simulated) == ["design_mu0.05"]
+    assert sorted(compared) == ["echo_baseline", "uio"]
+    for listed in [*simulated.values(), *compared.values()]:
+        assert listed and set(listed) <= set(range(8))
+    out = tmp_path / "reference"
+    assert main(["simulate", "--out", str(out)]) == 0
+    reference = json.loads((out / "manifest.json").read_text())["zf_fallback_steps"]
+    assert reference == {f"design_mu{mu}": [] for mu in ("0.05", "0.25", "1")}
 
 
 def test_more_uavs_than_antennas_fails_validation(tmp_path, capsys):

@@ -144,3 +144,23 @@ def test_carrier_not_hashed_when_wavelength_given():
     b = config_from_mapping({"array": {"wavelength": 0.01, "carrier_hz": 1.0e9}})
     assert a.array == b.array
     assert config_hash(a) == config_hash(b)
+
+
+NON_FINITE = {
+    "scenario.radii": [100.0, float("inf"), 200.0, 250.0],
+    "scenario.omega": float("nan"),
+    "scenario.phases": [0.0, 1.0, float("nan"), 3.0],
+    "scenario.center": [float("nan"), 0.0],
+    "scenario.dt": float("inf"),
+    "measurement.d_diag": [0.5] * 7 + [float("nan")],
+    "measurement.d_scale": float("nan"),
+}
+
+
+@pytest.mark.parametrize("field", NON_FINITE)
+def test_non_finite_values_rejected_with_field_name(field):
+    # each used to fail later under another name (a sweep bracket, D or the
+    # state), or not at all until simulate
+    section, key = field.split(".")
+    with pytest.raises(ConfigError, match=rf"{section}\.{key} must be finite"):
+        config_from_mapping({section: {key: NON_FINITE[field]}})
