@@ -28,6 +28,7 @@ from .design import (
     critical_dt,
     design,
     design_alpha_sweep,
+    diagonal_feasible,
     feasible,
     gain_point_feasible,
     mu_feasible,

@@ -322,11 +322,22 @@ def require_link_config(cfg):
 
 
 def parse_config(path=None):
-    """Load a YAML config file (None or empty file means all defaults)."""
+    """Load a YAML config file (None or empty file means all defaults). A file
+    that is not UTF-8 or not YAML raises a ConfigError naming the file and,
+    for YAML, the line and column."""
     data = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = yaml.safe_load(fh)
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start]
+            raise ConfigError(f"{path}: not UTF-8 text (byte 0x{bad:02x}: {exc.reason})") from None
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+            raise ConfigError(f"{path}: invalid YAML{where}: {problem}") from None
     return config_from_mapping(data)
 
 

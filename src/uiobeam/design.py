@@ -25,7 +25,10 @@ permutation-similar to one independent 3x3 / 2x2 pair per state coordinate
 SIAM 1994): a coordinate is feasible iff mu >= mu_floor(alpha, b, d, h), and
 this floor decides every feasibility question here. The numeric search (p grid,
 golden section over z on the max-eigenvalue oracle) only picks the certificate
-at the final mu; the dense blocks, re-assembled once, certify it.
+at the final mu; one definiteness check of the (dim, 3, 3) tracking-block stack
+and one of the (dim, 2, 2) performance-block stack certify it, per coordinate.
+The dense blocks (assemble_lmi_blocks, feasible) are the test oracle for that
+certificate and are not assembled at run time.
 """
 
 from dataclasses import dataclass, replace
@@ -43,7 +46,7 @@ P_GRID_SPAN = 1e6
 # Floor for the p grid when the performance row is inactive (h = 0).
 P_FLOOR = 1e-9
 # Published certification tolerance; the inner search runs 10x tighter so the
-# dense re-certification always clears it.
+# final certificate always clears it.
 ORACLE_TOL = linalg.DEFINITENESS_TOL
 INNER_TOL = 0.1 * linalg.DEFINITENESS_TOL
 
@@ -145,7 +148,9 @@ class ObserverGains:
 
 def assemble_lmi_blocks(prob, p, z, mu):
     """Dense blocks (M1, M2) at the candidate (P, Z, mu); P is checked and
-    symmetrized within the kernel tolerance."""
+    symmetrized within the kernel tolerance. Any (P, Z), not only diagonal
+    ones: this is the oracle the per-coordinate certificate is tested
+    against."""
     p = linalg.symmetrize_checked(p, "P")
     z = np.asarray(z, float)
     n = prob.dim
@@ -165,41 +170,51 @@ def assemble_lmi_blocks(prob, p, z, mu):
 
 
 def feasible(prob, p, z, mu, tol=ORACLE_TOL):
-    """True iff M1 is NSD and M2 is PSD at tolerance ``tol`` (dense check)."""
+    """True iff M1 is NSD and M2 is PSD at tolerance ``tol``, checked on the
+    dense blocks. The test oracle of diagonal_feasible(), which design() uses."""
     m1, m2 = assemble_lmi_blocks(prob, p, z, mu)
     nsd = linalg.check_definiteness(m1, "NSD", tol).verdict == "NSD"
     psd = linalg.check_definiteness(m2, "PSD", tol).verdict == "PSD"
     return nsd and psd
 
 
-def coordinate_block(alpha, b, d, h, p, z):
-    """Scalar-coordinate 3x3 reduction of M1 (one block per state coordinate
-    when all problem data are diagonal)."""
-    return np.array([
-        [(alpha - 1.0) * p, 0.0, p - z],
-        [0.0, -alpha, z * d - p * b],
-        [p - z, z * d - p * b, -p],
-    ])
+def tracking_blocks(alpha, b, d, p, z):
+    """Per-coordinate 3x3 reduction of M1: for diagonal B_T, D, P and Z the
+    dense block is permutation-similar to one block per state coordinate
+    (b, d) at certificate entries (p, z). Broadcasts over array arguments to
+    a (..., 3, 3) stack."""
+    blocks = np.zeros(np.broadcast(b, d, p, z).shape + (3, 3))
+    blocks[..., 0, 0] = (alpha - 1.0) * p
+    blocks[..., 0, 2] = blocks[..., 2, 0] = p - z
+    blocks[..., 1, 1] = -alpha
+    blocks[..., 1, 2] = blocks[..., 2, 1] = z * d - p * b
+    blocks[..., 2, 2] = -p
+    return blocks
+
+
+def performance_blocks(h, p, mu):
+    """Per-coordinate 2x2 reduction [[p, h], [h, mu]] of M2, broadcast over
+    array arguments to a (..., 2, 2) stack."""
+    blocks = np.empty(np.broadcast(h, p, mu).shape + (2, 2))
+    blocks[..., 0, 0] = p
+    blocks[..., 0, 1] = blocks[..., 1, 0] = h
+    blocks[..., 1, 1] = mu
+    return blocks
+
+
+def diagonal_feasible(prob, p_diag, z_diag, mu, tol=ORACLE_TOL):
+    """feasible() at P = diag(p_diag), Z = diag(z_diag), certified on the
+    per-coordinate block stacks: one NSD check of the (dim, 3, 3) tracking
+    stack and one PSD check of the (dim, 2, 2) performance stack."""
+    b, d, h = _coordinates(prob).T
+    m1 = linalg.check_definiteness(tracking_blocks(prob.alpha, b, d, p_diag, z_diag), "NSD", tol)
+    m2 = linalg.check_definiteness(performance_blocks(h, p_diag, mu), "PSD", tol)
+    return m1.verdict == "NSD" and m2.verdict == "PSD"
 
 
 def _max_eig_m1(alpha, b, d, ps, zs):
     """lambda_max of the 3x3 tracking blocks, vectorized over paired (ps, zs)."""
-    blocks = np.zeros((ps.size, 3, 3))
-    blocks[:, 0, 0] = (alpha - 1.0) * ps
-    blocks[:, 0, 2] = blocks[:, 2, 0] = ps - zs
-    blocks[:, 1, 1] = -alpha
-    blocks[:, 1, 2] = blocks[:, 2, 1] = zs * d - ps * b
-    blocks[:, 2, 2] = -ps
-    return np.linalg.eigvalsh(blocks)[:, -1]
-
-
-def _min_eig_m2(ps, h, mu):
-    """lambda_min of the 2x2 performance blocks [[p, h], [h, mu]]."""
-    blocks = np.empty((ps.size, 2, 2))
-    blocks[:, 0, 0] = ps
-    blocks[:, 0, 1] = blocks[:, 1, 0] = h
-    blocks[:, 1, 1] = mu
-    return np.linalg.eigvalsh(blocks)[:, 0]
+    return np.linalg.eigvalsh(tracking_blocks(alpha, b, d, ps, zs))[:, -1]
 
 
 def _coordinate_search(alpha, b, d, h, mu, tol=INNER_TOL):
@@ -228,7 +243,8 @@ def _coordinate_search(alpha, b, d, h, mu, tol=INNER_TOL):
         z_b = np.where(take_left, z_d, z_b)
         z_a = np.where(take_left, z_a, z_c)
     zs = 0.5 * (z_a + z_b)
-    ok = (_max_eig_m1(alpha, b, d, ps, zs) <= tol) & (_min_eig_m2(ps, h, mu) >= -tol)
+    ok = ((_max_eig_m1(alpha, b, d, ps, zs) <= tol)
+          & (np.linalg.eigvalsh(performance_blocks(h, ps, mu))[:, 0] >= -tol))
     if not np.any(ok):
         return []
     gains = np.round(np.abs(zs[ok] / ps[ok]), 6)
@@ -261,7 +277,8 @@ def design(prob):
 
     Bisects mu over MU_BRACKET within (0, mu_max] against the closed-form
     floor, searches one certificate per distinct coordinate at the final mu
-    and re-certifies the dense blocks. Gains: L = P^{-1} Z, Q = I - L."""
+    and certifies it per coordinate with diagonal_feasible() (two stacked
+    definiteness checks, no dense block). Gains: L = P^{-1} Z, Q = I - L."""
     coords = _coordinates(prob)
     floors = mu_floor(prob.alpha, *coords.T)
     worst = int(np.argmax(floors))
@@ -304,13 +321,13 @@ def design(prob):
                 f"{coord} (UAV {coord // 2}, closed-form floor {floors[coord]:.6g})",
                 mu_attempted=mu_star,
             )
-    # preferred candidate per coordinate; if the dense re-certification balks
-    # (eigensolver noise at large certificate scales), fall back to the
-    # smallest-p candidates, which are the best conditioned.
+    # preferred candidate per coordinate; if the certificate balks (eigensolver
+    # noise at large certificate scales), fall back to the smallest-p
+    # candidates, which are the best conditioned.
     for pick in (lambda cands: cands[0], lambda cands: min(cands)):
         p_diag = np.array([pick(cands)[0] for cands in pairs])
         z_diag = np.array([pick(cands)[1] for cands in pairs])
-        certified = feasible(prob, np.diag(p_diag), np.diag(z_diag), mu_star, tol=ORACLE_TOL)
+        certified = diagonal_feasible(prob, p_diag, z_diag, mu_star, tol=ORACLE_TOL)
         if certified:
             break
     solution = LmiSolution.from_mu(np.diag(p_diag), np.diag(z_diag), mu_star, certified)

@@ -2,6 +2,10 @@
 beamformer: symmetric eigenvalue bounds, definiteness verdicts, the
 normal-equation pseudo-inverse and Hermitian positive-definite solves.
 
+The symmetric routines take one matrix or a stack of shape (..., k, k); a
+stack stands for the block-diagonal matrix of its blocks, so bounds and
+verdicts are taken over the union of the block spectra.
+
 Every tolerance that the certificate checks and the tests share is a named
 constant here, so the solver and its verification cannot drift apart.
 Everything is a pure function over immutable inputs, safe to call from
@@ -30,32 +34,38 @@ PINV_IDENTITY_TOL = 1e-10
 
 def _as_square(m, name="matrix"):
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"{name} must be square, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ShapeError(f"{name} must be square or a stack of square blocks, "
+                         f"got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ShapeError(f"{name} contains non-finite entries")
     return m
 
 
 def symmetrize_checked(m, name="matrix"):
-    """Average m with its transpose if the asymmetry is within SYMMETRY_TOL,
-    otherwise raise. Guards against silently mis-assembled certificate blocks."""
+    """Average m (or each block of a stack) with its transpose if the
+    asymmetry is within SYMMETRY_TOL, otherwise raise. The tolerance is
+    relative to max(1, max|M|) over the whole stack. Guards against silently
+    mis-assembled certificate blocks."""
     m = _as_square(m, name)
+    mt = np.swapaxes(m, -1, -2)
     scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    asym = float(np.max(np.abs(m - mt))) if m.size else 0.0
     if asym > SYMMETRY_TOL * scale:
         raise ShapeError(
             f"{name} is asymmetric beyond tolerance: max |M - M^T| = {asym:.3e} "
             f"(allowed {SYMMETRY_TOL * scale:.3e})"
         )
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + mt)
 
 
 def eig_sym_bounds(m):
-    """Extreme eigenvalues (min, max) of a symmetric real matrix."""
-    sym = symmetrize_checked(m)
-    w = np.linalg.eigvalsh(sym)
-    return float(w[0]), float(w[-1])
+    """Extreme eigenvalues (min, max) of a symmetric real matrix, or over all
+    blocks of a stack (the spectrum of its block-diagonal matrix)."""
+    w = np.linalg.eigvalsh(symmetrize_checked(m))
+    if not w.size:
+        raise ShapeError(f"matrix of shape {np.shape(m)} has no eigenvalues")
+    return float(np.min(w[..., 0])), float(np.max(w[..., -1]))
 
 
 @dataclass(frozen=True)
@@ -71,6 +81,10 @@ class DefinitenessReport:
 
 def check_definiteness(m, sense, tol=DEFINITENESS_TOL):
     """Classify a symmetric matrix as PSD/NSD/indefinite at tolerance ``tol``.
+
+    A stack of shape (..., k, k) is classified as its block-diagonal matrix:
+    PSD iff every block is, NSD iff every block is, so a certificate whose
+    blocks decouple is checked without assembling the dense matrix.
 
     ``sense`` ('PSD' or 'NSD') states which verdict the caller is testing for;
     a matrix satisfying both (e.g. the zero matrix) is reported in the

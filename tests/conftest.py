@@ -1,8 +1,14 @@
 """Shared fixtures."""
 
+import importlib
+
+import numpy as np
 import pytest
 
-from uiobeam import beamforming
+from uiobeam import beamforming, linalg
+
+# the package re-exports the function design(), which shadows the module name
+design_module = importlib.import_module("uiobeam.design")
 
 
 @pytest.fixture
@@ -19,3 +25,39 @@ def steering_shapes(monkeypatch):
 
     monkeypatch.setattr(beamforming, "steering_matrix", counted)
     return shapes
+
+
+@pytest.fixture
+def definiteness_shapes(monkeypatch):
+    """Shapes of the inputs given to linalg.check_definiteness while the test
+    runs, in call order."""
+    shapes = []
+    check = linalg.check_definiteness
+
+    def recorded(m, sense, tol=linalg.DEFINITENESS_TOL):
+        shapes.append(np.shape(m))
+        return check(m, sense, tol)
+
+    monkeypatch.setattr(linalg, "check_definiteness", recorded)
+    return shapes
+
+
+@pytest.fixture(autouse=True)
+def dense_certificate_oracle(monkeypatch):
+    """Every per-coordinate certificate verdict issued during a test (each
+    design() call issues one or two) must equal the dense oracle feasible()
+    at the same (P, Z, mu); the dense check runs after the test, with its
+    patches undone."""
+    issued = []
+    certify = design_module.diagonal_feasible
+
+    def recorded(prob, p_diag, z_diag, mu, tol=design_module.ORACLE_TOL):
+        verdict = certify(prob, p_diag, z_diag, mu, tol)
+        issued.append((prob, np.diag(p_diag), np.diag(z_diag), mu, tol, verdict))
+        return verdict
+
+    monkeypatch.setattr(design_module, "diagonal_feasible", recorded)
+    yield
+    monkeypatch.undo()
+    for prob, p, z, mu, tol, verdict in issued:
+        assert design_module.feasible(prob, p, z, mu, tol) == verdict

@@ -1,6 +1,7 @@
 """End-to-end subcommand tests: outputs, exit codes, determinism and the
 blockage comparison, all on desk-scale horizons."""
 
+import importlib
 import json
 
 import numpy as np
@@ -10,6 +11,9 @@ from uiobeam.cli import main
 from uiobeam.config import config_from_mapping
 from uiobeam.errors import ShapeError
 from uiobeam.simulate import echo_blockage, run_compare, run_simulate, write_csv
+
+# the package re-exports the function design(), which shadows the module name
+design_module = importlib.import_module("uiobeam.design")
 
 
 def write_yaml(tmp_path, text, name="cfg.yaml"):
@@ -55,6 +59,23 @@ def test_design_infeasible_mu_exit_code(tmp_path):
 def test_unknown_key_exit_code(tmp_path):
     cfg = write_yaml(tmp_path, "observer:\n  mu_maxx: [0.25]\n")
     assert main(["design", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
+def test_malformed_yaml_exits_1_naming_file_line_and_column(tmp_path, capsys):
+    cfg = write_yaml(tmp_path, "observer:\n  mu_max: [0.25\n")
+    assert main(["design", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: invalid YAML at line 3, column 1: ")
+    assert "Traceback" not in err
+
+
+def test_non_utf8_config_exits_1_naming_file(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_bytes(b"observer:\n  mu_max: [0.25]\n# \xff\n")
+    assert main(["design", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text (byte 0xff")
+    assert "Traceback" not in err
 
 
 def test_out_collides_with_file_exit_code(tmp_path):
@@ -300,6 +321,28 @@ def test_simulate_builds_the_pattern_grid_once_per_distinct_design(
     m_ce = cfg.array.m_ce
     assert steering_shapes.count((m_ce, 11)) == distinct
     assert steering_shapes.count((m_ce, 4)) == 2 * cfg.horizon * distinct
+
+
+def test_runtime_certificate_is_per_coordinate(tmp_path, monkeypatch, definiteness_shapes):
+    # the dense blocks are the test oracle only: no subcommand assembles them,
+    # and every definiteness check runs on a stack of 3x3 or 2x2 blocks
+    def dense_blocks(*args):
+        raise AssertionError("assemble_lmi_blocks called at run time")
+
+    monkeypatch.setattr(design_module, "assemble_lmi_blocks", dense_blocks)
+    cfg = write_yaml(
+        tmp_path,
+        "measurement:\n  d_diag: [0.5, 0.5, 0.7, 0.7, 0.3, 0.3, 0.5, 0.5]\n"
+        "observer:\n  mu_max: [0.2, 1.0]\n"
+        "blockage:\n  windows: [[1.5, 3.0]]\n"
+        "run:\n  horizon: 30\n",
+    )
+    for command in ("design", "simulate", "compare-baseline"):
+        definiteness_shapes.clear()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        # two designs for design/simulate, one for compare-baseline
+        designs = 1 if command == "compare-baseline" else 2
+        assert definiteness_shapes == [(8, 3, 3), (8, 2, 2)] * designs
 
 
 def test_library_simulate_matches_cli(tmp_path):

@@ -24,15 +24,17 @@ from uiobeam.design import (
     LmiProblem,
     ObserverGains,
     assemble_lmi_blocks,
-    coordinate_block,
     critical_dt,
     design,
     design_alpha_sweep,
+    diagonal_feasible,
     dt_interval,
     feasible,
     gain_point_feasible,
     mu_feasible,
     mu_floor,
+    performance_blocks,
+    tracking_blocks,
 )
 from uiobeam.errors import BracketError, InfeasibleError, ShapeError, UnsupportedStructureError
 from uiobeam.linalg import check_definiteness
@@ -67,7 +69,7 @@ def test_assemble_scalar_reduction_matches_dense():
     prob = reference_problem()
     p_val, z_val = 22.68, 8.85
     m1, m2 = assemble_lmi_blocks(prob, p_val * np.eye(8), z_val * np.eye(8), 0.0441)
-    block = coordinate_block(0.5, 0.15, 0.5, 1.0, p_val, z_val)
+    block = tracking_blocks(0.5, 0.15, 0.5, p_val, z_val)
     expected_block = np.array([
         [-0.5 * p_val, 0.0, p_val - z_val],
         [0.0, -0.5, 0.5 * z_val - 0.15 * p_val],
@@ -83,7 +85,7 @@ def test_assemble_scalar_reduction_matches_dense():
 
 def test_assemble_identity_case():
     prob = LmiProblem(alpha=0.5, b_t=np.eye(2), d=np.zeros((2, 2)), h=np.eye(2), mu_max=1.0)
-    block = coordinate_block(0.5, 1.0, 0.0, 1.0, 1.0, 1.0)
+    block = tracking_blocks(0.5, 1.0, 0.0, 1.0, 1.0)
     np.testing.assert_allclose(
         block, [[-0.5, 0.0, 0.0], [0.0, -0.5, -1.0], [0.0, -1.0, -1.0]]
     )
@@ -132,7 +134,7 @@ def test_feasible_agrees_with_minor_oracle_on_grid():
         via_minors = minor_feasible(0.5, 0.15, 0.5, 1.0, p_val, z_val, mu)
         # minors use a small slack; skip points within it of the boundary
         if via_dense != via_minors:
-            block = coordinate_block(0.5, 0.15, 0.5, 1.0, p_val, z_val)
+            block = tracking_blocks(0.5, 0.15, 0.5, p_val, z_val)
             assert abs(np.max(np.linalg.eigvalsh(block))) < 1e-6
             continue
         assert via_dense == via_minors
@@ -346,3 +348,35 @@ def test_gain_point_agrees_with_dense_check(coord, ell, mu):
     p = h * h / mu
     prob = scalar_problem(*coord)
     assert gain_point_feasible(prob, ell, mu) == feasible(prob, [[p]], [[ell * p]], mu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(0.05, 0.95),  # alpha
+    st.floats(0.01, 2.0),  # b, shared: one measurement interval
+    st.lists(st.tuples(st.sampled_from((-0.2, 0.3, 0.5, 0.7, 1.2)),  # d class
+                       st.floats(0.1, 3.0),  # h
+                       st.floats(-0.3, 0.3),  # gain offset from the closed-form optimum
+                       st.floats(-0.1, 1.0)),  # log10 of p / (h^2 / mu)
+             min_size=1, max_size=6),
+    st.floats(1e-3, 10.0),  # mu
+)
+def test_stacked_certificate_agrees_with_dense_oracle(alpha, b, coords, mu):
+    # random diagonal (P, Z, mu) on multi-coordinate problems with mixed d; the
+    # stacked 3x3 / 2x2 verdict must equal the dense feasible() verdict
+    d, h, offset, log_p = map(np.array, zip(*coords))
+    c = h * h * (1.0 - alpha)
+    ell = (mu * alpha + c * b * d) / (mu * alpha + c * d * d) + offset
+    p_diag = h * h / mu * 10.0**log_p
+    z_diag = ell * p_diag
+    n = len(coords)
+    prob = LmiProblem(alpha=alpha, b_t=b * np.eye(n), d=np.diag(d), h=np.diag(h), mu_max=mu)
+    m1, m2 = assemble_lmi_blocks(prob, np.diag(p_diag), np.diag(z_diag), mu)
+    tol = design_module.ORACLE_TOL
+    scale = max(1.0, np.max(np.abs(m1)), np.max(np.abs(m2)))
+    assume(abs(np.linalg.eigvalsh(m1)[-1] - tol) > 1e-9 * scale)
+    assume(abs(np.linalg.eigvalsh(m2)[0] + tol) > 1e-9 * scale)
+    verdict = diagonal_feasible(prob, p_diag, z_diag, mu)
+    assert verdict == feasible(prob, np.diag(p_diag), np.diag(z_diag), mu)
+    stacks = tracking_blocks(alpha, b, d, p_diag, z_diag), performance_blocks(h, p_diag, mu)
+    assert [s.shape for s in stacks] == [(n, 3, 3), (n, 2, 2)]

@@ -4,6 +4,8 @@ characteristic polynomial or closed-form inverses and frozen here."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uiobeam.errors import ShapeError, SingularMatrixError
 from uiobeam.linalg import (
@@ -83,6 +85,75 @@ def test_definiteness_zero_matrix_takes_requested_sense():
 
 def test_definiteness_report_type():
     assert isinstance(check_definiteness(np.eye(2), "PSD", 1e-9), DefinitenessReport)
+
+
+def block_diagonal(stack):
+    k, n, _ = stack.shape
+    dense = np.zeros((k * n, k * n))
+    for i, block in enumerate(stack):
+        dense[i * n:(i + 1) * n, i * n:(i + 1) * n] = block
+    return dense
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.floats(-6.0, 6.0), st.floats(-0.5, 0.5))
+def test_stack_bounds_and_verdict_match_block_diagonal(k, n, seed, log_scale, shift):
+    # a stack stands for its block-diagonal matrix: same bounds, same verdict
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((k, n, n))
+    stack = 10.0**log_scale * (a + np.swapaxes(a, 1, 2) + shift * n * np.eye(n))
+    dense = block_diagonal(stack)
+    scale = max(1.0, float(np.max(np.abs(dense))))
+    lo, hi = eig_sym_bounds(stack)
+    dense_lo, dense_hi = eig_sym_bounds(dense)
+    assert abs(lo - dense_lo) <= 1e-12 * scale
+    assert abs(hi - dense_hi) <= 1e-12 * scale
+    for sense in ("PSD", "NSD"):
+        report = check_definiteness(stack, sense, 1e-9)
+        dense_report = check_definiteness(dense, sense, 1e-9)
+        assert (report.min_eigenvalue, report.max_eigenvalue) == (lo, hi)
+        # verdicts agree unless an extreme eigenvalue sits within rounding of the tolerance
+        if min(abs(dense_lo + 1e-9), abs(dense_hi - 1e-9)) > 1e-12 * scale:
+            assert report.verdict == dense_report.verdict
+
+
+def test_stack_with_one_asymmetric_block_raises():
+    stack = np.tile(np.eye(3), (4, 1, 1))
+    stack[2, 0, 1] = 1e-3
+    with pytest.raises(ShapeError, match="asymmetric"):
+        eig_sym_bounds(stack)
+    with pytest.raises(ShapeError, match="asymmetric"):
+        check_definiteness(stack, "PSD")
+
+
+def test_stack_symmetry_tolerance_is_relative_to_the_whole_stack():
+    # an asymmetry of 1e-10 in a unit block passes when another block sets a
+    # scale of 1e3 (allowed 1e-9), and fails on its own (allowed 1e-12)
+    stack = np.stack([np.eye(2), 1e3 * np.eye(2)])
+    stack[0, 0, 1] = 1e-10
+    assert check_definiteness(stack, "PSD").verdict == "PSD"
+    with pytest.raises(ShapeError, match="asymmetric"):
+        check_definiteness(stack[:1], "PSD")
+
+
+def test_non_square_trailing_dimensions_raise():
+    for shape in ((2, 3), (4, 2, 3), (3,)):
+        with pytest.raises(ShapeError, match="square"):
+            check_definiteness(np.zeros(shape), "PSD")
+
+
+def test_empty_matrix_or_stack_raises():
+    for shape in ((0, 0), (0, 3, 3)):
+        with pytest.raises(ShapeError, match="no eigenvalues"):
+            check_definiteness(np.zeros(shape), "PSD")
+
+
+def test_stack_with_nan_in_one_block_raises():
+    stack = np.tile(np.eye(2), (3, 1, 1))
+    stack[1, 1, 1] = np.nan
+    with pytest.raises(ShapeError, match="non-finite"):
+        check_definiteness(stack, "NSD")
 
 
 def test_pinv_unit_column():
