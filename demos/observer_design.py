@@ -16,8 +16,8 @@ def main():
         solution, gains = design(prob)
         print(
             f"mu <= {mu_max:<5}: achieved mu = {solution.mu:.3g}, "
-            f"gamma = {solution.gamma:.4g}, L = {gains.l[0, 0]:.4g} I, "
-            f"Q = {gains.q[0, 0]:.4g} I, certified = {solution.certified}"
+            f"gamma = {solution.gamma:.4g}, L = {gains.l[0]:.4g} I, "
+            f"Q = {gains.q[0]:.4g} I, certified = {solution.certified}"
         )
     print()
     print("The minimum-gamma gain sits at L = dT/d * I = 0.3 I: the measurement")
@@ -46,7 +46,7 @@ def main():
     for entry in design_alpha_sweep(prob, [0.5, 0.1, 0.01]):
         if entry.feasible:
             print(f"alpha = {entry.alpha:<5}: gamma = {entry.solution.gamma:.4g}, "
-                  f"L = {entry.gains.l[0, 0]:.4g} I")
+                  f"L = {entry.gains.l[0]:.4g} I")
         else:
             print(f"alpha = {entry.alpha:<5}: infeasible ({entry.error})")
 

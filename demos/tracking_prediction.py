@@ -40,7 +40,7 @@ def main():
 
     print("=== published scalar gain points run at their stated levels ===")
     for ell, gamma in ((0.39, 0.21), (0.60, 0.47), (0.76, 0.96)):
-        gains = ObserverGains.from_l(ell * np.eye(8))
+        gains = ObserverGains.from_l(np.full(8, ell))
         run_one(scn, model, gains, gamma, f"L = {ell} I (gamma = {gamma})")
 
 

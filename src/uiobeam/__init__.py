@@ -49,7 +49,6 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
     UiobeamError,
-    UnsupportedStructureError,
 )
 from .linalg import (
     DefinitenessReport,

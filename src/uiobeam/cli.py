@@ -14,7 +14,6 @@ from .errors import (
     InfeasibleError,
     ShapeError,
     UiobeamError,
-    UnsupportedStructureError,
 )
 from .simulate import (
     mu_label, run_compare, run_design, run_simulate, run_sweep_dt, write_json, write_manifest,
@@ -127,7 +126,7 @@ def main(argv=None):
     except (InfeasibleError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, ShapeError, UnsupportedStructureError) as exc:
+    except (ConfigError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

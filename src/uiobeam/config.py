@@ -152,7 +152,7 @@ def config_from_mapping(data):
             raise ConfigError(
                 f"measurement.d_diag needs {2 * n_uavs} entries, got {d_diag.size}"
             )
-        model = MeasurementModel(d=np.diag(d_diag))
+        model = MeasurementModel(d=d_diag)
     else:
         d_scale = float(_finite(_get(data, "measurement", "d_scale", 0.5), "measurement.d_scale"))
         model = MeasurementModel.scaled_identity(n_uavs, d_scale)
@@ -190,14 +190,17 @@ def config_from_mapping(data):
     except ShapeError as exc:
         raise ConfigError(f"array: {exc}") from None
 
-    total_power = _positive(float(_get(data, "channel", "total_power", 1.0)),
-                            "channel.total_power")
-    snr_ref_range = _positive(float(_get(data, "channel", "snr_ref_range", 250.0)),
-                              "channel.snr_ref_range")
-    target_snr_db = float(_get(data, "channel", "target_snr_db", 10.0))
+    total_power = _positive(
+        float(_finite(_get(data, "channel", "total_power", 1.0), "channel.total_power")),
+        "channel.total_power")
+    snr_ref_range = _positive(
+        float(_finite(_get(data, "channel", "snr_ref_range", 250.0), "channel.snr_ref_range")),
+        "channel.snr_ref_range")
+    target_snr_db = float(_finite(_get(data, "channel", "target_snr_db", 10.0),
+                                  "channel.target_snr_db"))
     sigma2_raw = _get(data, "channel", "sigma2", None)
     if sigma2_raw is not None:
-        sigma2 = float(sigma2_raw)
+        sigma2 = float(_finite(sigma2_raw, "channel.sigma2"))
         if sigma2 < 0:
             raise ConfigError("channel.sigma2 must be non-negative")
     else:
@@ -212,6 +215,8 @@ def config_from_mapping(data):
     if horizon < 1:
         raise ConfigError(f"run.horizon must be >= 1, got {horizon}")
     seed = int(_get(data, "run", "seed", 0))
+    if seed < 0:
+        raise ConfigError(f"run.seed must be non-negative, got {seed}")
     transient_cutoff = int(_get(data, "run", "transient_cutoff", 50))
     if transient_cutoff < 0:
         raise ConfigError("run.transient_cutoff must be non-negative")
@@ -243,8 +248,9 @@ def config_from_mapping(data):
             raise ConfigError("run.pattern_snapshots must lie within [0, horizon)")
     pattern_points = int(_get(data, "run", "pattern_points", 721))
     _positive(pattern_points, "run.pattern_points")
-    sweep_dt_low = float(_get(data, "run", "sweep_dt_low", float(dt[0])))
-    sweep_dt_high = float(_get(data, "run", "sweep_dt_high", 2.0))
+    sweep_dt_low = float(_finite(_get(data, "run", "sweep_dt_low", float(dt[0])),
+                                 "run.sweep_dt_low"))
+    sweep_dt_high = float(_finite(_get(data, "run", "sweep_dt_high", 2.0), "run.sweep_dt_high"))
     if not 0 < sweep_dt_low < sweep_dt_high:
         raise ConfigError(
             f"run.sweep_dt_low/high must satisfy 0 < low < high, got "
@@ -262,7 +268,7 @@ def config_from_mapping(data):
             "perturbation_ratio": scenario.perturbation_ratio,
             "perturbation_rate_multiple": scenario.perturbation_rate_multiple,
         },
-        "measurement": {"d_diag": np.diag(model.d).tolist()},
+        "measurement": {"d_diag": model.d.tolist()},
         "observer": {
             "alpha": alpha,
             "mu_max": list(mu_list),

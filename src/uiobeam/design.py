@@ -18,17 +18,19 @@ the block cannot be negative semidefinite while P > 0, and the decrease
 condition of the error dynamics E_{k+1} = Q E_k + (L D - B_T) W_k produces
 -P under the Schur complement.
 
-In the UAV problem B_T, D and H are all diagonal, so both blocks are
-permutation-similar to one independent 3x3 / 2x2 pair per state coordinate
-(b, d, h). The Schur complement of M1 on its -P block gives a closed form
-(Boyd, El Ghaoui, Feron, Balakrishnan, LMIs in System and Control Theory,
-SIAM 1994): a coordinate is feasible iff mu >= mu_floor(alpha, b, d, h), and
-this floor decides every feasibility question here. The numeric search (p grid,
-golden section over z on the max-eigenvalue oracle) only picks the certificate
-at the final mu; one definiteness check of the (dim, 3, 3) tracking-block stack
-and one of the (dim, 2, 2) performance-block stack certify it, per coordinate.
-The dense blocks (assemble_lmi_blocks, feasible) are the test oracle for that
-certificate and are not assembled at run time.
+In the UAV problem B_T, D and H are all diagonal and are carried as (dim,)
+vectors of their diagonals (b, d, h); so are the certificate P, Z and the
+gains L, Q. Both blocks are permutation-similar to one independent 3x3 / 2x2
+pair per state coordinate (b, d, h). The Schur complement of M1 on its -P
+block gives a closed form (Boyd, El Ghaoui, Feron, Balakrishnan, LMIs in
+System and Control Theory, SIAM 1994): a coordinate is feasible iff mu >=
+mu_floor(alpha, b, d, h), and this floor decides every feasibility question
+here. The numeric search (p grid, golden section over z on the max-eigenvalue
+oracle) only picks the certificate at the final mu; one definiteness check of
+the (dim, 3, 3) tracking-block stack and one of the (dim, 2, 2) performance-
+block stack certify it, per coordinate. The dense blocks (assemble_lmi_blocks,
+feasible) are the test oracle for that certificate: they take dense P and Z,
+build B_T, D and H from the vectors and are not assembled at run time.
 """
 
 from dataclasses import dataclass, replace
@@ -36,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .errors import BracketError, InfeasibleError, ShapeError, UnsupportedStructureError
+from .errors import BracketError, InfeasibleError, ShapeError
 
 # Bisection bracket for the performance level mu = gamma^2.
 MU_BRACKET = (1e-6, 10.0)
@@ -57,8 +59,9 @@ _GOLDEN_ITERS = 75
 @dataclass(frozen=True)
 class LmiProblem:
     """Data of the two feasibility blocks: decay rate alpha in (0,1), the
-    diagonal sampling-time matrix B_T, the measurement scaling D, the
-    performance output matrix H, and the bound mu_max on mu = gamma^2."""
+    diagonals b_t, d, h of the sampling-time matrix B_T, the measurement
+    scaling D and the performance output matrix H (one (dim,) vector each),
+    and the bound mu_max on mu = gamma^2."""
 
     alpha: float
     b_t: np.ndarray
@@ -72,39 +75,34 @@ class LmiProblem:
         if not self.mu_max > 0:
             raise ShapeError(f"mu_max must be positive, got {self.mu_max}")
         for name in ("b_t", "d", "h"):
-            m = np.asarray(getattr(self, name), float)
-            object.__setattr__(self, name, m)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ShapeError(f"{name} must be square, got shape {m.shape}")
-            if not np.all(np.isfinite(m)):
+            v = np.asarray(getattr(self, name), float)
+            object.__setattr__(self, name, v)
+            if v.ndim != 1:
+                raise ShapeError(f"{name} must be a vector of diagonal entries, "
+                                 f"got shape {v.shape}")
+            if not np.all(np.isfinite(v)):
                 raise ShapeError(f"{name} contains non-finite entries")
-            if m.shape != self.b_t.shape:
-                raise ShapeError(f"{name} shape {m.shape} != b_t shape {self.b_t.shape}")
-        bt_diag = np.diag(self.b_t)
-        if np.count_nonzero(self.b_t - np.diag(bt_diag)):
-            raise ShapeError("b_t must be diagonal")
-        if not np.all(bt_diag > 0):
-            raise ShapeError("diagonal entries of b_t must be positive")
+            if v.shape != self.b_t.shape:
+                raise ShapeError(f"{name} shape {v.shape} != b_t shape {self.b_t.shape}")
+        if not np.all(self.b_t > 0):
+            raise ShapeError("entries of b_t must be positive")
 
     @classmethod
     def uniform(cls, n_uavs, dt, d_scale=0.5, h_scale=1.0, alpha=0.5, mu_max=1.0):
         """Problem with B_T = dt I, D = d_scale I, H = h_scale I of size 2N."""
-        eye = np.eye(2 * n_uavs)
-        return cls(alpha=alpha, b_t=dt * eye, d=d_scale * eye, h=h_scale * eye, mu_max=mu_max)
+        n2 = 2 * n_uavs
+        return cls(alpha=alpha, b_t=np.full(n2, float(dt)), d=np.full(n2, float(d_scale)),
+                   h=np.full(n2, float(h_scale)), mu_max=mu_max)
 
     @property
     def dim(self):
-        return self.b_t.shape[0]
-
-    def is_diagonal(self):
-        return all(
-            np.count_nonzero(m - np.diag(np.diag(m))) == 0 for m in (self.b_t, self.d, self.h)
-        )
+        return self.b_t.size
 
 
 @dataclass(frozen=True)
 class LmiSolution:
-    """Certified solution: P, Z, the achieved mu and gamma = sqrt(mu)."""
+    """Certified solution: the diagonals p, z of P and Z, the achieved mu and
+    gamma = sqrt(mu)."""
 
     p: np.ndarray
     z: np.ndarray
@@ -120,8 +118,8 @@ class LmiSolution:
 
 @dataclass(frozen=True)
 class ObserverGains:
-    """Observer matrices L (gain) and Q = I - L (state), plus the performance
-    output matrix H."""
+    """Diagonals of the observer matrices L (gain) and Q = I - L (state),
+    plus that of the performance output matrix H, one (2N,) vector each."""
 
     l: np.ndarray
     q: np.ndarray
@@ -129,28 +127,29 @@ class ObserverGains:
 
     def __post_init__(self):
         for name in ("l", "q", "h"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
-        eye = np.eye(self.l.shape[0])
-        if not np.array_equal(self.q + self.l, eye):
+            v = np.asarray(getattr(self, name), float)
+            object.__setattr__(self, name, v)
+            if v.shape != self.l.shape or v.ndim != 1:
+                raise ShapeError(f"{name} must be a vector of diagonal entries like l, "
+                                 f"got shape {v.shape}")
+        if not np.all(self.q + self.l == 1.0):
             raise ShapeError("gains must satisfy Q + L = I exactly")
 
     @classmethod
     def from_l(cls, l, h=None):
         l = np.asarray(l, float)
-        if h is None:
-            h = np.eye(l.shape[0])
-        return cls(l=l, q=np.eye(l.shape[0]) - l, h=h)
+        return cls(l=l, q=1.0 - l, h=np.ones_like(l) if h is None else h)
 
     @property
     def spectral_radius(self):
-        return float(np.max(np.abs(np.linalg.eigvals(self.q))))
+        return float(np.max(np.abs(self.q)))
 
 
 def assemble_lmi_blocks(prob, p, z, mu):
     """Dense blocks (M1, M2) at the candidate (P, Z, mu); P is checked and
-    symmetrized within the kernel tolerance. Any (P, Z), not only diagonal
-    ones: this is the oracle the per-coordinate certificate is tested
-    against."""
+    symmetrized within the kernel tolerance. Any dense (P, Z), not only
+    diagonal ones, against B_T, D and H built from the problem's vectors:
+    this is the oracle the per-coordinate certificate is tested against."""
     p = linalg.symmetrize_checked(p, "P")
     z = np.asarray(z, float)
     n = prob.dim
@@ -159,19 +158,21 @@ def assemble_lmi_blocks(prob, p, z, mu):
     zeros = np.zeros((n, n))
     eye = np.eye(n)
     pz = p - z
-    zd_pb = z @ prob.d - p @ prob.b_t
+    zd_pb = z @ np.diag(prob.d) - p @ np.diag(prob.b_t)
     m1 = np.block([
         [(prob.alpha - 1.0) * p, zeros, pz.T],
         [zeros, -prob.alpha * eye, zd_pb.T],
         [pz, zd_pb, -p],
     ])
-    m2 = np.block([[p, prob.h.T], [prob.h, mu * eye]])
+    h = np.diag(prob.h)
+    m2 = np.block([[p, h.T], [h, mu * eye]])
     return m1, m2
 
 
 def feasible(prob, p, z, mu, tol=ORACLE_TOL):
     """True iff M1 is NSD and M2 is PSD at tolerance ``tol``, checked on the
-    dense blocks. The test oracle of diagonal_feasible(), which design() uses."""
+    dense blocks at dense P and Z. The test oracle of diagonal_feasible(),
+    which design() uses."""
     m1, m2 = assemble_lmi_blocks(prob, p, z, mu)
     nsd = linalg.check_definiteness(m1, "NSD", tol).verdict == "NSD"
     psd = linalg.check_definiteness(m2, "PSD", tol).verdict == "PSD"
@@ -206,9 +207,9 @@ def diagonal_feasible(prob, p_diag, z_diag, mu, tol=ORACLE_TOL):
     """feasible() at P = diag(p_diag), Z = diag(z_diag), certified on the
     per-coordinate block stacks: one NSD check of the (dim, 3, 3) tracking
     stack and one PSD check of the (dim, 2, 2) performance stack."""
-    b, d, h = _coordinates(prob).T
-    m1 = linalg.check_definiteness(tracking_blocks(prob.alpha, b, d, p_diag, z_diag), "NSD", tol)
-    m2 = linalg.check_definiteness(performance_blocks(h, p_diag, mu), "PSD", tol)
+    m1 = linalg.check_definiteness(
+        tracking_blocks(prob.alpha, prob.b_t, prob.d, p_diag, z_diag), "NSD", tol)
+    m2 = linalg.check_definiteness(performance_blocks(prob.h, p_diag, mu), "PSD", tol)
     return m1.verdict == "NSD" and m2.verdict == "PSD"
 
 
@@ -218,16 +219,16 @@ def _max_eig_m1(alpha, b, d, ps, zs):
 
 
 def _coordinate_search(alpha, b, d, h, mu, tol=INNER_TOL):
-    """Search (p, z) candidates certifying one scalar coordinate at level mu.
+    """Search the (p, z) pair certifying one scalar coordinate at level mu.
 
     p runs over a log grid anchored at the M2 Schur bound p >= h^2/mu; for
     each p a golden-section search minimizes lambda_max of the 3x3 block over
     z within the necessary window |z - p| <= p sqrt(1-alpha) (lambda_max is
-    convex in z, so the section search is globally valid). Feasible grid
-    points come back sorted by the gain magnitude |z/p| (most damped first,
+    convex in z, so the section search is globally valid). Among the feasible
+    grid points it prefers the smallest gain magnitude |z/p| (most damped,
     rounded so eigensolver noise cannot reorder equivalent gains), ties broken
-    by smaller p (smaller certificates are numerically safer). Returns a list
-    of (p, z) pairs, empty when infeasible.
+    by smaller p (smaller certificates are numerically safer). Returns that
+    (p, z) pair, or None when no grid point is feasible.
     """
     p_lo = max(h * h / mu, P_FLOOR)
     ps = np.geomspace(p_lo, P_GRID_SPAN * p_lo, P_GRID_POINTS)
@@ -246,18 +247,10 @@ def _coordinate_search(alpha, b, d, h, mu, tol=INNER_TOL):
     ok = ((_max_eig_m1(alpha, b, d, ps, zs) <= tol)
           & (np.linalg.eigvalsh(performance_blocks(h, ps, mu))[:, 0] >= -tol))
     if not np.any(ok):
-        return []
+        return None
     gains = np.round(np.abs(zs[ok] / ps[ok]), 6)
-    order = np.lexsort((ps[ok], gains))
-    idx = np.flatnonzero(ok)[order]
-    return [(float(ps[i]), float(zs[i])) for i in idx]
-
-
-def _coordinates(prob):
-    """(dim, 3) array of the diagonal (b, d, h) of each state coordinate."""
-    if not prob.is_diagonal():
-        raise UnsupportedStructureError("structured solver requires diagonal B_T, D and H")
-    return np.column_stack([np.diag(prob.b_t), np.diag(prob.d), np.diag(prob.h)])
+    best = np.flatnonzero(ok)[np.lexsort((ps[ok], gains))[0]]
+    return float(ps[best]), float(zs[best])
 
 
 def mu_floor(alpha, b, d, h):
@@ -269,7 +262,7 @@ def mu_floor(alpha, b, d, h):
 
 def mu_feasible(prob, mu):
     """Structured feasibility test at performance level mu."""
-    return bool(np.all(mu_floor(prob.alpha, *_coordinates(prob).T) <= mu))
+    return bool(np.all(mu_floor(prob.alpha, prob.b_t, prob.d, prob.h) <= mu))
 
 
 def design(prob):
@@ -278,9 +271,9 @@ def design(prob):
     Bisects mu over MU_BRACKET within (0, mu_max] against the closed-form
     floor, searches one certificate per distinct coordinate at the final mu
     and certifies it per coordinate with diagonal_feasible() (two stacked
-    definiteness checks, no dense block). Gains: L = P^{-1} Z, Q = I - L."""
-    coords = _coordinates(prob)
-    floors = mu_floor(prob.alpha, *coords.T)
+    definiteness checks, no dense block). Gains: L = P^{-1} Z, Q = I - L, as
+    diagonals l = z / p and q = 1 - l."""
+    floors = mu_floor(prob.alpha, prob.b_t, prob.d, prob.h)
     worst = int(np.argmax(floors))
     lo, hi = MU_BRACKET
     hi = min(hi, prob.mu_max)
@@ -311,34 +304,28 @@ def design(prob):
                 mu_star = mid
             else:
                 log_lo = np.log10(mid)
-    rows, inverse = np.unique(coords, axis=0, return_inverse=True)
-    row_cands = [_coordinate_search(prob.alpha, *map(float, row), mu_star) for row in rows]
-    pairs = [row_cands[k] for k in inverse.ravel()]
-    for coord, cands in enumerate(pairs):
-        if not cands:
+    rows, inverse = np.unique(np.column_stack([prob.b_t, prob.d, prob.h]), axis=0,
+                              return_inverse=True)
+    row_pairs = [_coordinate_search(prob.alpha, *map(float, row), mu_star) for row in rows]
+    pairs = [row_pairs[k] for k in inverse.ravel()]
+    for coord, pair in enumerate(pairs):
+        if pair is None:
             raise InfeasibleError(
                 f"no certificate candidate found at mu={mu_star:g} for coordinate "
                 f"{coord} (UAV {coord // 2}, closed-form floor {floors[coord]:.6g})",
                 mu_attempted=mu_star,
             )
-    # preferred candidate per coordinate; if the certificate balks (eigensolver
-    # noise at large certificate scales), fall back to the smallest-p
-    # candidates, which are the best conditioned.
-    for pick in (lambda cands: cands[0], lambda cands: min(cands)):
-        p_diag = np.array([pick(cands)[0] for cands in pairs])
-        z_diag = np.array([pick(cands)[1] for cands in pairs])
-        certified = diagonal_feasible(prob, p_diag, z_diag, mu_star, tol=ORACLE_TOL)
-        if certified:
-            break
-    solution = LmiSolution.from_mu(np.diag(p_diag), np.diag(z_diag), mu_star, certified)
-    gains = ObserverGains.from_l(np.diag(z_diag / p_diag), h=prob.h)
+    p_diag, z_diag = np.array(pairs).T
+    certified = diagonal_feasible(prob, p_diag, z_diag, mu_star, tol=ORACLE_TOL)
+    solution = LmiSolution.from_mu(p_diag, z_diag, mu_star, certified)
+    gains = ObserverGains.from_l(z_diag / p_diag, h=prob.h)
     return solution, gains
 
 
 def gain_point_feasible(prob, ell, mu):
     """Check a prescribed scalar gain L = ell*I at level mu: with z = ell*p,
     every coordinate must admit p = h^2/mu (see mu_floor)."""
-    b, d, h = _coordinates(prob).T
+    b, d, h = prob.b_t, prob.d, prob.h
     a = prob.alpha
     return bool(np.all(mu * a * (1.0 - a - (1.0 - ell) ** 2)
                        >= h * h * (1.0 - a) * (ell * d - b) ** 2))
@@ -348,7 +335,7 @@ def dt_interval(prob, mu):
     """Uniform measurement intervals feasible at level mu, as (low, high):
     coordinate (d, h) needs |d - dt| <= sqrt(alpha mu / h^2 + (1 - alpha) d^2),
     so h = 0 admits every dt. low > high when no dt is feasible."""
-    _, d, h = _coordinates(prob).T
+    d, h = prob.d, prob.h
     with np.errstate(divide="ignore"):
         r = np.sqrt(prob.alpha * mu / (h * h) + (1.0 - prob.alpha) * d * d)
     return float(np.max(d - r)), float(np.min(d + r))
@@ -360,6 +347,8 @@ def critical_dt(prob, dt_bracket, mu=None, resolution=1e-3):
     bracket must be feasible at its low end and infeasible at its high end."""
     mu = prob.mu_max if mu is None else mu
     lo, hi = float(dt_bracket[0]), float(dt_bracket[1])
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise BracketError(f"dt bracket ends must be finite, got ({lo}, {hi})")
     if not 0 < lo < hi:
         raise BracketError(f"dt bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
     low, high = dt_interval(prob, mu)

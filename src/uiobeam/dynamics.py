@@ -7,7 +7,9 @@ metres. Each UAV advances by
 
 with v the nominal velocity (m/s) and d a position-level perturbation (m).
 The lumped unknown input seen by the observer is W = V + B_T^{-1} Lambda,
-where B_T = diag(dT_1, dT_1, ..., dT_N, dT_N).
+where B_T = diag(dT_1, dT_1, ..., dT_N, dT_N). B_T and the measurement
+scaling D are diagonal and are carried as (2N,) vectors of their diagonals,
+so every product with them is elementwise.
 
 The reference scenario flies N UAVs on circles of radius R_i about the
 central UAV with angular rate omega, perturbed by a faster sinusoid of
@@ -79,28 +81,24 @@ class UavScenario:
         """Diagonal of B_T: each dT_i repeated for the x and y coordinates."""
         return np.repeat(self.dt, 2)
 
-    @property
-    def b_t(self):
-        return np.diag(self.b_t_diag)
-
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Measurement map Y = X + D W; D is a square 2N x 2N matrix."""
+    """Measurement map Y = X + D W; d is the (2N,) diagonal of D."""
 
     d: np.ndarray
 
     def __post_init__(self):
         d = np.asarray(self.d, float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise ShapeError(f"D must be square, got shape {d.shape}")
+        if d.ndim != 1:
+            raise ShapeError(f"D must be given as its diagonal vector, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
             raise ShapeError("D contains non-finite entries")
         object.__setattr__(self, "d", d)
 
     @classmethod
     def scaled_identity(cls, n_uavs, scale):
-        return cls(d=scale * np.eye(2 * n_uavs))
+        return cls(d=np.full(2 * n_uavs, float(scale)))
 
 
 def initial_state(scenario):
@@ -146,8 +144,8 @@ def simulate_truth(scenario, model, horizon):
     step k and the measurement taken at step k.
     """
     n2 = 2 * scenario.n_uavs
-    if model.d.shape[0] != n2:
-        raise ShapeError(f"D size {model.d.shape[0]} != state length {n2}")
+    if model.d.size != n2:
+        raise ShapeError(f"D size {model.d.size} != state length {n2}")
     v, lam, ws = scenario_inputs(scenario, horizon)
     bv = scenario.b_t_diag * v
     xs = np.empty((horizon + 1, n2))
@@ -156,4 +154,4 @@ def simulate_truth(scenario, model, horizon):
         xs[k + 1] = xs[k] + bv[k] + lam[k]
     if not np.all(np.isfinite(xs)):
         raise ShapeError("state contains non-finite entries")
-    return xs, ws, xs[:-1] + ws @ model.d.T
+    return xs, ws, xs[:-1] + ws * model.d

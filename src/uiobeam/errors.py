@@ -17,10 +17,6 @@ class SingularMatrixError(UiobeamError):
     """Rank-deficient or non-positive-definite matrix where regularity is required."""
 
 
-class UnsupportedStructureError(UiobeamError):
-    """Problem data outside the structured-solver scope (non-diagonal B_T, D or H)."""
-
-
 class InfeasibleError(UiobeamError):
     """No certificate found within the requested performance bound."""
 

@@ -2,7 +2,9 @@
 prediction, unknown-input reconstruction through the generic pseudo-inverse,
 performance output, and the verdict on the certified bounds.
 
-Everything works on (step, coordinate) arrays. Only the prediction loops over
+Everything works on (step, coordinate) arrays, and the diagonal matrices
+Q, L, H and B_T on (2N,) vectors of their diagonals, so every product with
+them is elementwise. Only the prediction loops over
 steps, on whole vectors; the input estimates, the performance output and the
 bound verdict are computed for all steps at once after the loop. The input
 estimate at step k needs the k+1 prediction, so W^_k has one-step latency.
@@ -22,23 +24,25 @@ DEFAULT_TRANSIENT_CUTOFF = 50
 
 
 def predict(xhat, gains, y):
-    """Prediction step X^_{k+1} = Q X^_k + L Y_k on stacked 2N-vectors."""
+    """Prediction step X^_{k+1} = Q X^_k + L Y_k on stacked 2N-vectors, with
+    Q and L applied as their diagonals."""
     xhat = np.asarray(xhat, float)
     y = np.asarray(y, float)
     if y.shape != xhat.shape:
         raise ShapeError(f"measurement shape {y.shape} != state shape {xhat.shape}")
-    return gains.q @ xhat + gains.l @ y
+    return gains.q * xhat + gains.l * y
 
 
 def input_pinv(b_t):
     """Reconstruction operator for the unknown input: the Moore-Penrose
     pseudo-inverse of G = [B_T; 0] (stacked over the state and output
-    residuals), through the generic normal-equation path. b_t is B_T or its
-    diagonal."""
+    residuals), through the generic normal-equation path. b_t is the (2N,)
+    diagonal of B_T."""
     b_t = np.asarray(b_t, float)
-    if b_t.ndim == 1:
-        b_t = np.diag(b_t)
-    return pinv_full_col_rank(np.vstack([b_t, np.zeros_like(b_t)]))
+    if b_t.ndim != 1:
+        raise ShapeError(f"B_T must be given as its diagonal vector, got shape {b_t.shape}")
+    g_top = np.diag(b_t)
+    return pinv_full_col_rank(np.vstack([g_top, np.zeros_like(g_top)]))
 
 
 def estimate_input(g_pinv, xhat_next, xhat, y):
@@ -128,7 +132,7 @@ def track(scenario, model, gains, horizon, gamma=np.nan, init="measurement",
         raise ShapeError("observer state contains non-finite entries")
     what = estimate_input(input_pinv(scenario.b_t_diag), xhat[1:], xhat[:-1], ys)
     errs = xhat - xs
-    zs = errs @ gains.h.T
+    zs = errs * gains.h
     return {
         "X": xs, "Y": ys, "W": ws, "XHAT": xhat, "WHAT": what, "E": errs, "Z": zs,
         "monitor": BoundMonitor.from_run(gamma, zs[:-1], ws, what, transient_cutoff),

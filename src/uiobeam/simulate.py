@@ -66,9 +66,9 @@ def mu_label(mu):
 def design_problem(cfg, mu_max, alpha=None):
     return LmiProblem(
         alpha=cfg.alpha if alpha is None else alpha,
-        b_t=cfg.scenario.b_t,
+        b_t=cfg.scenario.b_t_diag,
         d=cfg.model.d,
-        h=np.diag(cfg.h_diag),
+        h=cfg.h_diag,
         mu_max=mu_max,
     )
 
@@ -89,8 +89,8 @@ def run_design(cfg):
             "mu_max": mu_max,
             "mu": solution.mu,
             "gamma": solution.gamma,
-            "L_diag": np.diag(gains.l).tolist(),
-            "Q_diag": np.diag(gains.q).tolist(),
+            "L_diag": gains.l.tolist(),
+            "Q_diag": gains.q.tolist(),
             "certified": bool(solution.certified),
         })
     return records, designs

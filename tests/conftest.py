@@ -45,7 +45,7 @@ def definiteness_shapes(monkeypatch):
 @pytest.fixture(autouse=True)
 def dense_certificate_oracle(monkeypatch):
     """Every per-coordinate certificate verdict issued during a test (each
-    design() call issues one or two) must equal the dense oracle feasible()
+    design() call issues one) must equal the dense oracle feasible()
     at the same (P, Z, mu); the dense check runs after the test, with its
     patches undone."""
     issued = []

@@ -78,7 +78,7 @@ def test_criterion_3_exponential_convergence():
     # recursion E_{k+1} = Q E_k runs scale-free and the relative comparison is
     # meaningful down to 0.61^100 ~ 1e-22 (any X != 0 would inject an
     # eps*||X|| rounding floor into the error).
-    gains = ObserverGains.from_l(0.39 * np.eye(8))
+    gains = ObserverGains.from_l(np.full(8, 0.39))
     y_zero = np.zeros(8)
     xhat = np.linspace(-200.0, 150.0, 8)
     e0 = np.linalg.norm(xhat)
@@ -99,7 +99,7 @@ def test_criterion_4_steady_state_bounds():
             for mu_max, _, _ in REFERENCE_LEVELS]
     # additionally exercise the published gain points at their stated levels
     # (feasible per criterion 1, hence covered by the same guarantees)
-    points = [(f"L={ell}I", gamma, ObserverGains.from_l(ell * np.eye(8)))
+    points = [(f"L={ell}I", gamma, ObserverGains.from_l(np.full(8, ell)))
               for _, gamma, ell in REFERENCE_LEVELS]
     for label, solution, gains in runs:
         points.append((label, solution.gamma, gains))
@@ -120,10 +120,10 @@ def test_criterion_5_pseudo_inverse_closed_form():
     for _ in range(25):
         diag = 10.0 ** rng.uniform(np.log10(0.01), 1.0, size=8)
         closed = np.hstack([np.diag(1.0 / diag), np.zeros((8, 8))])
-        worst_op = max(worst_op, float(np.max(np.abs(input_pinv(np.diag(diag)) - closed))))
+        worst_op = max(worst_op, float(np.max(np.abs(input_pinv(diag) - closed))))
     scn = reference_scenario()
     model = MeasurementModel.scaled_identity(4, 0.5)
-    run = track(scn, model, ObserverGains.from_l(0.39 * np.eye(8)), 200)
+    run = track(scn, model, ObserverGains.from_l(np.full(8, 0.39)), 200)
     diffs = np.diff(run["XHAT"], axis=0)
     closed_w = diffs / scn.b_t_diag
     scale = max(1.0, float(np.max(np.abs(np.concatenate([diffs, run["Y"] - run["XHAT"][:-1]], axis=1)))))

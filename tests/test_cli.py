@@ -224,6 +224,15 @@ def test_seed_flag_keeps_the_config_hash_of_the_same_seed_in_yaml(tmp_path):
     assert hashes[0] == hashes[1]
 
 
+def test_negative_seed_exits_1_naming_the_field(tmp_path, capsys):
+    cfg = write_yaml(tmp_path, "run:\n  seed: -1\n")
+    for argv in (["--config", cfg], ["--seed", "-1"]):
+        assert main(["simulate", *argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.seed must be non-negative")
+        assert "Traceback" not in err
+
+
 def test_compare_requires_window(tmp_path):
     cfg = write_yaml(tmp_path, "observer:\n  mu_max: [0.05]\nrun:\n  horizon: 50\n")
     assert main(["compare-baseline", "--config", cfg, "--out", str(tmp_path / "out")]) == 1

@@ -14,7 +14,7 @@ def test_empty_config_resolves_reference_defaults():
     assert cfg.scenario.omega == 0.5
     np.testing.assert_array_equal(cfg.scenario.dt, np.full(4, 0.15))
     np.testing.assert_allclose(cfg.scenario.phases, 2 * np.pi * np.arange(4) / 4)
-    np.testing.assert_array_equal(cfg.model.d, 0.5 * np.eye(8))
+    np.testing.assert_array_equal(cfg.model.d, np.full(8, 0.5))
     assert cfg.alpha == 0.5
     assert cfg.mu_list == (0.05, 0.25, 1.0)
     assert cfg.array.m_ce == 64 and cfg.array.n_u == 4
@@ -66,7 +66,7 @@ def test_scalar_mu_and_h_expand():
 def test_explicit_d_diag():
     diag = list(np.linspace(0.1, 0.8, 8))
     cfg = config_from_mapping({"measurement": {"d_diag": diag}})
-    np.testing.assert_allclose(np.diag(cfg.model.d), diag)
+    np.testing.assert_allclose(cfg.model.d, diag)
     with pytest.raises(ConfigError, match="d_diag"):
         config_from_mapping({"measurement": {"d_diag": [0.5, 0.5]}})
 
@@ -154,13 +154,25 @@ NON_FINITE = {
     "scenario.dt": float("inf"),
     "measurement.d_diag": [0.5] * 7 + [float("nan")],
     "measurement.d_scale": float("nan"),
+    "channel.sigma2": float("nan"),
+    "channel.target_snr_db": float("nan"),
+    "channel.total_power": float("inf"),
+    "channel.snr_ref_range": float("inf"),
+    "run.sweep_dt_low": float("nan"),
+    "run.sweep_dt_high": float("inf"),
 }
 
 
 @pytest.mark.parametrize("field", NON_FINITE)
 def test_non_finite_values_rejected_with_field_name(field):
     # each used to fail later under another name (a sweep bracket, D or the
-    # state), or not at all until simulate
+    # state), or not at all: NaN SINR in se.csv, or a sweep-dt bisection
+    # that never closes on an infinite bracket end
     section, key = field.split(".")
     with pytest.raises(ConfigError, match=rf"{section}\.{key} must be finite"):
         config_from_mapping({section: {key: NON_FINITE[field]}})
+
+
+def test_negative_seed_rejected_with_field_name():
+    with pytest.raises(ConfigError, match=r"run\.seed must be non-negative, got -1"):
+        config_from_mapping({"run": {"seed": -1}})

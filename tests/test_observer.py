@@ -13,7 +13,7 @@ from uiobeam.observer import BoundMonitor, estimate_input, input_pinv, predict, 
 
 
 def gains_scalar(ell, n=8):
-    return ObserverGains.from_l(ell * np.eye(n))
+    return ObserverGains.from_l(np.full(n, ell))
 
 
 def test_predict_reference_gain():
@@ -45,13 +45,13 @@ def test_predict_shape_mismatch():
 
 
 def test_estimate_input_stationary():
-    g_pinv = input_pinv(0.15 * np.eye(8))
+    g_pinv = input_pinv(np.full(8, 0.15))
     x = np.ones(8)
     np.testing.assert_allclose(estimate_input(g_pinv, x, x, x + 1.0), np.zeros(8), atol=1e-12)
 
 
 def test_estimate_input_closed_form_scaling():
-    g_pinv = input_pinv(0.15 * np.eye(8))
+    g_pinv = input_pinv(np.full(8, 0.15))
     xhat = np.zeros(8)
     xhat_next = np.zeros(8)
     xhat_next[0] = 0.15
@@ -62,7 +62,7 @@ def test_estimate_input_closed_form_scaling():
 
 
 def test_estimate_input_unit_sampling_time():
-    g_pinv = input_pinv(np.eye(6))
+    g_pinv = input_pinv(np.ones(6))
     rng = np.random.default_rng(3)
     diff = rng.standard_normal(6)
     w = estimate_input(g_pinv, diff, np.zeros(6), rng.standard_normal(6))
@@ -71,7 +71,7 @@ def test_estimate_input_unit_sampling_time():
 
 def test_estimate_input_all_steps_match_single_steps():
     rng = np.random.default_rng(4)
-    g_pinv = input_pinv(np.diag(10.0 ** rng.uniform(-2, 1, size=6)))
+    g_pinv = input_pinv(10.0 ** rng.uniform(-2, 1, size=6))
     xhat = rng.standard_normal((31, 6))
     ys = rng.standard_normal((30, 6))
     batched = estimate_input(g_pinv, xhat[1:], xhat[:-1], ys)
@@ -83,12 +83,13 @@ def test_estimate_input_all_steps_match_single_steps():
 
 
 def test_estimator_invariants():
-    b_t = np.diag([0.1, 0.1, 2.0, 2.0])
-    g = np.vstack([b_t, np.zeros((4, 4))])
+    b_t = np.array([0.1, 0.1, 2.0, 2.0])
+    g = np.vstack([np.diag(b_t), np.zeros((4, 4))])
     g_pinv = input_pinv(b_t)
     assert g.shape == (8, 4) and g_pinv.shape == (4, 8)
     np.testing.assert_allclose(g_pinv @ g, np.eye(4), atol=1e-10)
-    np.testing.assert_array_equal(input_pinv(np.diag(b_t)), g_pinv)
+    with pytest.raises(ShapeError, match="diagonal vector"):
+        input_pinv(np.diag(b_t))
 
 
 def test_generic_pinv_matches_diagonal_closed_form():
@@ -96,7 +97,7 @@ def test_generic_pinv_matches_diagonal_closed_form():
     for _ in range(20):
         diag = 10.0 ** rng.uniform(-2, 1, size=8)
         closed = np.hstack([np.diag(1.0 / diag), np.zeros((8, 8))])
-        assert np.max(np.abs(input_pinv(np.diag(diag)) - closed)) <= 1e-10
+        assert np.max(np.abs(input_pinv(diag) - closed)) <= 1e-10
 
 
 def test_performance_output_cases():
@@ -106,9 +107,9 @@ def test_performance_output_cases():
     run = track(scn, model, gains_scalar(0.39), 20)
     np.testing.assert_array_equal(run["E"], run["XHAT"] - run["X"])
     np.testing.assert_allclose(run["Z"], run["E"], atol=1e-15)  # H = I default
-    selector = np.zeros((8, 8))
-    selector[0, 0] = 1.0
-    gains_sel = ObserverGains.from_l(0.39 * np.eye(8), h=selector)
+    selector = np.zeros(8)
+    selector[0] = 1.0
+    gains_sel = ObserverGains.from_l(np.full(8, 0.39), h=selector)
     run = track(scn, model, gains_sel, 20)
     expected = np.zeros_like(run["E"])
     expected[:, 0] = run["E"][:, 0]
@@ -191,9 +192,9 @@ def test_zero_initial_error_bound_holds_for_all_k():
     xhat = xs[0].copy()  # zero initial error
     w_sup = np.max(np.linalg.norm(ws, axis=1))
     for k in range(300):
-        z = gains.h @ (xhat - xs[k])
+        z = gains.h * (xhat - xs[k])
         assert np.linalg.norm(z) <= 0.21 * w_sup + 1e-9
-        xhat = gains.q @ xhat + gains.l @ ys[k]
+        xhat = gains.q * xhat + gains.l * ys[k]
 
 
 def test_track_deterministic_repeat():
@@ -227,10 +228,38 @@ def test_error_recursion_holds_on_track_output(radii, dt, d_diag, ell, init):
     # Q + L = I; rounding in the stored positions bounds the residual
     n = len(radii)
     scn = UavScenario.evenly_phased(radii, 0.5, dt)
-    d = np.diag(d_diag[: 2 * n])
+    d = np.array(d_diag[: 2 * n])
     gains = gains_scalar(ell, 2 * n)
     run = track(scn, MeasurementModel(d=d), gains, 40, init=init)
     e, w = run["E"], run["W"]
-    predicted = e[:-1] @ gains.q.T + w @ (gains.l @ d - scn.b_t).T
+    predicted = e[:-1] * gains.q + w * (gains.l * d - scn.b_t_diag)
     scale = 1.0 + np.max(np.abs(run["X"])) + np.max(np.abs(run["XHAT"]))
     assert np.max(np.abs(e[1:] - predicted)) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    radii=st.lists(st.floats(50.0, 300.0), min_size=1, max_size=4),
+    dt=st.floats(0.05, 0.5),
+    diagonals=st.lists(st.tuples(st.floats(-2.0, 2.0),  # d
+                                 st.floats(0.0, 1.5),  # l
+                                 st.floats(-3.0, 3.0)),  # h
+                       min_size=8, max_size=8),
+    init=st.sampled_from(["measurement", "zero"]),
+)
+def test_vector_forms_equal_the_dense_products(radii, dt, diagonals, init):
+    # D, L, Q and H act through their diagonals; the elementwise products
+    # must carry the bits of the dense products they stand for
+    n2 = 2 * len(radii)
+    d, l, h = map(np.array, zip(*diagonals[:n2]))
+    scn = UavScenario.evenly_phased(radii, 0.5, dt)
+    model = MeasurementModel(d=d)
+    xs, ws, ys = simulate_truth(scn, model, 30)
+    np.testing.assert_array_equal(ys, xs[:-1] + ws @ np.diag(d).T)
+    gains = ObserverGains.from_l(l, h=h)
+    run = track(scn, model, gains, 30, init=init)
+    xhat = run["XHAT"]
+    for k in range(30):
+        np.testing.assert_array_equal(
+            xhat[k + 1], np.diag(gains.q) @ xhat[k] + np.diag(gains.l) @ run["Y"][k])
+    np.testing.assert_array_equal(run["Z"], run["E"] @ np.diag(h).T)
