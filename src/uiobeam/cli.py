@@ -4,10 +4,9 @@ Exit codes: 0 success, 1 validation error, 2 infeasibility, 3 I/O error.
 """
 
 import argparse
-import json
 import sys
 
-from .config import config_from_mapping, parse_config
+from .config import parse_config
 from .errors import (
     BracketError,
     ConfigError,
@@ -49,20 +48,13 @@ def _build_parser():
 
 
 def _load_config(args):
-    cfg = parse_config(args.config)
-    if args.seed is None and args.horizon is None:
-        return cfg
-    # re-resolve through the validator so horizon-dependent defaults
-    # (snapshots, window bounds) stay consistent with the overrides
-    data = json.loads(json.dumps(cfg.resolved))
-    if data["array"]["carrier_hz"] is not None:
-        del data["array"]["wavelength"]  # derived from the carrier; derive it again
+    overrides = {}
     if args.seed is not None:
-        data["run"]["seed"] = args.seed
+        overrides["seed"] = args.seed
     if args.horizon is not None:
-        data["run"]["horizon"] = args.horizon
-        data["run"].pop("pattern_snapshots", None)
-    return config_from_mapping(data)
+        # the snapshot default follows the horizon, so a new horizon resets it
+        overrides.update(horizon=args.horizon, pattern_snapshots=None)
+    return parse_config(args.config, overrides)
 
 
 def _cmd_design(cfg, out):

@@ -5,9 +5,10 @@ omega 0.5 rad/s, dT 0.15 s, D = 0.5 I, alpha 0.5, 64x4 antennas at 30 GHz).
 Unknown keys are errors, not warnings; invariant violations name the field.
 """
 
+import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import yaml
@@ -36,7 +37,7 @@ _SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Fully resolved configuration for the simulation harness."""
 
@@ -59,7 +60,6 @@ class RunConfig:
     pattern_points: int
     sweep_dt_low: float
     sweep_dt_high: float
-    resolved: dict = field(repr=False, default_factory=dict)
 
 
 def _check_unknown_keys(data):
@@ -79,10 +79,62 @@ def _check_unknown_keys(data):
         raise ConfigError("unknown configuration keys: " + ", ".join(sorted(unknown)))
 
 
-def _get(data, section, key, default):
-    content = data.get(section) or {}
-    value = content.get(key, default)
+def _lookup(data, name, default=None):
+    """Field ``name`` ("section.key") of ``data``; ``default`` when it is
+    absent or null."""
+    section, key = name.split(".")
+    value = (data.get(section) or {}).get(key)
     return default if value is None else value
+
+
+def _number(value, kind):
+    """One scalar as a Python ``kind``. Text is read as a number too, since
+    YAML 1.1 reads forms such as ``1e-3`` as strings; an int field goes
+    through an exact fraction, never through float, so big integers keep
+    their value and 2.5 is rejected rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str, np.number)):
+        raise TypeError(value)
+    if kind is float:
+        return float(value)
+    exact = Fraction(value)
+    if exact.denominator != 1:
+        raise ValueError(value)
+    return int(exact)
+
+
+_FORMS = {0: "a single value", 1: "a list", None: "a value or a list"}
+
+
+def _read(data, name, default=None, kind=float, ndim=0, size=None):
+    return _checked(_lookup(data, name, default), name, kind, ndim, size)
+
+
+def _checked(value, name, kind=float, ndim=0, size=None):
+    """``value`` of field ``name``: None stays None; ``ndim`` is 0 for a
+    scalar (returned as a Python ``kind``), 1 for a list and None for either
+    (returned as an array). With ``size`` the list needs that many entries and
+    a scalar fills them. A non-numeric, misshapen, non-finite or (int)
+    non-integral value raises a ConfigError naming the field."""
+    if value is None:
+        return None
+    is_list = isinstance(value, (list, tuple, np.ndarray))
+    if ndim is not None and is_list != (ndim == 1):
+        raise ConfigError(f"{name} must be {_FORMS[ndim]}, got {value!r}")
+    try:
+        values = [_number(v, kind) for v in value] if is_list else _number(value, kind)
+    except (TypeError, ValueError, OverflowError):
+        noun = "integral" if kind is int else "numeric"
+        raise ConfigError(f"{name} must be {noun}, got {value!r}") from None
+    if kind is float and not np.all(np.isfinite(values)):
+        raise ConfigError(f"{name} must be finite, got {np.asarray(values).tolist()}")
+    if ndim == 0:
+        return values
+    values = np.asarray(values, float if kind is float else object)
+    if size is not None and values.ndim == 0:
+        values = np.full(size, values)
+    if size is not None and values.size != size:
+        raise ConfigError(f"{name} needs {size} entries, got {values.size}")
+    return values
 
 
 def _positive(value, name):
@@ -91,222 +143,144 @@ def _positive(value, name):
     return value
 
 
-def _finite(value, name):
-    """``value`` as a float array; a ConfigError naming the field if any entry
-    is infinite or NaN."""
-    values = np.asarray(value, float)
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"{name} must be finite, got {values.tolist()}")
-    return values
-
-
-def config_from_mapping(data):
-    """Validate a parsed mapping and resolve every default."""
+def config_from_mapping(data, run_overrides=None):
+    """Validate a parsed mapping and resolve every default; the keys of
+    ``run_overrides`` replace those of the ``run`` section first."""
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("top-level configuration must be a mapping")
     _check_unknown_keys(data)
+    if run_overrides:
+        data = {**data, "run": {**(data.get("run") or {}), **run_overrides}}
 
-    radii = _finite(_get(data, "scenario", "radii", [100.0, 150.0, 200.0, 250.0]),
-                    "scenario.radii")
-    n_uavs = int(_get(data, "scenario", "n_uavs", radii.size))
+    radii = _read(data, "scenario.radii", [100.0, 150.0, 200.0, 250.0], ndim=None)
+    n_uavs = _read(data, "scenario.n_uavs", radii.size, int)
     if n_uavs != radii.size:
         raise ConfigError(
             f"scenario.n_uavs={n_uavs} disagrees with {radii.size} radii entries"
         )
-    omega = float(_finite(_get(data, "scenario", "omega", 0.5), "scenario.omega"))
-    dt_raw = _finite(_get(data, "scenario", "dt", 0.15), "scenario.dt")
-    dt = np.full(n_uavs, float(dt_raw)) if dt_raw.ndim == 0 else dt_raw
-    if dt.size != n_uavs:
-        raise ConfigError(f"scenario.dt needs 1 or {n_uavs} entries, got {dt.size}")
+    omega = _read(data, "scenario.omega", 0.5)
+    dt = _read(data, "scenario.dt", 0.15, ndim=None, size=n_uavs)
     if not np.all(dt > 0):
         raise ConfigError("scenario.dt must be positive")
     if not np.all(radii > 0):
         raise ConfigError("scenario.radii must be positive")
-    phases_raw = _get(data, "scenario", "phases", None)
-    center = _finite(_get(data, "scenario", "center", [0.0, 0.0]), "scenario.center")
-    ratio = float(_get(data, "scenario", "perturbation_ratio", 0.2))
+    phases = _read(data, "scenario.phases", ndim=1, size=n_uavs)
+    center = _read(data, "scenario.center", [0.0, 0.0], ndim=1, size=2)
+    ratio = _read(data, "scenario.perturbation_ratio", 0.2)
     if ratio < 0:
         raise ConfigError("scenario.perturbation_ratio must be non-negative")
-    rate_multiple = float(_get(data, "scenario", "perturbation_rate_multiple", 10.0))
+    rate_multiple = _read(data, "scenario.perturbation_rate_multiple", 10.0)
     try:
-        if phases_raw is None:
+        if phases is None:
             scenario = UavScenario.evenly_phased(
                 radii, omega, dt, center=center,
                 perturbation_ratio=ratio, perturbation_rate_multiple=rate_multiple,
             )
         else:
             scenario = UavScenario(
-                radii=radii, omega=omega, phases=_finite(phases_raw, "scenario.phases"),
-                center=center, dt=dt,
+                radii=radii, omega=omega, phases=phases, center=center, dt=dt,
                 perturbation_ratio=ratio, perturbation_rate_multiple=rate_multiple,
             )
     except ShapeError as exc:
         raise ConfigError(f"scenario: {exc}") from None
 
-    d_diag_raw = _get(data, "measurement", "d_diag", None)
-    if d_diag_raw is not None:
-        d_diag = _finite(d_diag_raw, "measurement.d_diag")
-        if d_diag.size != 2 * n_uavs:
-            raise ConfigError(
-                f"measurement.d_diag needs {2 * n_uavs} entries, got {d_diag.size}"
-            )
+    d_diag = _read(data, "measurement.d_diag", ndim=1, size=2 * n_uavs)
+    if d_diag is not None:
         model = MeasurementModel(d=d_diag)
     else:
-        d_scale = float(_finite(_get(data, "measurement", "d_scale", 0.5), "measurement.d_scale"))
-        model = MeasurementModel.scaled_identity(n_uavs, d_scale)
+        model = MeasurementModel.scaled_identity(n_uavs, _read(data, "measurement.d_scale", 0.5))
 
-    alpha = float(_get(data, "observer", "alpha", 0.5))
+    alpha = _read(data, "observer.alpha", 0.5)
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"observer.alpha must lie in (0, 1), got {alpha}")
-    mu_raw = _get(data, "observer", "mu_max", [0.05, 0.25, 1.0])
-    mu_list = (float(mu_raw),) if np.isscalar(mu_raw) else tuple(float(m) for m in mu_raw)
+    mu_list = tuple(np.atleast_1d(
+        _read(data, "observer.mu_max", [0.05, 0.25, 1.0], ndim=None)).tolist())
     if not mu_list or not all(m > 0 for m in mu_list):
         raise ConfigError("observer.mu_max entries must be positive")
-    h_raw = _get(data, "observer", "h_diag", 1.0)
-    h_diag = (
-        np.full(2 * n_uavs, float(h_raw)) if np.isscalar(h_raw) else np.asarray(h_raw, float)
-    )
-    if h_diag.size != 2 * n_uavs:
-        raise ConfigError(f"observer.h_diag needs {2 * n_uavs} entries, got {h_diag.size}")
-    _finite(h_diag, "observer.h_diag")
-    observer_init = str(_get(data, "observer", "init", "measurement"))
+    h_diag = _read(data, "observer.h_diag", 1.0, ndim=None, size=2 * n_uavs)
+    observer_init = _lookup(data, "observer.init", "measurement")
     if observer_init not in ("measurement", "zero"):
         raise ConfigError(f"observer.init must be 'measurement' or 'zero', got {observer_init!r}")
 
-    m_ce = int(_get(data, "array", "m_ce", 64))
-    n_u = int(_get(data, "array", "n_u", 4))
-    carrier = float(_get(data, "array", "carrier_hz", 30.0e9))
-    wavelength_raw = _get(data, "array", "wavelength", None)
-    spacing_raw = _get(data, "array", "spacing", None)
+    m_ce = _read(data, "array.m_ce", 64, int)
+    n_u = _read(data, "array.n_u", 4, int)
+    carrier = _positive(_read(data, "array.carrier_hz", 30.0e9), "array.carrier_hz")
+    wavelength = _read(data, "array.wavelength")
+    spacing = _read(data, "array.spacing")
     try:
-        if wavelength_raw is not None:
-            array = ArrayConfig(
-                m_ce=m_ce, n_u=n_u, wavelength=float(wavelength_raw), spacing=spacing_raw,
-            )
+        if wavelength is not None:
+            array = ArrayConfig(m_ce=m_ce, n_u=n_u, wavelength=wavelength, spacing=spacing)
         else:
-            array = ArrayConfig.at_carrier(m_ce, n_u, carrier, spacing=spacing_raw)
+            array = ArrayConfig.at_carrier(m_ce, n_u, carrier, spacing=spacing)
     except ShapeError as exc:
         raise ConfigError(f"array: {exc}") from None
 
-    total_power = _positive(
-        float(_finite(_get(data, "channel", "total_power", 1.0), "channel.total_power")),
-        "channel.total_power")
-    snr_ref_range = _positive(
-        float(_finite(_get(data, "channel", "snr_ref_range", 250.0), "channel.snr_ref_range")),
-        "channel.snr_ref_range")
-    target_snr_db = float(_finite(_get(data, "channel", "target_snr_db", 10.0),
-                                  "channel.target_snr_db"))
-    sigma2_raw = _get(data, "channel", "sigma2", None)
-    if sigma2_raw is not None:
-        sigma2 = float(_finite(sigma2_raw, "channel.sigma2"))
-        if sigma2 < 0:
-            raise ConfigError("channel.sigma2 must be non-negative")
-    else:
+    total_power = _positive(_read(data, "channel.total_power", 1.0), "channel.total_power")
+    snr_ref_range = _positive(_read(data, "channel.snr_ref_range", 250.0),
+                              "channel.snr_ref_range")
+    target_snr_db = _read(data, "channel.target_snr_db", 10.0)
+    sigma2 = _read(data, "channel.sigma2")
+    if sigma2 is None:
         sigma2 = default_noise_power(array, total_power, n_uavs, snr_ref_range, target_snr_db)
-    phase_mode = str(_get(data, "channel", "phase_mode", "range"))
+    elif sigma2 < 0:
+        raise ConfigError("channel.sigma2 must be non-negative")
+    phase_mode = _lookup(data, "channel.phase_mode", "range")
     if phase_mode not in ("range", "random"):
         raise ConfigError(f"channel.phase_mode must be 'range' or 'random', got {phase_mode!r}")
-    noise_draws = int(_get(data, "channel", "noise_draws", 64))
-    _positive(noise_draws, "channel.noise_draws")
+    noise_draws = _positive(_read(data, "channel.noise_draws", 64, int), "channel.noise_draws")
 
-    horizon = int(_get(data, "run", "horizon", 400))
+    horizon = _read(data, "run.horizon", 400, int)
     if horizon < 1:
         raise ConfigError(f"run.horizon must be >= 1, got {horizon}")
-    seed = int(_get(data, "run", "seed", 0))
+    seed = _read(data, "run.seed", 0, int)
     if seed < 0:
         raise ConfigError(f"run.seed must be non-negative, got {seed}")
-    transient_cutoff = int(_get(data, "run", "transient_cutoff", 50))
+    transient_cutoff = _read(data, "run.transient_cutoff", 50, int)
     if transient_cutoff < 0:
         raise ConfigError("run.transient_cutoff must be non-negative")
 
     end_time = horizon * float(dt[0])
-    windows_raw = _get(data, "blockage", "windows", [])
+    windows_raw = _lookup(data, "blockage.windows", [])
+    if not isinstance(windows_raw, (list, tuple)):
+        raise ConfigError(f"blockage.windows must be a list of [t_start, t_end] pairs, "
+                          f"got {windows_raw!r}")
     windows = []
     for idx, win in enumerate(windows_raw):
-        if len(win) != 2:
-            raise ConfigError(f"blockage.windows[{idx}] must be a [t_start, t_end] pair")
-        t0, t1 = float(win[0]), float(win[1])
+        name = f"blockage.windows[{idx}]"
+        t0, t1 = _checked(win, name, ndim=1, size=2).tolist()
         if not 0.0 <= t0 < t1:
-            raise ConfigError(
-                f"blockage.windows[{idx}] must satisfy 0 <= t_start < t_end, got {win}"
-            )
+            raise ConfigError(f"{name} must satisfy 0 <= t_start < t_end, got {win}")
         if t1 > end_time:
             raise ConfigError(
-                f"blockage.windows[{idx}] ends at {t1} s, beyond the horizon "
-                f"({end_time} s)"
+                f"{name} ends at {t1} s, beyond the horizon ({end_time} s)"
             )
         windows.append((t0, t1))
 
-    snapshots_raw = _get(data, "run", "pattern_snapshots", None)
-    if snapshots_raw is None:
+    snapshots = _read(data, "run.pattern_snapshots", kind=int, ndim=1)
+    if snapshots is None:
         snapshots = tuple(sorted({0, horizon // 2, horizon - 1}))
     else:
-        snapshots = tuple(int(s) for s in snapshots_raw)
+        snapshots = tuple(snapshots)
         if any(not 0 <= s < horizon for s in snapshots):
             raise ConfigError("run.pattern_snapshots must lie within [0, horizon)")
-    pattern_points = int(_get(data, "run", "pattern_points", 721))
-    _positive(pattern_points, "run.pattern_points")
-    sweep_dt_low = float(_finite(_get(data, "run", "sweep_dt_low", float(dt[0])),
-                                 "run.sweep_dt_low"))
-    sweep_dt_high = float(_finite(_get(data, "run", "sweep_dt_high", 2.0), "run.sweep_dt_high"))
+    pattern_points = _positive(_read(data, "run.pattern_points", 721, int), "run.pattern_points")
+    sweep_dt_low = _read(data, "run.sweep_dt_low", float(dt[0]))
+    sweep_dt_high = _read(data, "run.sweep_dt_high", 2.0)
     if not 0 < sweep_dt_low < sweep_dt_high:
         raise ConfigError(
             f"run.sweep_dt_low/high must satisfy 0 < low < high, got "
             f"({sweep_dt_low}, {sweep_dt_high})"
         )
 
-    resolved = {
-        "scenario": {
-            "n_uavs": n_uavs,
-            "radii": scenario.radii.tolist(),
-            "omega": scenario.omega,
-            "phases": scenario.phases.tolist(),
-            "center": scenario.center.tolist(),
-            "dt": scenario.dt.tolist(),
-            "perturbation_ratio": scenario.perturbation_ratio,
-            "perturbation_rate_multiple": scenario.perturbation_rate_multiple,
-        },
-        "measurement": {"d_diag": model.d.tolist()},
-        "observer": {
-            "alpha": alpha,
-            "mu_max": list(mu_list),
-            "h_diag": h_diag.tolist(),
-            "init": observer_init,
-        },
-        "array": {
-            "m_ce": m_ce,
-            "n_u": n_u,
-            # the carrier counts only when it sets the wavelength
-            "carrier_hz": carrier if wavelength_raw is None else None,
-            "wavelength": array.wavelength,
-            "spacing": array.spacing,
-        },
-        "channel": {
-            "sigma2": sigma2,
-            "total_power": total_power,
-            "phase_mode": phase_mode,
-            "noise_draws": noise_draws,
-        },
-        "blockage": {"windows": [list(w) for w in windows]},
-        "run": {
-            "horizon": horizon,
-            "seed": seed,
-            "transient_cutoff": transient_cutoff,
-            "pattern_snapshots": list(snapshots),
-            "pattern_points": pattern_points,
-            "sweep_dt_low": sweep_dt_low,
-            "sweep_dt_high": sweep_dt_high,
-        },
-    }
     return RunConfig(
         scenario=scenario, model=model, alpha=alpha, mu_list=mu_list, h_diag=h_diag,
         observer_init=observer_init, array=array, sigma2=sigma2, total_power=total_power,
         phase_mode=phase_mode, noise_draws=noise_draws, windows=tuple(windows),
         horizon=horizon, seed=seed, transient_cutoff=transient_cutoff,
         pattern_snapshots=snapshots, pattern_points=pattern_points,
-        sweep_dt_low=sweep_dt_low, sweep_dt_high=sweep_dt_high, resolved=resolved,
+        sweep_dt_low=sweep_dt_low, sweep_dt_high=sweep_dt_high,
     )
 
 
@@ -327,8 +301,9 @@ def require_link_config(cfg):
         )
 
 
-def parse_config(path=None):
-    """Load a YAML config file (None or empty file means all defaults). A file
+def parse_config(path=None, run_overrides=None):
+    """Load a YAML config file (None or empty file means all defaults) and
+    validate it with ``run_overrides`` applied to its ``run`` section. A file
     that is not UTF-8 or not YAML raises a ConfigError naming the file and,
     for YAML, the line and column."""
     data = {}
@@ -344,10 +319,13 @@ def parse_config(path=None):
             where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
             problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
             raise ConfigError(f"{path}: invalid YAML{where}: {problem}") from None
-    return config_from_mapping(data)
+    return config_from_mapping(data, run_overrides)
 
 
 def config_hash(cfg):
-    """Hash of the resolved configuration; stable under key reordering."""
-    canonical = json.dumps(cfg.resolved, sort_keys=True, separators=(",", ":"))
+    """SHA-256 of the validated configuration: canonical JSON (sorted keys, no
+    spaces, arrays as lists) of every RunConfig field, so it covers exactly
+    what a run uses, however the YAML spelled it."""
+    canonical = json.dumps(dataclasses.asdict(cfg), sort_keys=True, separators=(",", ":"),
+                           default=lambda value: value.tolist())
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -117,14 +117,17 @@ def test_simulate_outputs_and_row_counts(tmp_path):
 
 def test_simulate_seed_and_horizon_flags(tmp_path):
     out = tmp_path / "out"
+    cfg = simulate_config(tmp_path, extra="  pattern_snapshots: [5]\n")
     code = main([
-        "simulate", "--config", simulate_config(tmp_path), "--out", str(out),
-        "--seed", "9", "--horizon", "40",
+        "simulate", "--config", cfg, "--out", str(out), "--seed", "9", "--horizon", "40",
     ])
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 9
     assert len(read_csv(out / "design_mu0.05" / "trajectories.csv")[1]) == 40 * 4
+    # --horizon resets the snapshots to the default of the new horizon
+    patterns = sorted(name for name in manifest["files"] if "pattern_k" in name)
+    assert patterns == [f"design_mu0.05/pattern_k{k}.csv" for k in (0, 20, 39)]
 
 
 def test_simulate_byte_identical_reruns(tmp_path):
@@ -215,13 +218,27 @@ def test_infeasible_design_names_the_binding_coordinate(tmp_path, capsys):
 
 
 def test_seed_flag_keeps_the_config_hash_of_the_same_seed_in_yaml(tmp_path):
-    flag_out, yaml_out = tmp_path / "flag", tmp_path / "yaml"
-    assert main(["design", "--out", str(flag_out), "--seed", "3"]) == 0
-    cfg = write_yaml(tmp_path, "run:\n  seed: 3\n")
-    assert main(["design", "--config", cfg, "--out", str(yaml_out)]) == 0
-    hashes = [json.loads((out / "manifest.json").read_text())["config_hash"]
-              for out in (flag_out, yaml_out)]
-    assert hashes[0] == hashes[1]
+    base = "observer:\n  mu_max: [0.05]\n"
+    # (YAML for the flag run, flags, YAML giving the same values)
+    cases = (
+        ("run:\n  horizon: 20\n", ["--seed", "3"], "run:\n  horizon: 20\n  seed: 3\n"),
+        ("", ["--horizon", "40"], "run:\n  horizon: 40\n"),
+        # the carrier sets the wavelength, which the flag run must not re-derive
+        ("array:\n  carrier_hz: 28.0e9\nrun:\n  horizon: 20\n", ["--seed", "3"],
+         "array:\n  carrier_hz: 28.0e9\nrun:\n  horizon: 20\n  seed: 3\n"),
+    )
+    for idx, (flag_yaml, flags, same_yaml) in enumerate(cases):
+        flag_out, yaml_out = tmp_path / f"flag{idx}", tmp_path / f"yaml{idx}"
+        flag_cfg = write_yaml(tmp_path, base + flag_yaml, f"flag{idx}.yaml")
+        yaml_cfg = write_yaml(tmp_path, base + same_yaml, f"yaml{idx}.yaml")
+        assert main(["simulate", "--config", flag_cfg, "--out", str(flag_out), *flags]) == 0
+        assert main(["simulate", "--config", yaml_cfg, "--out", str(yaml_out)]) == 0
+        manifests = [json.loads((out / "manifest.json").read_text())
+                     for out in (flag_out, yaml_out)]
+        assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
+        assert manifests[0]["files"] == manifests[1]["files"]
+        for name in manifests[0]["files"]:
+            assert (flag_out / name).read_bytes() == (yaml_out / name).read_bytes()
 
 
 def test_negative_seed_exits_1_naming_the_field(tmp_path, capsys):
@@ -230,6 +247,21 @@ def test_negative_seed_exits_1_naming_the_field(tmp_path, capsys):
         assert main(["simulate", *argv, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: run.seed must be non-negative")
+        assert "Traceback" not in err
+
+
+def test_malformed_values_exit_1_naming_the_field(tmp_path, capsys):
+    for field, text in (
+        ("run.seed", "run:\n  seed: .inf\n"),
+        ("channel.noise_draws", "channel:\n  noise_draws: 1.5\n"),
+        ("array.spacing", "array:\n  spacing: .inf\n"),
+        ("blockage.windows", "blockage:\n  windows: 5\n"),
+        ("scenario.center", "scenario:\n  center: [1, 2, 3]\n"),
+    ):
+        cfg = write_yaml(tmp_path, text)
+        assert main(["design", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} ")
         assert "Traceback" not in err
 
 

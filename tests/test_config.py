@@ -176,3 +176,52 @@ def test_non_finite_values_rejected_with_field_name(field):
 def test_negative_seed_rejected_with_field_name():
     with pytest.raises(ConfigError, match=r"run\.seed must be non-negative, got -1"):
         config_from_mapping({"run": {"seed": -1}})
+
+
+MALFORMED = {
+    # integer fields: each used to escape as a traceback or truncate silently
+    "seed-inf": ("run.seed", {"run": {"seed": float("inf")}}),
+    "horizon-nan": ("run.horizon", {"run": {"horizon": float("nan")}}),
+    "cutoff-inf": ("run.transient_cutoff", {"run": {"transient_cutoff": float("inf")}}),
+    "snapshot-nan": ("run.pattern_snapshots", {"run": {"pattern_snapshots": [float("nan")]}}),
+    "seed-text": ("run.seed", {"run": {"seed": "abc"}}),
+    "draws-fraction": ("channel.noise_draws", {"channel": {"noise_draws": 1.5}}),
+    "n-uavs-fraction": ("scenario.n_uavs",
+                        {"scenario": {"n_uavs": 2.7, "radii": [100.0, 200.0]}}),
+    # floats that used to pass validation and fail later, or not at all
+    "ratio-nan": ("scenario.perturbation_ratio",
+                  {"scenario": {"perturbation_ratio": float("nan")}}),
+    "rate-multiple-inf": ("scenario.perturbation_rate_multiple",
+                          {"scenario": {"perturbation_rate_multiple": float("inf")}}),
+    "spacing-inf": ("array.spacing", {"array": {"spacing": float("inf")}}),
+    "carrier-zero": ("array.carrier_hz", {"array": {"carrier_hz": 0}}),
+    "wavelength-inf": ("array.wavelength", {"array": {"wavelength": float("inf")}}),
+    "mu-inf": ("observer.mu_max", {"observer": {"mu_max": [float("inf")]}}),
+    # shapes and types
+    "windows-scalar": ("blockage.windows", {"blockage": {"windows": 5}}),
+    "window-scalar": ("blockage.windows[0]", {"blockage": {"windows": [5]}}),
+    "center-triple": ("scenario.center", {"scenario": {"center": [1, 2, 3]}}),
+    "snapshots-scalar": ("run.pattern_snapshots", {"run": {"pattern_snapshots": 3}}),
+    "mu-text": ("observer.mu_max", {"observer": {"mu_max": "abc"}}),
+    "d-scale-list": ("measurement.d_scale", {"measurement": {"d_scale": [0.5, 0.5]}}),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_values_rejected_naming_the_field(case):
+    field, mapping = MALFORMED[case]
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_mapping(mapping)
+    assert str(excinfo.value).startswith(f"{field} ")
+
+
+def test_reader_keeps_nulls_big_integers_and_numeric_text(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    # YAML 1.1 reads 1e-3 and 28.0e9 as strings
+    path.write_text("array:\n  carrier_hz: 28.0e9\nchannel:\n  sigma2: 1e-3\n"
+                    "run:\n  seed: 12345678901234567890\n  horizon: null\n")
+    cfg = parse_config(path)
+    assert cfg.seed == 12345678901234567890
+    assert cfg.sigma2 == 1e-3
+    assert cfg.array.wavelength == 299792458.0 / 28.0e9
+    assert cfg.horizon == 400
