@@ -16,8 +16,26 @@ evaluation of that snapshot reads; a precoder builds its steering matrix
 and Gram matrix once, also when it falls back to the ridge; and the pattern
 grid's steering matrix is built once for all the precoders it is
 evaluated on.
+
+The link loops draw their M_CE-row steering matrices from one stream,
+`steering_ahead`, which fills the matrices of the next link step on a helper
+thread while the caller runs the current step's Gram, solve, precoder and
+gain products. The caller allocates each matrix and writes the arguments
+m*phase into its real part (numpy allocates iterator buffers for that
+broadcast product, so it stays on the caller); the helper runs only the two
+in-place ufuncs `sin` (into the imaginary part) and `cos` (into the real
+part) on row blocks of it, so it makes no BLAS call, no RNG draw and no array
+allocation. These are the same ufuncs on the same values as in
+`steering_matrix`, and each entry is computed elementwise, so a matrix has
+the same bits whichever thread fills which block. The helper runs only when
+this process may use at least two CPUs (`os.sched_getaffinity`; one where
+the platform does not say) and the matrix has at least LOOKAHEAD_MIN_ENTRIES
+entries; otherwise the stream fills each matrix inline. No setting selects
+the helper.
 """
 
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +82,24 @@ class ArrayConfig:
         return cls(m_ce=m_ce, n_u=n_u, wavelength=lam, spacing=spacing)
 
 
+def _steering_arguments(cfg, thetas, count):
+    """A new (count, N) complex array whose real part holds the arguments
+    m*phase_i of the steering entries, phase = (2pi/lambda)*d*sin(theta)."""
+    phase = (2.0 * np.pi / cfg.wavelength) * cfg.spacing * np.sin(thetas)
+    out = np.empty((count, thetas.size), dtype=complex)
+    # Adding 0.0 turns a phase of -0.0 into the +0.0 that 1j*phase has.
+    np.multiply(np.arange(count)[:, None], phase + 0.0, out=out.real)
+    return out
+
+
+def _steering_entries(real, imag):
+    """Turn the arguments x held in ``real`` into the entries exp(j*x), in
+    place: (cos x, sin x) of a real x are the bits of exp(1j*x), and the two
+    ufuncs allocate no array."""
+    np.sin(real, out=imag)
+    np.cos(real, out=real)
+
+
 def steering_matrix(cfg, thetas, count=None):
     """ULA steering vectors toward the azimuths ``thetas``, one column per
     angle, with ``count`` elements (defaults to M_CE): entry (m, i) is
@@ -72,17 +108,79 @@ def steering_matrix(cfg, thetas, count=None):
         count = cfg.m_ce
     if count < 1:
         raise ShapeError("element count must be positive")
-    thetas = np.atleast_1d(np.asarray(thetas, float))
-    phase = (2.0 * np.pi / cfg.wavelength) * cfg.spacing * np.sin(thetas)
-    # (cos, sin) of the real argument m*phase are the bits of
-    # exp(m * 1j*phase); the argument is held in the real part, so no
-    # temporary is allocated. Adding 0.0 turns a phase of -0.0 into the +0.0
-    # that 1j*phase has.
-    out = np.empty((count, thetas.size), dtype=complex)
-    np.multiply(np.arange(count)[:, None], phase + 0.0, out=out.real)
-    np.sin(out.real, out=out.imag)
-    np.cos(out.real, out=out.real)
+    out = _steering_arguments(cfg, np.atleast_1d(np.asarray(thetas, float)), count)
+    _steering_entries(out.real, out.imag)
     return out
+
+
+# Smallest steering matrix (M_CE * N entries) the stream hands to the helper
+# thread; smaller ones are filled inline, because a fill that short costs
+# less than handing it over. Measured on two cores, simulate plus
+# compare-baseline with the helper against inline: 256 entries (ref-long's
+# 64x4) 0.47 -> 0.58 s, 1024 (128x8) 17% slower, 2048 from 7% slower (1024x2)
+# to 10% faster (256x8), 4096 11% to 26% faster in each of 64x64, 1024x4,
+# 2048x2 and 512x8.
+LOOKAHEAD_MIN_ENTRIES = 1 << 12
+# Matrices queued on the helper beyond the one the caller waits for: one link
+# step, its true-angle and its steered-angle matrix.
+LOOKAHEAD = 2
+# Entries per row block, the unit of work the caller takes over from the
+# helper when it needs a matrix before the helper has started on it. Each
+# block costs a hand-off between the threads: on two cores, 8192-entry
+# blocks made a 1024x16 link 17% slower than 16384 or more, and 2^15 and 2^16
+# measured the same on it and on fleet-n64 (1024x64, two blocks).
+BLOCK_ENTRIES = 1 << 15
+
+
+def _lanes():
+    """CPUs this process may run on (1 where the platform does not say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _finish(out, blocks):
+    """``out`` once every row block is filled: the caller fills each block
+    the helper has not started and waits for the rest."""
+    for (real, imag), future in blocks:
+        if future.cancel():
+            _steering_entries(real, imag)
+        else:
+            future.result()
+    return out
+
+
+def steering_ahead(cfg, angle_sets):
+    """Yield ``steering_matrix(cfg, thetas)`` (M_CE rows) for each row
+    ``thetas`` of the (S, N) ``angle_sets``, in order, bit for bit.
+
+    With at least two CPUs and LOOKAHEAD_MIN_ENTRIES entries per matrix, one
+    helper thread fills up to LOOKAHEAD matrices beyond the one last yielded
+    (see the module docstring for what it runs); otherwise each matrix is
+    filled inline when it is needed. Close the generator (for instance with
+    ``contextlib.closing``) when leaving the loop early: that cancels the
+    blocks not started and waits for the one running."""
+    angle_sets = np.asarray(angle_sets, float)
+    count = cfg.m_ce
+    if count * angle_sets.shape[1] < LOOKAHEAD_MIN_ENTRIES or _lanes() < 2:
+        for thetas in angle_sets:
+            yield steering_matrix(cfg, thetas)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    rows = max(1, BLOCK_ENTRIES // angle_sets.shape[1])
+    bounds = [*range(0, count, rows), count]
+    queued = deque()  # (matrix, [((real, imag) row block, future)]) in yield order
+    helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="uiobeam-steering")
+    try:
+        for thetas in angle_sets:
+            out = _steering_arguments(cfg, thetas, count)
+            blocks = [(out.real[r0:r1], out.imag[r0:r1]) for r0, r1 in zip(bounds, bounds[1:])]
+            queued.append((out, [(b, helper.submit(_steering_entries, *b)) for b in blocks]))
+            if len(queued) > LOOKAHEAD:
+                yield _finish(*queued.popleft())
+        while queued:
+            yield _finish(*queued.popleft())
+    finally:
+        helper.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -137,18 +235,20 @@ def beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=0.0):
     return _zero_forcing(cfg, thetas, a, a_conj, a.T @ a_conj, ridge)
 
 
-def safe_beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=FALLBACK_RIDGE):
+def safe_beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=FALLBACK_RIDGE, a=None):
     """Strict zero-forcing when well conditioned, diagonally-loaded fallback
     at angle collisions (the orbit geometry crosses equal sines twice per
     revolution per UAV pair, so long runs need this) and when the Gram matrix
     is numerically singular although every sine gap passes (many UAVs on a
     short array, or more UAVs than antennas).
 
-    The steering matrix and its Gram matrix are built once; the fallback
+    The steering matrix ``a`` (built here unless given, for instance by
+    ``steering_ahead``) and its Gram matrix are built once; the fallback
     loads that same Gram matrix, so its result equals
     ``beamformer(cfg, thetas, ridge=ridge)`` bit for bit."""
     thetas = np.atleast_1d(np.asarray(thetas, float))
-    a = steering_matrix(cfg, thetas, cfg.m_ce)
+    if a is None:
+        a = steering_matrix(cfg, thetas, cfg.m_ce)
     a_conj = a.conj()
     gram = a.T @ a_conj
     try:
@@ -156,6 +256,12 @@ def safe_beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=FALLBACK_RIDGE):
         return _zero_forcing(cfg, thetas, a, a_conj, gram, 0.0)
     except (ConditioningError, SingularMatrixError):
         return _zero_forcing(cfg, thetas, a, a_conj, gram, ridge)
+
+
+def azimuths(deltas):
+    """Quadrant-aware azimuths arctan2(dy, dx) in (-pi, pi] of the
+    displacements ``deltas`` (..., 2) from the central UAV."""
+    return np.arctan2(deltas[..., 1], deltas[..., 0])
 
 
 @dataclass(frozen=True)
@@ -176,16 +282,19 @@ class ChannelRealization:
             raise ShapeError("noise power must be non-negative")
 
     @classmethod
-    def line_of_sight(cls, cfg, positions, center, sigma2, phase_mode="range", rng=None):
+    def line_of_sight(cls, cfg, positions, center, sigma2, phase_mode="range", rng=None,
+                      a=None):
         """Free-space coefficient h_i = (lambda / (4 pi r_i)) e^{j phi_i};
         phase_mode 'range' uses the propagation phase -2 pi r / lambda
-        (deterministic), 'random' draws phi from a seeded generator."""
+        (deterministic), 'random' draws phi from a seeded generator. ``a``
+        is the transmit steering at the true azimuths when the caller has
+        built it (from ``azimuths`` of the same positions)."""
         positions = np.asarray(positions, float).reshape(-1, 2)
         deltas = positions - np.asarray(center, float)
         ranges = np.linalg.norm(deltas, axis=1)
         if np.any(ranges < MIN_RANGE):
             raise DegenerateGeometryError("UAV coincides with the central UAV")
-        theta = np.arctan2(deltas[:, 1], deltas[:, 0])
+        theta = azimuths(deltas)
         if phase_mode == "range":
             phases = -2.0 * np.pi * ranges / cfg.wavelength
         elif phase_mode == "random":
@@ -197,7 +306,8 @@ class ChannelRealization:
         h = (cfg.wavelength / (4.0 * np.pi * ranges)) * np.exp(1j * phases)
         return cls(
             h=h, sigma2=float(sigma2), theta=theta, ranges=ranges,
-            a=steering_matrix(cfg, theta, cfg.m_ce), b=steering_matrix(cfg, theta, cfg.n_u),
+            a=steering_matrix(cfg, theta, cfg.m_ce) if a is None else a,
+            b=steering_matrix(cfg, theta, cfg.n_u),
         )
 
 

@@ -200,6 +200,11 @@ def config_from_mapping(data, run_overrides=None):
     if not mu_list or not all(m > 0 for m in mu_list):
         raise ConfigError("observer.mu_max entries must be positive")
     h_diag = _read(data, "observer.h_diag", 1.0, ndim=None, size=2 * n_uavs)
+    with np.errstate(over="ignore"):
+        h_squared_finite = np.all(np.isfinite(h_diag * h_diag))
+    if not h_squared_finite:
+        raise ConfigError(f"observer.h_diag entries must have a finite square, "
+                          f"got {h_diag.tolist()}")
     observer_init = _lookup(data, "observer.init", "measurement")
     if observer_init not in ("measurement", "zero"):
         raise ConfigError(f"observer.init must be 'measurement' or 'zero', got {observer_init!r}")
@@ -223,7 +228,14 @@ def config_from_mapping(data, run_overrides=None):
     target_snr_db = _read(data, "channel.target_snr_db", 10.0)
     sigma2 = _read(data, "channel.sigma2")
     if sigma2 is None:
-        sigma2 = default_noise_power(array, total_power, n_uavs, snr_ref_range, target_snr_db)
+        try:
+            sigma2 = default_noise_power(array, total_power, n_uavs, snr_ref_range,
+                                         target_snr_db)
+        except (OverflowError, ZeroDivisionError):
+            sigma2 = 0.0
+        if not (np.isfinite(sigma2) and sigma2 > 0):
+            raise ConfigError(f"channel.target_snr_db must give a finite, positive noise "
+                              f"power, got {target_snr_db} dB")
     elif sigma2 < 0:
         raise ConfigError("channel.sigma2 must be non-negative")
     phase_mode = _lookup(data, "channel.phase_mode", "range")

@@ -10,13 +10,17 @@ sequentially.
 
 The link layer builds each precoder once per distinct steering input: the
 pattern snapshots reuse the precoders of the link time series, the echo-fed
-precoder of `run_compare` is held while the echo stays blocked, and the
-pattern grid is steered once per design.
+precoder of `run_compare` is held while the echo stays blocked and reuses
+the channel's steering, and the pattern grid is steered once per design.
+Both link loops take their M_CE-row steering matrices from one
+`beamforming.steering_ahead` stream, ordered [true_k, steered_k] per step,
+so the next step's matrices are filled while the current step runs.
 """
 
 import json
 import shutil
 import time
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -102,8 +106,21 @@ def _predicted_angles(cfg, xhat):
     (zero-init transient) has no defined azimuth; it steers broadside until
     it moves away."""
     deltas = xhat.reshape(len(xhat), -1, 2) - cfg.scenario.center
-    angles = np.arctan2(deltas[..., 1], deltas[..., 0])
-    return np.where(row_norms(deltas) < bf.MIN_RANGE, 0.0, angles)
+    return np.where(row_norms(deltas) < bf.MIN_RANGE, 0.0, bf.azimuths(deltas))
+
+
+def _true_angles(cfg, run):
+    """(step, UAV) true azimuths, as the channel of each step computes them."""
+    x = run["X"][:cfg.horizon].reshape(cfg.horizon, -1, 2)
+    return bf.azimuths(x - cfg.scenario.center)
+
+
+def _link_steering(cfg, theta, angles):
+    """The link loop's M_CE-row steering matrices as a stream in a context
+    manager: for each step k, the channel's at the true azimuths theta[k],
+    then the precoder's at angles[k]."""
+    sets = np.stack([theta, angles[:cfg.horizon]], axis=1)
+    return closing(bf.steering_ahead(cfg.array, sets.reshape(2 * cfg.horizon, -1)))
 
 
 def echo_blockage(windows, dt, horizon):
@@ -122,18 +139,19 @@ def echo_blockage(windows, dt, horizon):
     return in_window, np.maximum.accumulate(np.where(in_window, 0, steps))
 
 
-def _channel_at(cfg, x_stacked, rng):
+def _channel_at(cfg, x_stacked, rng, a):
     """Line-of-sight channel at the true positions; its theta holds the true
-    azimuths and its a/b the steering toward them."""
+    azimuths and its a/b the steering toward them (``a`` prebuilt)."""
     return bf.ChannelRealization.line_of_sight(
         cfg.array, x_stacked.reshape(-1, 2), cfg.scenario.center, cfg.sigma2,
-        phase_mode=cfg.phase_mode, rng=rng,
+        phase_mode=cfg.phase_mode, rng=rng, a=a,
     )
 
 
-def _precode(cfg, angles):
-    """Zero-forcing precoder at the steering angles and its equal power split."""
-    beams = bf.safe_beamformer(cfg.array, angles)
+def _precode(cfg, angles, a):
+    """Zero-forcing precoder at the steering angles, given their steering
+    matrix ``a``, and its equal power split."""
+    beams = bf.safe_beamformer(cfg.array, angles, a=a)
     return beams, bf.equal_power_allocation(beams, cfg.total_power)
 
 
@@ -153,15 +171,16 @@ def link_timeseries(cfg, run, angles):
     se = np.empty((horizon, n))
     ridge = np.empty(horizon)
     kept = {}
-    for k in range(horizon):
-        chan = _channel_at(cfg, run["X"][k], rng)
-        beams, power = _precode(cfg, angles[k])
-        report = bf.link_report(cfg.array, chan, beams, power)
-        sinr_db[k] = report.sinr_db
-        se[k] = report.se
-        ridge[k] = beams.ridge
-        if k in cfg.pattern_snapshots:
-            kept[k] = beams.f
+    with _link_steering(cfg, _true_angles(cfg, run), angles) as steering:
+        for k in range(horizon):
+            chan = _channel_at(cfg, run["X"][k], rng, next(steering))
+            beams, power = _precode(cfg, angles[k], next(steering))
+            report = bf.link_report(cfg.array, chan, beams, power)
+            sinr_db[k] = report.sinr_db
+            se[k] = report.se
+            ridge[k] = beams.ridge
+            if k in cfg.pattern_snapshots:
+                kept[k] = beams.f
     return sinr_db, se, ridge, [kept[k] for k in cfg.pattern_snapshots]
 
 
@@ -300,11 +319,11 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
     Both modes consume identical per-step draws (symbols + post-combining
     noise) and the same physical channel; only the steering angles differ.
     The echo-fed link steers with the true angles of the last unblocked step,
-    so its precoder is built once per distinct last unblocked step and held
-    through each blockage. force_uio_truth substitutes true angles into the
-    prediction path, the paired-noise sanity check. The manifest lists, per
-    mode, the steps whose precoder fell back to the ridge
-    (``zf_fallback_steps``).
+    so its precoder is built once per distinct last unblocked step, from that
+    step's channel steering, and held through each blockage. force_uio_truth
+    substitutes true angles into the prediction path, the paired-noise sanity
+    check. The manifest lists, per mode, the steps whose precoder fell back
+    to the ridge (``zf_fallback_steps``).
     """
     if not cfg.windows:
         raise ConfigError("compare-baseline needs at least one blockage window")
@@ -321,22 +340,26 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
     blocked, last_clear = echo_blockage(cfg.windows, dt0, cfg.horizon)
     rng = np.random.default_rng(cfg.seed)
     n = cfg.scenario.n_uavs
-    theta = np.empty((cfg.horizon, n))
+    theta = _true_angles(cfg, run)
     predicted = theta if force_uio_truth else _predicted_angles(cfg, run["XHAT"])
     se_uio = np.empty(cfg.horizon)
     se_echo = np.empty(cfg.horizon)
     fallback_steps = {"uio": [], "echo_baseline": []}
-    for k in range(cfg.horizon):
-        chan = _channel_at(cfg, run["X"][k], rng)
-        theta[k] = chan.theta
-        symbols, noise = bf.draw_link_samples(n, cfg.sigma2, rng, cfg.noise_draws)
-        uio = _precode(cfg, predicted[k])
-        if k == 0 or last_clear[k] != last_clear[k - 1]:
-            echo = _precode(cfg, theta[last_clear[k]])  # held while the echo is blocked
-        for mode, se, (beams, power) in (("uio", se_uio, uio), ("echo_baseline", se_echo, echo)):
-            se[k] = np.mean(bf.empirical_link_se(cfg.array, chan, beams, power, symbols, noise))
-            if beams.ridge > 0.0:
-                fallback_steps[mode].append(k)
+    with _link_steering(cfg, theta, predicted) as steering:
+        for k in range(cfg.horizon):
+            chan = _channel_at(cfg, run["X"][k], rng, next(steering))
+            symbols, noise = bf.draw_link_samples(n, cfg.sigma2, rng, cfg.noise_draws)
+            uio = _precode(cfg, predicted[k], next(steering))
+            if k == 0 or last_clear[k] != last_clear[k - 1]:
+                # last_clear[k] == k here, so the echo steers with this step's
+                # channel; the precoder is held while the echo is blocked
+                echo = _precode(cfg, chan.theta, chan.a)
+            for mode, se, (beams, power) in (("uio", se_uio, uio),
+                                             ("echo_baseline", se_echo, echo)):
+                se[k] = np.mean(
+                    bf.empirical_link_se(cfg.array, chan, beams, power, symbols, noise))
+                if beams.ridge > 0.0:
+                    fallback_steps[mode].append(k)
     steps = np.arange(cfg.horizon)
     files = {
         "se_compare.csv": write_csv(

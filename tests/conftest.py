@@ -14,16 +14,19 @@ design_module = importlib.import_module("uiobeam.design")
 @pytest.fixture
 def steering_shapes(monkeypatch):
     """Shapes of the steering matrices the beamforming module builds while
-    the test runs, in build order (clear the list to restart the count)."""
+    the test runs, in build order (clear the list to restart the count).
+    Every matrix, whether steering_matrix or the steering_ahead stream
+    fills it, and on whichever thread, starts as one array allocated by
+    _steering_arguments on the caller's thread, which is what is counted."""
     shapes = []
-    build = beamforming.steering_matrix
+    allocate = beamforming._steering_arguments
 
-    def counted(cfg, thetas, count=None):
-        out = build(cfg, thetas, count)
+    def counted(cfg, thetas, count):
+        out = allocate(cfg, thetas, count)
         shapes.append(out.shape)
         return out
 
-    monkeypatch.setattr(beamforming, "steering_matrix", counted)
+    monkeypatch.setattr(beamforming, "_steering_arguments", counted)
     return shapes
 
 

@@ -10,15 +10,19 @@ Independent oracles:
     including a bisected half-power point for the main-lobe width.
 """
 
+import concurrent.futures
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from uiobeam import beamforming
 from uiobeam.beamforming import (
     FALLBACK_RIDGE,
+    BLOCK_ENTRIES,
     ArrayConfig,
     ChannelRealization,
     beam_pattern,
@@ -30,6 +34,7 @@ from uiobeam.beamforming import (
     half_power_width,
     link_report,
     safe_beamformer,
+    steering_ahead,
     steering_matrix,
 )
 from uiobeam.config import config_from_mapping
@@ -211,6 +216,81 @@ def test_channel_carries_its_true_angle_steering():
     chan = ChannelRealization.line_of_sight(CFG, [100.0, 20.0, -30.0, 90.0], [0.0, 0.0], 0.0)
     np.testing.assert_array_equal(chan.a, steering_matrix(CFG, chan.theta))
     np.testing.assert_array_equal(chan.b, steering_matrix(CFG, chan.theta, CFG.n_u))
+
+
+def assert_same_bits(got, expected):
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m_ce=st.sampled_from([8, 64, 1000, 1024, 2048]),
+    n=st.integers(1, 64),
+    lanes=st.sampled_from([1, 2]),
+    data=st.data(),
+)
+def test_steering_stream_is_steering_matrix_bit_for_bit(m_ce, n, lanes, data):
+    # sizes on both sides of LOOKAHEAD_MIN_ENTRIES, one or two lanes: the
+    # helper thread runs only for two lanes above the gate
+    cfg = ArrayConfig(m_ce=m_ce, n_u=1, wavelength=0.01)
+    angle = st.one_of(st.floats(-np.pi, np.pi), st.sampled_from([0.0, -0.0, np.pi / 2]))
+    sets = np.array(data.draw(st.lists(st.lists(angle, min_size=n, max_size=n),
+                                       min_size=1, max_size=6)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(beamforming, "_lanes", lambda: lanes)
+        got = list(steering_ahead(cfg, sets))
+    assert len(got) == len(sets)
+    for matrix, thetas in zip(got, sets):
+        assert_same_bits(matrix, steering_matrix(cfg, thetas))
+
+
+def test_caller_fills_every_row_block_the_helper_has_not_started(monkeypatch):
+    # the helper is kept busy by a task queued ahead of every fill, so the
+    # caller takes over each row block; the bits stay those of steering_matrix
+    release = threading.Event()
+
+    class Stalled(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.submit(release.wait, 30.0)
+
+    fillers = []
+    fill = beamforming._steering_entries
+
+    def recorded(real, imag):
+        fillers.append(threading.current_thread())
+        fill(real, imag)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Stalled)
+    monkeypatch.setattr(beamforming, "_steering_entries", recorded)
+    monkeypatch.setattr(beamforming, "_lanes", lambda: 2)
+    m_ce, n = 1024, 64
+    cfg = ArrayConfig(m_ce=m_ce, n_u=4, wavelength=0.01)
+    sets = np.random.default_rng(3).uniform(-np.pi, np.pi, (5, n))
+    stream = steering_ahead(cfg, sets)
+    got = [next(stream) for _ in sets]
+    release.set()
+    with pytest.raises(StopIteration):
+        next(stream)
+    blocks = -(-m_ce // (BLOCK_ENTRIES // n))
+    assert blocks > 1
+    assert fillers == [threading.main_thread()] * (len(sets) * blocks)
+    for matrix, thetas in zip(got, sets):
+        assert_same_bits(matrix, steering_matrix(cfg, thetas))
+
+
+def test_closing_the_stream_early_stops_its_helper(monkeypatch):
+    monkeypatch.setattr(beamforming, "_lanes", lambda: 2)
+    cfg = ArrayConfig(m_ce=1024, n_u=4, wavelength=0.01)
+    stream = steering_ahead(cfg, np.zeros((50, 16)))
+    next(stream)
+    helpers = [t for t in threading.enumerate() if t.name.startswith("uiobeam-steering")]
+    assert helpers
+    stream.close()
+    for thread in helpers:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
 
 
 def test_beam_pattern_builds_the_grid_once_for_every_precoder(steering_shapes):

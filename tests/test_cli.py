@@ -1,19 +1,24 @@
 """End-to-end subcommand tests: outputs, exit codes, determinism and the
 blockage comparison, all on desk-scale horizons."""
 
+import concurrent.futures
 import importlib
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from uiobeam import beamforming
 from uiobeam.cli import main
 from uiobeam.config import config_from_mapping
 from uiobeam.errors import ShapeError
-from uiobeam.simulate import echo_blockage, run_compare, run_simulate, write_csv
+from uiobeam.simulate import run_compare, run_simulate, write_csv
 
 # the package re-exports the function design(), which shadows the module name
 design_module = importlib.import_module("uiobeam.design")
+observer_module = importlib.import_module("uiobeam.observer")
 
 
 def write_yaml(tmp_path, text, name="cfg.yaml"):
@@ -257,12 +262,15 @@ def test_malformed_values_exit_1_naming_the_field(tmp_path, capsys):
         ("array.spacing", "array:\n  spacing: .inf\n"),
         ("blockage.windows", "blockage:\n  windows: 5\n"),
         ("scenario.center", "scenario:\n  center: [1, 2, 3]\n"),
+        ("channel.target_snr_db", "channel:\n  target_snr_db: 5000\n"),
+        ("observer.h_diag", "observer:\n  h_diag: 1.0e+300\n"),
     ):
         cfg = write_yaml(tmp_path, text)
         assert main(["design", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} ")
         assert "Traceback" not in err
+        assert "nan" not in err
 
 
 def test_compare_requires_window(tmp_path):
@@ -333,17 +341,17 @@ def test_compare_uses_only_the_first_mu_bound(tmp_path):
 
 def test_compare_builds_each_steering_matrix_once(tmp_path, steering_shapes):
     # per step one true-angle build (the channel's, shared by both modes) and
-    # one prediction-fed precoder; the echo-fed precoder only when its last
-    # unblocked step changes
+    # one prediction-fed precoder; the echo-fed precoder is rebuilt only at a
+    # step that is its own last unblocked step, so it reuses that step's
+    # channel steering and adds no build
     cfg = config_from_mapping({
         "observer": {"mu_max": [0.05]},
         "blockage": {"windows": [[1.5, 3.0]]},
         "run": {"horizon": 40},
     })
-    _, last_clear = echo_blockage(cfg.windows, float(cfg.scenario.dt[0]), cfg.horizon)
     run_compare(cfg, tmp_path / "out")
     m_ce_builds = sum(shape[0] == cfg.array.m_ce for shape in steering_shapes)
-    assert m_ce_builds == 2 * cfg.horizon + np.unique(last_clear).size == 110
+    assert m_ce_builds == 2 * cfg.horizon == 80
 
 
 @pytest.mark.parametrize(
@@ -413,6 +421,73 @@ def test_singular_gram_falls_back_to_ridge(tmp_path):
     _, rows = read_csv(tmp_path / "simulate" / "design_mu0.05" / "se.csv")
     assert len(rows) == 64 * 8
     assert all(np.isfinite(float(r[4])) for r in rows)
+
+
+def output_bytes(out):
+    """Every output file under ``out`` except the manifest (it holds the
+    wall-clock), by relative path."""
+    return {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*"))
+            if path.is_file() and path.name != "manifest.json"}
+
+
+def steering_helpers():
+    return [t for t in threading.enumerate() if t.name.startswith("uiobeam-steering")]
+
+
+def test_steering_helper_leaves_every_output_byte_unchanged(tmp_path, monkeypatch):
+    # 16 UAVs on 1024 elements reach the matrix size at which the link loops
+    # fill the next step's steering on a helper thread, given two CPUs
+    cfg = link_config(tmp_path, 16, 1024)
+    started = []
+    submitted = set()
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+        def submit(self, fn, *args, **kwargs):
+            submitted.add(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    outputs = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        started.clear()
+        out = tmp_path / f"cpus{len(cpus)}"
+        for sub in ("simulate", "compare-baseline"):
+            assert main([sub, "--config", cfg, "--out", str(out / sub)]) == 0
+        # one stream per link loop: simulate's single design and compare's
+        assert len(started) == (0 if len(cpus) == 1 else 2)
+        outputs.append(output_bytes(out))
+    assert len(outputs[0]) == 9
+    assert outputs[0] == outputs[1]
+    # the helper runs the in-place sin/cos fill and nothing else
+    assert submitted == {beamforming._steering_entries}
+    assert not steering_helpers()
+
+
+def test_degenerate_geometry_mid_loop_exits_1_and_stops_the_helper(
+    tmp_path, monkeypatch, capsys
+):
+    # UAV 0 sits on the central UAV at step 5, while the helper holds the
+    # steering of later steps: the channel's error ends the run with its exit
+    # code, and the stream cancels or finishes its blocks instead of hanging
+    cfg = link_config(tmp_path, 16, 1024)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    track = observer_module.track
+
+    def coincident(*args, **kwargs):
+        run = track(*args, **kwargs)
+        run["X"][5, :2] = 0.0  # the default center
+        return run
+
+    monkeypatch.setattr(observer_module, "track", coincident)
+    for sub in ("simulate", "compare-baseline"):
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 1
+        assert "coincides with the central UAV" in capsys.readouterr().err
+        assert not steering_helpers()
 
 
 def test_manifests_list_zero_forcing_fallback_steps(tmp_path):

@@ -197,6 +197,10 @@ MALFORMED = {
     "carrier-zero": ("array.carrier_hz", {"array": {"carrier_hz": 0}}),
     "wavelength-inf": ("array.wavelength", {"array": {"wavelength": float("inf")}}),
     "mu-inf": ("observer.mu_max", {"observer": {"mu_max": [float("inf")]}}),
+    # finite values whose derived quantities overflowed after validation
+    "snr-overflow": ("channel.target_snr_db", {"channel": {"target_snr_db": 5000}}),
+    "snr-underflow": ("channel.target_snr_db", {"channel": {"target_snr_db": -5000}}),
+    "h-squared-overflow": ("observer.h_diag", {"observer": {"h_diag": 1.0e300}}),
     # shapes and types
     "windows-scalar": ("blockage.windows", {"blockage": {"windows": 5}}),
     "window-scalar": ("blockage.windows[0]", {"blockage": {"windows": [5]}}),
