@@ -46,6 +46,7 @@ from .errors import (
     ConfigError,
     DegenerateGeometryError,
     InfeasibleError,
+    NumericalError,
     ShapeError,
     SingularMatrixError,
     UiobeamError,

@@ -17,21 +17,32 @@ and Gram matrix once, also when it falls back to the ridge; and the pattern
 grid's steering matrix is built once for all the precoders it is
 evaluated on.
 
-The link loops draw their M_CE-row steering matrices from one stream,
-`steering_ahead`, which fills the matrices of the next link step on a helper
-thread while the caller runs the current step's Gram, solve, precoder and
-gain products. The caller allocates each matrix and writes the arguments
-m*phase into its real part (numpy allocates iterator buffers for that
-broadcast product, so it stays on the caller); the helper runs only the two
-in-place ufuncs `sin` (into the imaginary part) and `cos` (into the real
-part) on row blocks of it, so it makes no BLAS call, no RNG draw and no array
-allocation. These are the same ufuncs on the same values as in
-`steering_matrix`, and each entry is computed elementwise, so a matrix has
-the same bits whichever thread fills which block. The helper runs only when
-this process may use at least two CPUs (`os.sched_getaffinity`; one where
-the platform does not say) and the matrix has at least LOOKAHEAD_MIN_ENTRIES
-entries; otherwise the stream fills each matrix inline. No setting selects
-the helper.
+Step stacks. The link functions take a leading step axis: angles of shape
+(..., N) give steering stacks (..., count, N), a channel of positions
+(..., N, 2) holds (..., N) coefficients, and the precoder, the power split
+and the link reports are computed for every step of the stack at once. The
+2-D call is the one-step case. Every step slice of a stack reaches the same
+BLAS/LAPACK call (zgemm, zpotrf, zgesv) with the same strides as the 2-D
+call, runs the same elementwise ufuncs and reduces along the same axis, so a
+stacked call equals the per-step 2-D calls bit for bit. `safe_beamformer`
+decides strict versus ridge for each step: a step whose sines collide is
+loaded at once, the strict steps share one batched Cholesky, and only when
+that fails are they retried one by one to find the singular ones.
+
+The link loops draw their M_CE-row steering stacks from one stream,
+`steering_ahead`, which fills the next stacks on a helper thread while the
+caller runs the current chunk's Gram, solve, precoder and gain products. The
+caller allocates each stack and writes the arguments m*phase into its real
+part (numpy allocates iterator buffers for that broadcast product, so it
+stays on the caller); the helper runs only the two in-place ufuncs `sin`
+(into the imaginary part) and `cos` (into the real part) on row blocks of
+it, so it makes no BLAS call, no RNG draw and no array allocation. These are
+the same ufuncs on the same values as in `steering_matrix`, and each entry
+is computed elementwise, so a stack has the same bits whichever thread fills
+which block. The helper runs only when this process may use at least two
+CPUs (`os.sched_getaffinity`; one where the platform does not say) and one
+step's matrix (M_CE x N) has at least LOOKAHEAD_MIN_ENTRIES entries;
+otherwise the stream fills each stack inline. No setting selects the helper.
 """
 
 import os
@@ -83,12 +94,13 @@ class ArrayConfig:
 
 
 def _steering_arguments(cfg, thetas, count):
-    """A new (count, N) complex array whose real part holds the arguments
-    m*phase_i of the steering entries, phase = (2pi/lambda)*d*sin(theta)."""
+    """A new (..., count, N) complex array for the (..., N) ``thetas`` whose
+    real part holds the arguments m*phase_i of the steering entries,
+    phase = (2pi/lambda)*d*sin(theta)."""
     phase = (2.0 * np.pi / cfg.wavelength) * cfg.spacing * np.sin(thetas)
-    out = np.empty((count, thetas.size), dtype=complex)
+    out = np.empty(thetas.shape[:-1] + (count, thetas.shape[-1]), dtype=complex)
     # Adding 0.0 turns a phase of -0.0 into the +0.0 that 1j*phase has.
-    np.multiply(np.arange(count)[:, None], phase + 0.0, out=out.real)
+    np.multiply(np.arange(count)[:, None], phase[..., None, :] + 0.0, out=out.real)
     return out
 
 
@@ -103,7 +115,8 @@ def _steering_entries(real, imag):
 def steering_matrix(cfg, thetas, count=None):
     """ULA steering vectors toward the azimuths ``thetas``, one column per
     angle, with ``count`` elements (defaults to M_CE): entry (m, i) is
-    exp(j*(2pi/lambda)*d*m*sin(theta_i))."""
+    exp(j*(2pi/lambda)*d*m*sin(theta_i)). Angles of shape (..., N) give a
+    (..., count, N) stack."""
     if count is None:
         count = cfg.m_ce
     if count < 1:
@@ -113,16 +126,17 @@ def steering_matrix(cfg, thetas, count=None):
     return out
 
 
-# Smallest steering matrix (M_CE * N entries) the stream hands to the helper
-# thread; smaller ones are filled inline, because a fill that short costs
-# less than handing it over. Measured on two cores, simulate plus
-# compare-baseline with the helper against inline: 256 entries (ref-long's
-# 64x4) 0.47 -> 0.58 s, 1024 (128x8) 17% slower, 2048 from 7% slower (1024x2)
-# to 10% faster (256x8), 4096 11% to 26% faster in each of 64x64, 1024x4,
-# 2048x2 and 512x8.
+# Smallest steering matrix (M_CE * N entries, one step) whose stacks the
+# stream hands to the helper thread; smaller ones are filled inline, because
+# a fill that short costs less than handing it over. Measured on two cores
+# with one step per stack, simulate plus compare-baseline with the helper
+# against inline: 256 entries (ref-long's 64x4) 0.47 -> 0.58 s, 1024 (128x8)
+# 17% slower, 2048 from 7% slower (1024x2) to 10% faster (256x8), 4096 11% to
+# 26% faster in each of 64x64, 1024x4, 2048x2 and 512x8. ref-long's 16-step
+# chunk stacks (16x64x4) stay inline: the helper made them 4-7% slower.
 LOOKAHEAD_MIN_ENTRIES = 1 << 12
-# Matrices queued on the helper beyond the one the caller waits for: one link
-# step, its true-angle and its steered-angle matrix.
+# Stacks queued on the helper beyond the one the caller waits for: one link
+# chunk, its true-angle and its steered-angle stack.
 LOOKAHEAD = 2
 # Entries per row block, the unit of work the caller takes over from the
 # helper when it needs a matrix before the helper has started on it. Each
@@ -149,31 +163,37 @@ def _finish(out, blocks):
 
 
 def steering_ahead(cfg, angle_sets):
-    """Yield ``steering_matrix(cfg, thetas)`` (M_CE rows) for each row
-    ``thetas`` of the (S, N) ``angle_sets``, in order, bit for bit.
+    """Yield ``steering_matrix(cfg, thetas)`` (M_CE rows) for each array
+    ``thetas`` of shape (..., N) in the sequence ``angle_sets``, in order,
+    bit for bit: a (C, N) array of C steps' angles gives a (C, M_CE, N)
+    stack.
 
-    With at least two CPUs and LOOKAHEAD_MIN_ENTRIES entries per matrix, one
-    helper thread fills up to LOOKAHEAD matrices beyond the one last yielded
-    (see the module docstring for what it runs); otherwise each matrix is
-    filled inline when it is needed. Close the generator (for instance with
+    With at least two CPUs and LOOKAHEAD_MIN_ENTRIES entries per steering
+    matrix (M_CE * N, one step of a stack), one helper thread fills up to
+    LOOKAHEAD stacks beyond the one last yielded, in row blocks of the
+    stack's (C * M_CE, N) rows (see the module docstring for what it runs);
+    otherwise each stack is filled inline when it is needed. Close the
+    generator (for instance with
     ``contextlib.closing``) when leaving the loop early: that cancels the
     blocks not started and waits for the one running."""
-    angle_sets = np.asarray(angle_sets, float)
+    angle_sets = [np.atleast_1d(np.asarray(thetas, float)) for thetas in angle_sets]
     count = cfg.m_ce
-    if count * angle_sets.shape[1] < LOOKAHEAD_MIN_ENTRIES or _lanes() < 2:
+    entries = max((count * thetas.shape[-1] for thetas in angle_sets), default=0)
+    if entries < LOOKAHEAD_MIN_ENTRIES or _lanes() < 2:
         for thetas in angle_sets:
             yield steering_matrix(cfg, thetas)
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    rows = max(1, BLOCK_ENTRIES // angle_sets.shape[1])
-    bounds = [*range(0, count, rows), count]
-    queued = deque()  # (matrix, [((real, imag) row block, future)]) in yield order
+    queued = deque()  # (stack, [((real, imag) row block, future)]) in yield order
     helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="uiobeam-steering")
     try:
         for thetas in angle_sets:
             out = _steering_arguments(cfg, thetas, count)
-            blocks = [(out.real[r0:r1], out.imag[r0:r1]) for r0, r1 in zip(bounds, bounds[1:])]
+            rows = out.reshape(-1, thetas.shape[-1])
+            step = max(1, BLOCK_ENTRIES // thetas.shape[-1])
+            blocks = [(rows.real[r0:r0 + step], rows.imag[r0:r0 + step])
+                      for r0 in range(0, len(rows), step)]
             queued.append((out, [(b, helper.submit(_steering_entries, *b)) for b in blocks]))
             if len(queued) > LOOKAHEAD:
                 yield _finish(*queued.popleft())
@@ -187,40 +207,67 @@ def steering_ahead(cfg, angle_sets):
 class BeamformerMatrix:
     """Zero-forcing precoder F with the steering matrix A and the angle
     estimates it was built from, and the diagonal loading (relative to
-    M_CE) of its Gram matrix: 0.0 for a strict zero-forcing solve."""
+    M_CE) of its Gram matrix: 0.0 for a strict zero-forcing solve. For a
+    stack of steps, f and a are (..., M_CE, N), theta (..., N) and ridge
+    (...,), one loading per step."""
 
     f: np.ndarray
     a: np.ndarray
     theta: np.ndarray
-    ridge: float
+    ridge: np.ndarray
+
+
+def _close_pairs(thetas, min_sin_gap):
+    """|sin gap| matrices of the (..., N) angles, and the mask of their pairs
+    i < j closer than ``min_sin_gap``, both (..., N, N)."""
+    sines = np.sin(thetas)
+    gaps = np.abs(sines[..., :, None] - sines[..., None, :])
+    return gaps, np.triu(gaps < min_sin_gap, k=1)
 
 
 def _check_sine_gaps(thetas, min_sin_gap):
     """Raise ConditioningError naming the first pair i < j of angles closer
     than ``min_sin_gap`` in sine."""
-    sines = np.sin(thetas)
-    gaps = np.abs(sines[:, None] - sines[None, :])
-    # np.nonzero scans row-major, so the first hit is the first i < j pair
-    rows, cols = np.nonzero(np.triu(gaps < min_sin_gap, k=1))
-    if rows.size:
-        i, j = rows[0], cols[0]
+    gaps, close = _close_pairs(thetas, min_sin_gap)
+    # np.argwhere scans row-major, so the first hit is the first i < j pair
+    hits = np.argwhere(close)
+    if len(hits):
+        i, j = hits[0][-2:]
         raise ConditioningError(
             f"steering angles {i} and {j} collide: "
-            f"|sin gap| = {gaps[i, j]:.3e} < {min_sin_gap:.0e}"
+            f"|sin gap| = {gaps[tuple(hits[0])]:.3e} < {min_sin_gap:.0e}"
         )
 
 
-def _zero_forcing(cfg, thetas, a, a_conj, gram, ridge):
-    """F = A*(A^T A* + ridge*M_CE*I)^{-1} from the steering matrix A, its
-    conjugate and its unloaded Gram matrix A^T A*."""
-    if ridge > 0.0:
-        gram = gram + ridge * cfg.m_ce * np.eye(thetas.size)
-    f = a_conj @ solve_hermitian(gram, np.eye(thetas.size, dtype=complex))
-    return BeamformerMatrix(f=f, a=a, theta=thetas, ridge=ridge)
+def _zero_forcing(cfg, a, a_conj, gram, loads):
+    """F = A*(A^T A* + load*M_CE*I)^{-1} for each step, from the steering
+    stack A, its conjugate and its unloaded Gram stack A^T A*; ``loads``
+    holds the loading of each step. The strict steps (load 0.0) share one
+    batched solve and the loaded steps another; SingularMatrixError when
+    any of them is not positive definite."""
+    n = gram.shape[-1]
+    eye = np.eye(n, dtype=complex)
+    grams = gram.reshape(-1, n, n)
+    loads = loads.reshape(-1)
+    inverse = np.empty_like(grams)
+    strict = loads == 0.0
+    if strict.any():
+        inverse[strict] = solve_hermitian(grams[strict], eye)
+    if not strict.all():
+        loaded = grams[~strict] + (loads[~strict] * cfg.m_ce)[:, None, None] * np.eye(n)
+        inverse[~strict] = solve_hermitian(loaded, eye)
+    return a_conj @ inverse.reshape(gram.shape)
+
+
+def _gram(a):
+    """The conjugate A* of the steering stack and its Gram stack A^T A*."""
+    a_conj = a.conj()
+    return a_conj, np.swapaxes(a, -1, -2) @ a_conj
 
 
 def beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=0.0):
-    """Zero-forcing precoder F = A*(A^T A*)^{-1} at the angle estimates.
+    """Zero-forcing precoder F = A*(A^T A*)^{-1} at the angle estimates
+    (..., N), one precoder per step of a stack.
 
     Raises ConditioningError (naming the colliding pair) when two angles are
     closer than ``min_sin_gap`` in sine. With ridge > 0 the gap check is
@@ -231,8 +278,10 @@ def beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=0.0):
     if ridge == 0.0:
         _check_sine_gaps(thetas, min_sin_gap)
     a = steering_matrix(cfg, thetas, cfg.m_ce)
-    a_conj = a.conj()
-    return _zero_forcing(cfg, thetas, a, a_conj, a.T @ a_conj, ridge)
+    a_conj, gram = _gram(a)
+    loads = np.full(thetas.shape[:-1], float(ridge))
+    return BeamformerMatrix(f=_zero_forcing(cfg, a, a_conj, gram, loads), a=a, theta=thetas,
+                            ridge=loads)
 
 
 def safe_beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=FALLBACK_RIDGE, a=None):
@@ -240,22 +289,34 @@ def safe_beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=FALLBACK_RIDGE, 
     at angle collisions (the orbit geometry crosses equal sines twice per
     revolution per UAV pair, so long runs need this) and when the Gram matrix
     is numerically singular although every sine gap passes (many UAVs on a
-    short array, or more UAVs than antennas).
+    short array, or more UAVs than antennas). Angles (..., N) give one
+    precoder per step, each decided on its own.
 
     The steering matrix ``a`` (built here unless given, for instance by
     ``steering_ahead``) and its Gram matrix are built once; the fallback
-    loads that same Gram matrix, so its result equals
-    ``beamformer(cfg, thetas, ridge=ridge)`` bit for bit."""
+    loads that same Gram matrix, so each step equals
+    ``beamformer(cfg, thetas_k, ridge=ridge)`` bit for bit. A loaded solve
+    that still fails raises SingularMatrixError."""
     thetas = np.atleast_1d(np.asarray(thetas, float))
     if a is None:
         a = steering_matrix(cfg, thetas, cfg.m_ce)
-    a_conj = a.conj()
-    gram = a.T @ a_conj
+    a_conj, gram = _gram(a)
+    collide = np.any(_close_pairs(thetas, min_sin_gap)[1], axis=(-2, -1))
+    loads = np.where(collide, ridge, 0.0)
     try:
-        _check_sine_gaps(thetas, min_sin_gap)
-        return _zero_forcing(cfg, thetas, a, a_conj, gram, 0.0)
-    except (ConditioningError, SingularMatrixError):
-        return _zero_forcing(cfg, thetas, a, a_conj, gram, ridge)
+        f = _zero_forcing(cfg, a, a_conj, gram, loads)
+    except SingularMatrixError:
+        # find the strict steps whose Gram matrix is singular, one by one
+        n = thetas.shape[-1]
+        step_loads, grams = loads.reshape(-1), gram.reshape(-1, n, n)
+        eye = np.eye(n, dtype=complex)
+        for k in np.flatnonzero(step_loads == 0.0):
+            try:
+                solve_hermitian(grams[k], eye)
+            except SingularMatrixError:
+                step_loads[k] = ridge
+        f = _zero_forcing(cfg, a, a_conj, gram, loads)
+    return BeamformerMatrix(f=f, a=a, theta=thetas, ridge=loads)
 
 
 def azimuths(deltas):
@@ -268,7 +329,9 @@ def azimuths(deltas):
 class ChannelRealization:
     """Line-of-sight channel snapshot: complex coefficient, true azimuth and
     range per UAV, the per-antenna noise power, and the steering at the true
-    azimuths: transmit rows a (M_CE x N) and receive columns b (N_U x N)."""
+    azimuths: transmit rows a (M_CE x N) and receive columns b (N_U x N).
+    A stack of steps carries (..., N) coefficients, azimuths and ranges and
+    (..., M_CE, N) / (..., N_U, N) steering."""
 
     h: np.ndarray
     sigma2: float
@@ -283,24 +346,29 @@ class ChannelRealization:
 
     @classmethod
     def line_of_sight(cls, cfg, positions, center, sigma2, phase_mode="range", rng=None,
-                      a=None):
-        """Free-space coefficient h_i = (lambda / (4 pi r_i)) e^{j phi_i};
+                      a=None, phases=None):
+        """Free-space coefficient h_i = (lambda / (4 pi r_i)) e^{j phi_i} at
+        the positions (..., N, 2) (a flat vector holds stacked (x, y) pairs);
         phase_mode 'range' uses the propagation phase -2 pi r / lambda
-        (deterministic), 'random' draws phi from a seeded generator. ``a``
-        is the transmit steering at the true azimuths when the caller has
-        built it (from ``azimuths`` of the same positions)."""
-        positions = np.asarray(positions, float).reshape(-1, 2)
+        (deterministic), 'random' takes the ``phases`` the caller drew with
+        ``random_phases`` or draws them from the seeded generator ``rng``.
+        ``a`` is the transmit steering at the true azimuths when the caller
+        has built it (from ``azimuths`` of the same positions)."""
+        positions = np.asarray(positions, float)
+        if positions.ndim < 2:
+            positions = positions.reshape(-1, 2)
         deltas = positions - np.asarray(center, float)
-        ranges = np.linalg.norm(deltas, axis=1)
+        ranges = np.linalg.norm(deltas, axis=-1)
         if np.any(ranges < MIN_RANGE):
             raise DegenerateGeometryError("UAV coincides with the central UAV")
         theta = azimuths(deltas)
         if phase_mode == "range":
             phases = -2.0 * np.pi * ranges / cfg.wavelength
         elif phase_mode == "random":
-            if rng is None:
-                raise ShapeError("phase_mode='random' needs a generator")
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=ranges.size)
+            if phases is None:
+                if rng is None:
+                    raise ShapeError("phase_mode='random' needs a generator")
+                phases = random_phases(rng, ranges.shape)
         else:
             raise ShapeError(f"unknown phase_mode {phase_mode!r}")
         h = (cfg.wavelength / (4.0 * np.pi * ranges)) * np.exp(1j * phases)
@@ -319,23 +387,29 @@ def default_noise_power(cfg, total_power, n_streams, ref_range, target_snr_db):
 
 
 def equal_power_allocation(bf, total_power):
-    """Uniform per-stream power p with p * sum_j ||f_j||^2 = total_power."""
-    norms = np.sum(np.abs(bf.f) ** 2)
-    return np.full(bf.f.shape[1], total_power / norms)
+    """Uniform per-stream power p with p * sum_j ||f_j||^2 = total_power, one
+    (..., N) row per step of a precoder stack."""
+    norms = np.sum(np.abs(bf.f) ** 2, axis=(-2, -1))
+    return np.full(bf.f.shape[:-2] + bf.f.shape[-1:], (total_power / norms)[..., None])
 
 
 def _gain_matrix(cfg, chan, bf, power):
     """Post-combining link gains g_ij from stream j into UAV i's matched
-    combiner b(theta^_i)/sqrt(N_U)."""
+    combiner b(theta^_i)/sqrt(N_U), (..., N, N) for a stack of steps."""
     power = np.asarray(power, float)
-    n = chan.h.size
-    if bf.f.shape[1] != n or power.shape != (n,):
+    if bf.f.shape[-1] != chan.h.shape[-1] or power.shape != chan.h.shape:
         raise ShapeError("beamformer/power dimensions inconsistent with the channel")
-    t = chan.a.T @ bf.f
+    t = np.swapaxes(chan.a, -1, -2) @ bf.f
     b_hat = steering_matrix(cfg, bf.theta, cfg.n_u)
-    combine = np.sum(b_hat.conj() * chan.b, axis=0) / np.sqrt(cfg.n_u)
+    combine = np.sum(b_hat.conj() * chan.b, axis=-2) / np.sqrt(cfg.n_u)
     scale = 1.0 / np.sqrt(cfg.m_ce * cfg.n_u)
-    return scale * chan.h[:, None] * combine[:, None] * t * np.sqrt(power)[None, :]
+    return (scale * chan.h[..., :, None] * combine[..., :, None] * t
+            * np.sqrt(power)[..., None, :])
+
+
+def _diagonal(g):
+    """Own-stream gains g_ii of a (..., N, N) gain stack."""
+    return np.diagonal(g, axis1=-2, axis2=-1)
 
 
 @dataclass(frozen=True)
@@ -351,36 +425,54 @@ class LinkReport:
 
 def link_report(cfg, chan, bf, power):
     """Analytic SINR_i = |g_ii|^2 / (sum_{j != i} |g_ij|^2 + sigma2) and
-    SE_i = log2(1 + SINR_i)."""
+    SE_i = log2(1 + SINR_i), (..., N) for a stack of steps."""
     g = _gain_matrix(cfg, chan, bf, power)
-    sig = np.abs(np.diag(g)) ** 2
-    interference = np.sum(np.abs(g) ** 2, axis=1) - sig
+    sig = np.abs(_diagonal(g)) ** 2
+    interference = np.sum(np.abs(g) ** 2, axis=-1) - sig
     sinr = sig / (interference + chan.sigma2)
     with np.errstate(divide="ignore"):
         sinr_db = 10.0 * np.log10(np.maximum(sinr, 1e-300))
     return LinkReport(sinr=sinr, sinr_db=sinr_db, se=np.log2(1.0 + sinr), g=g)
 
 
-def draw_link_samples(n_uavs, sigma2, rng, n_draws):
-    """Shared random draws for the empirical SINR estimate: unit-modulus
-    symbols and post-combining noise samples of variance sigma2."""
-    symbols = np.exp(2j * np.pi * rng.random((n_draws, n_uavs)))
-    noise = np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal((n_draws, n_uavs)) + 1j * rng.standard_normal((n_draws, n_uavs))
-    )
-    return symbols, noise
+def random_phases(rng, size):
+    """Channel phases of phase_mode 'random': uniform on [0, 2 pi)."""
+    return rng.uniform(0.0, 2.0 * np.pi, size=size)
+
+
+def draw_link_steps(n_uavs, sigma2, rng, n_draws, steps, channel_phases=False):
+    """The random draws of ``steps`` consecutive link steps, made one step
+    after another in the order of a per-step loop: the step's channel phases
+    (with ``channel_phases``, as ``random_phases``), then the uniforms of its
+    symbols and the real and imaginary parts of its noise.
+
+    Returns (phases, symbols, noise): phases (steps, n_uavs), or None without
+    ``channel_phases``; unit-modulus symbols and post-combining noise samples
+    of variance sigma2, each (steps, n_draws, n_uavs)."""
+    phases = np.empty((steps, n_uavs)) if channel_phases else None
+    uniforms, real, imag = (np.empty((steps, n_draws, n_uavs)) for _ in range(3))
+    for k in range(steps):
+        if channel_phases:
+            phases[k] = random_phases(rng, n_uavs)
+        uniforms[k] = rng.random((n_draws, n_uavs))
+        real[k] = rng.standard_normal((n_draws, n_uavs))
+        imag[k] = rng.standard_normal((n_draws, n_uavs))
+    symbols = np.exp(2j * np.pi * uniforms)
+    noise = np.sqrt(sigma2 / 2.0) * (real + 1j * imag)
+    return phases, symbols, noise
 
 
 def empirical_link_se(cfg, chan, bf, power, symbols, noise):
     """Spectral efficiency with the interference-plus-noise power estimated
     from explicit draws (paired comparisons reuse one draw for all modes):
     the residual after removing the known in-stream term is averaged over
-    draws."""
+    draws. A stack of steps takes (..., n_draws, N) draws and gives (..., N)."""
     g = _gain_matrix(cfg, chan, bf, power)
-    y = symbols @ g.T + noise
-    resid = y - symbols * np.diag(g)[None, :]
-    var = np.mean(np.abs(resid) ** 2, axis=0)
-    sinr = np.abs(np.diag(g)) ** 2 / np.maximum(var, 1e-300)
+    own = _diagonal(g)
+    y = symbols @ np.swapaxes(g, -1, -2) + noise
+    resid = y - symbols * own[..., None, :]
+    var = np.mean(np.abs(resid) ** 2, axis=-2)
+    sinr = np.abs(own) ** 2 / np.maximum(var, 1e-300)
     return np.log2(1.0 + sinr)
 
 

@@ -1,6 +1,7 @@
 """Command-line harness: design | simulate | sweep-dt | compare-baseline.
 
-Exit codes: 0 success, 1 validation error, 2 infeasibility, 3 I/O error.
+Exit codes: 0 success, 1 validation error, 2 infeasibility, 3 I/O error,
+4 non-finite output (nothing written for that file).
 """
 
 import argparse
@@ -11,6 +12,7 @@ from .errors import (
     BracketError,
     ConfigError,
     InfeasibleError,
+    NumericalError,
     ShapeError,
     UiobeamError,
 )
@@ -22,6 +24,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
+EXIT_NUMERICAL = 4
 
 
 def _build_parser():
@@ -121,6 +124,9 @@ def main(argv=None):
     except (ConfigError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

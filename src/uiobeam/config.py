@@ -14,6 +14,7 @@ import numpy as np
 import yaml
 
 from .beamforming import ArrayConfig, default_noise_power
+from .design import MU_BRACKET, P_GRID_SPAN
 from .dynamics import MeasurementModel, UavScenario
 from .errors import ConfigError, ShapeError
 
@@ -200,11 +201,14 @@ def config_from_mapping(data, run_overrides=None):
     if not mu_list or not all(m > 0 for m in mu_list):
         raise ConfigError("observer.mu_max entries must be positive")
     h_diag = _read(data, "observer.h_diag", 1.0, ndim=None, size=2 * n_uavs)
+    # the certificate search's p grid reaches P_GRID_SPAN * h^2 / mu at the
+    # bracket floor mu = MU_BRACKET[0]; it must stay finite
     with np.errstate(over="ignore"):
-        h_squared_finite = np.all(np.isfinite(h_diag * h_diag))
-    if not h_squared_finite:
-        raise ConfigError(f"observer.h_diag entries must have a finite square, "
-                          f"got {h_diag.tolist()}")
+        grid_top = P_GRID_SPAN * (h_diag * h_diag / MU_BRACKET[0])
+    if not np.all(np.isfinite(grid_top)):
+        raise ConfigError(f"observer.h_diag entries are too large for the certificate "
+                          f"search, whose p grid reaches {P_GRID_SPAN:g} * h^2 / "
+                          f"{MU_BRACKET[0]:g}; got {h_diag.tolist()}")
     observer_init = _lookup(data, "observer.init", "measurement")
     if observer_init not in ("measurement", "zero"):
         raise ConfigError(f"observer.init must be 'measurement' or 'zero', got {observer_init!r}")

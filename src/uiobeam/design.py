@@ -26,7 +26,8 @@ block gives a closed form (Boyd, El Ghaoui, Feron, Balakrishnan, LMIs in
 System and Control Theory, SIAM 1994): a coordinate is feasible iff mu >=
 mu_floor(alpha, b, d, h), and this floor decides every feasibility question
 here. The numeric search (p grid, golden section over z on the max-eigenvalue
-oracle) only picks the certificate at the final mu; one definiteness check of
+oracle) only picks the certificate at the final mu (design_level gives that
+mu, certify_level the certificate); one definiteness check of
 the (dim, 3, 3) tracking-block stack and one of the (dim, 2, 2) performance-
 block stack certify it, per coordinate. The dense blocks (assemble_lmi_blocks,
 feasible) are the test oracle for that certificate: they take dense P and Z,
@@ -265,14 +266,12 @@ def mu_feasible(prob, mu):
     return bool(np.all(mu_floor(prob.alpha, prob.b_t, prob.d, prob.h) <= mu))
 
 
-def design(prob):
-    """Smallest-mu certified design within prob.mu_max.
+def design_level(prob):
+    """The level mu* of design(): the smallest bisected mu within
+    prob.mu_max that the closed-form floor admits for every coordinate.
 
-    Bisects mu over MU_BRACKET within (0, mu_max] against the closed-form
-    floor, searches one certificate per distinct coordinate at the final mu
-    and certifies it per coordinate with diagonal_feasible() (two stacked
-    definiteness checks, no dense block). Gains: L = P^{-1} Z, Q = I - L, as
-    diagonals l = z / p and q = 1 - l."""
+    Bisects mu over MU_BRACKET within (0, mu_max] against the floor; raises
+    InfeasibleError when no admissible mu is feasible."""
     floors = mu_floor(prob.alpha, prob.b_t, prob.d, prob.h)
     worst = int(np.argmax(floors))
     lo, hi = MU_BRACKET
@@ -304,22 +303,38 @@ def design(prob):
                 mu_star = mid
             else:
                 log_lo = np.log10(mid)
+    return mu_star
+
+
+def certify_level(prob, mu):
+    """The certified design at level ``mu`` (as design_level gives it): one
+    certificate search per distinct coordinate (b, d, h), certified per
+    coordinate with diagonal_feasible() (two stacked definiteness checks, no
+    dense block). It does not read prob.mu_max. Gains: L = P^{-1} Z,
+    Q = I - L, as diagonals l = z / p and q = 1 - l."""
     rows, inverse = np.unique(np.column_stack([prob.b_t, prob.d, prob.h]), axis=0,
                               return_inverse=True)
-    row_pairs = [_coordinate_search(prob.alpha, *map(float, row), mu_star) for row in rows]
+    row_pairs = [_coordinate_search(prob.alpha, *map(float, row), mu) for row in rows]
     pairs = [row_pairs[k] for k in inverse.ravel()]
     for coord, pair in enumerate(pairs):
         if pair is None:
+            floor = mu_floor(prob.alpha, prob.b_t[coord], prob.d[coord], prob.h[coord])
             raise InfeasibleError(
-                f"no certificate candidate found at mu={mu_star:g} for coordinate "
-                f"{coord} (UAV {coord // 2}, closed-form floor {floors[coord]:.6g})",
-                mu_attempted=mu_star,
+                f"no certificate candidate found at mu={mu:g} for coordinate "
+                f"{coord} (UAV {coord // 2}, closed-form floor {floor:.6g})",
+                mu_attempted=mu,
             )
     p_diag, z_diag = np.array(pairs).T
-    certified = diagonal_feasible(prob, p_diag, z_diag, mu_star, tol=ORACLE_TOL)
-    solution = LmiSolution.from_mu(p_diag, z_diag, mu_star, certified)
+    certified = diagonal_feasible(prob, p_diag, z_diag, mu, tol=ORACLE_TOL)
+    solution = LmiSolution.from_mu(p_diag, z_diag, mu, certified)
     gains = ObserverGains.from_l(z_diag / p_diag, h=prob.h)
     return solution, gains
+
+
+def design(prob):
+    """Smallest-mu certified design within prob.mu_max: the certificate of
+    certify_level() at the level of design_level()."""
+    return certify_level(prob, design_level(prob))
 
 
 def gain_point_feasible(prob, ell, mu):

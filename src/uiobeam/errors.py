@@ -39,3 +39,7 @@ class DegenerateGeometryError(UiobeamError):
 
 class ConfigError(UiobeamError):
     """Invalid or unknown configuration content."""
+
+
+class NumericalError(UiobeamError):
+    """A computed output holds a non-finite value (nan or inf)."""

@@ -137,25 +137,33 @@ def pinv_full_col_rank(g):
 
 
 def solve_hermitian(m, rhs):
-    """Solve m @ x = rhs for Hermitian positive-definite m.
+    """Solve m @ x = rhs for Hermitian positive-definite m, or for each matrix
+    of a stack m (..., k, k) against rhs (..., k, r) (broadcast) in one
+    batched factorization and solve; every matrix of the stack reaches the
+    same LAPACK calls as it would alone.
 
     Residual contract: ||m x - rhs||_inf <= SOLVE_RESIDUAL_TOL * ||rhs||_inf
-    for well-conditioned m.
+    for well-conditioned m. The Hermitian check is taken per matrix, and
+    SingularMatrixError is raised when any matrix is not positive definite.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ShapeError(f"matrix must be square, got shape {m.shape}")
     rhs = np.asarray(rhs, dtype=complex)
-    if rhs.shape[0] != m.shape[0]:
-        raise ShapeError(f"rhs leading dimension {rhs.shape[0]} != matrix size {m.shape[0]}")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    gap = float(np.max(np.abs(m - m.conj().T)))
-    if gap > HERMITIAN_TOL * scale:
+    rows = rhs.shape[0] if rhs.ndim == 1 else rhs.shape[-2]
+    if rows != m.shape[-1]:
+        raise ShapeError(f"rhs leading dimension {rows} != matrix size {m.shape[-1]}")
+    m_h = np.swapaxes(m.conj(), -1, -2)
+    scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+    gap = np.max(np.abs(m - m_h), axis=(-2, -1))
+    bad = np.argwhere(gap > HERMITIAN_TOL * scale)
+    if len(bad):
+        at = tuple(bad[0])
         raise ShapeError(
-            f"matrix is not Hermitian: max |M - M^H| = {gap:.3e} "
-            f"(allowed {HERMITIAN_TOL * scale:.3e})"
+            f"matrix is not Hermitian: max |M - M^H| = {gap[at]:.3e} "
+            f"(allowed {HERMITIAN_TOL * scale[at]:.3e})"
         )
-    herm = 0.5 * (m + m.conj().T)
+    herm = 0.5 * (m + m_h)
     try:
         np.linalg.cholesky(herm)
     except np.linalg.LinAlgError:

@@ -10,11 +10,20 @@ sequentially.
 
 The link layer builds each precoder once per distinct steering input: the
 pattern snapshots reuse the precoders of the link time series, the echo-fed
-precoder of `run_compare` is held while the echo stays blocked and reuses
-the channel's steering, and the pattern grid is steered once per design.
-Both link loops take their M_CE-row steering matrices from one
-`beamforming.steering_ahead` stream, ordered [true_k, steered_k] per step,
-so the next step's matrices are filled while the current step runs.
+precoder of `run_compare` is held while the echo stays blocked (also across
+chunk edges) and reuses the channel's steering, and the pattern grid is
+steered once per design.
+
+Both link loops run over chunks of steps, not single steps: a chunk holds
+max(1, LINK_CHUNK_ENTRIES // (max(M_CE, noise_draws) * N)) steps, and each
+beamforming call of an iteration takes the chunk's (step, ...) stacks. The
+beamforming functions give every step of a stack the bits of its own 2-D
+call, so the chunk size changes no output byte. `run_compare` makes each
+chunk's random draws one step after another in the order of a per-step loop
+(the channel phases of phase_mode 'random', then the symbol uniforms and the
+two noise parts). Both loops take their M_CE-row steering stacks from one
+`beamforming.steering_ahead` stream, ordered [true chunk, steered chunk], so
+the next chunk's stacks can be filled while the current chunk runs.
 """
 
 import json
@@ -28,12 +37,21 @@ import numpy as np
 from . import beamforming as bf
 from . import observer as obs
 from .config import config_hash, require_link_config
-from .design import LmiProblem, critical_dt
+from .design import LmiProblem, certify_level, critical_dt, design_level
 from .design import design as solve_design
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericalError, ShapeError
 from .linalg import row_norms
 
 PATTERN_SPAN_DEG = 89.75
+# Entries (steps * max(M_CE, noise_draws) * N) of one link chunk: the link
+# loops run max(1, LINK_CHUNK_ENTRIES // (max(M_CE, noise_draws) * N)) steps
+# per iteration, 16 on the reference fleet (N=4, M_CE=64, 64 draws) and 1 for
+# 64 UAVs on 1024 antennas. Larger chunks buy little time for memory: on two
+# cores, simulate plus compare-baseline of bench/run.py's ref-long (seed 0) in
+# one process peaked at 41.4 MiB with one step per iteration, 42.2 MiB at
+# 2^12 entries, 45.4 MiB at 2^14 and 55.8 MiB at 2^16, while 2^14 and 2^16
+# ran within the run-to-run spread of 2^12.
+LINK_CHUNK_ENTRIES = 1 << 12
 _FORMATS = {"b": "%d", "i": "%d", "f": "%.17g"}
 
 
@@ -43,12 +61,19 @@ def write_csv(path, header, columns):
 
     Each file gets one %-template: integer and boolean columns are written
     with %d, float columns with %.17g (the digits of format(x, '.17g')) and
-    any other column with %s.
+    any other column with %s. A nan or inf in a float column raises
+    NumericalError naming the file, the column and the first bad row, and
+    nothing is written.
     """
     columns = [np.ravel(c) for c in columns]
     sizes = {c.size for c in columns}
     if len(sizes) != 1:
         raise ShapeError(f"CSV columns differ in length: {sorted(sizes)}")
+    for name, c in zip(header, columns):
+        if c.dtype.kind == "f" and not np.all(np.isfinite(c)):
+            row = int(np.argmin(np.isfinite(c)))
+            raise NumericalError(f"{path}: column {name} is {c[row]} at row {row} "
+                                  f"(rows count from 0)")
     template = ",".join(_FORMATS.get(c.dtype.kind, "%s") for c in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -56,8 +81,31 @@ def write_csv(path, header, columns):
     return sizes.pop()
 
 
+def _first_non_finite(obj, where=""):
+    """(key path, value) of the first nan or inf float in a JSON-ready
+    object, or None."""
+    if isinstance(obj, float):
+        return None if np.isfinite(obj) else (where, obj)
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return None
+    for key, value in items:
+        found = _first_non_finite(value, f"{where}[{key!r}]")
+        if found:
+            return found
+    return None
+
+
 def write_json(path, obj):
-    """Indented, key-sorted JSON with a trailing newline."""
+    """Indented, key-sorted JSON with a trailing newline. A nan or inf value
+    (JSON has no such numbers) raises NumericalError naming the file and the
+    value's key path, and nothing is written."""
+    found = _first_non_finite(obj)
+    if found:
+        raise NumericalError(f"{path}: value {found[0]} is {found[1]}")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -81,12 +129,19 @@ def run_design(cfg):
     """One certified design per configured mu bound.
 
     Returns (records, designs) where records are JSON-ready dicts and designs
-    are the matching (LmiSolution, ObserverGains) pairs.
+    are the matching (LmiSolution, ObserverGains) pairs. The certificate
+    depends on a bound only through its level mu*, so it is searched once
+    per distinct mu* of this call, and bounds at one level share it.
     """
     records = []
     designs = []
+    certified = {}  # mu* -> (LmiSolution, ObserverGains)
     for mu_max in cfg.mu_list:
-        solution, gains = solve_design(design_problem(cfg, mu_max))
+        prob = design_problem(cfg, mu_max)
+        mu_star = design_level(prob)
+        if mu_star not in certified:
+            certified[mu_star] = certify_level(prob, mu_star)
+        solution, gains = certified[mu_star]
         designs.append((solution, gains))
         records.append({
             "alpha": cfg.alpha,
@@ -109,18 +164,30 @@ def _predicted_angles(cfg, xhat):
     return np.where(row_norms(deltas) < bf.MIN_RANGE, 0.0, bf.azimuths(deltas))
 
 
+def _positions(cfg, run):
+    """(step, UAV, 2) true positions of the link steps."""
+    return run["X"][:cfg.horizon].reshape(cfg.horizon, -1, 2)
+
+
 def _true_angles(cfg, run):
     """(step, UAV) true azimuths, as the channel of each step computes them."""
-    x = run["X"][:cfg.horizon].reshape(cfg.horizon, -1, 2)
-    return bf.azimuths(x - cfg.scenario.center)
+    return bf.azimuths(_positions(cfg, run) - cfg.scenario.center)
 
 
-def _link_steering(cfg, theta, angles):
-    """The link loop's M_CE-row steering matrices as a stream in a context
-    manager: for each step k, the channel's at the true azimuths theta[k],
-    then the precoder's at angles[k]."""
-    sets = np.stack([theta, angles[:cfg.horizon]], axis=1)
-    return closing(bf.steering_ahead(cfg.array, sets.reshape(2 * cfg.horizon, -1)))
+def _link_chunks(cfg):
+    """(k0, k1) step ranges of the link loops: chunks of
+    max(1, LINK_CHUNK_ENTRIES // (max(M_CE, noise_draws) * N)) steps."""
+    size = cfg.scenario.n_uavs * max(cfg.array.m_ce, cfg.noise_draws)
+    steps = max(1, LINK_CHUNK_ENTRIES // size)
+    return [(k0, min(k0 + steps, cfg.horizon)) for k0 in range(0, cfg.horizon, steps)]
+
+
+def _link_steering(cfg, chunks, theta, angles):
+    """The link loop's M_CE-row steering stacks as a stream in a context
+    manager: for each chunk, the channel's at the true azimuths theta, then
+    the precoder's at ``angles``, each (chunk steps, M_CE, N)."""
+    sets = [s for k0, k1 in chunks for s in (theta[k0:k1], angles[k0:k1])]
+    return closing(bf.steering_ahead(cfg.array, sets))
 
 
 def echo_blockage(windows, dt, horizon):
@@ -139,22 +206,6 @@ def echo_blockage(windows, dt, horizon):
     return in_window, np.maximum.accumulate(np.where(in_window, 0, steps))
 
 
-def _channel_at(cfg, x_stacked, rng, a):
-    """Line-of-sight channel at the true positions; its theta holds the true
-    azimuths and its a/b the steering toward them (``a`` prebuilt)."""
-    return bf.ChannelRealization.line_of_sight(
-        cfg.array, x_stacked.reshape(-1, 2), cfg.scenario.center, cfg.sigma2,
-        phase_mode=cfg.phase_mode, rng=rng, a=a,
-    )
-
-
-def _precode(cfg, angles, a):
-    """Zero-forcing precoder at the steering angles, given their steering
-    matrix ``a``, and its equal power split."""
-    beams = bf.safe_beamformer(cfg.array, angles, a=a)
-    return beams, bf.equal_power_allocation(beams, cfg.total_power)
-
-
 def link_timeseries(cfg, run, angles):
     """Analytic per-step link reports along a tracking run, with the beams
     steered at ``angles`` (step, UAV).
@@ -171,16 +222,23 @@ def link_timeseries(cfg, run, angles):
     se = np.empty((horizon, n))
     ridge = np.empty(horizon)
     kept = {}
-    with _link_steering(cfg, _true_angles(cfg, run), angles) as steering:
-        for k in range(horizon):
-            chan = _channel_at(cfg, run["X"][k], rng, next(steering))
-            beams, power = _precode(cfg, angles[k], next(steering))
+    chunks = _link_chunks(cfg)
+    x = _positions(cfg, run)
+    with _link_steering(cfg, chunks, _true_angles(cfg, run), angles) as steering:
+        for k0, k1 in chunks:
+            chan = bf.ChannelRealization.line_of_sight(
+                cfg.array, x[k0:k1], cfg.scenario.center, cfg.sigma2,
+                phase_mode=cfg.phase_mode, rng=rng, a=next(steering),
+            )
+            beams = bf.safe_beamformer(cfg.array, angles[k0:k1], a=next(steering))
+            power = bf.equal_power_allocation(beams, cfg.total_power)
             report = bf.link_report(cfg.array, chan, beams, power)
-            sinr_db[k] = report.sinr_db
-            se[k] = report.se
-            ridge[k] = beams.ridge
-            if k in cfg.pattern_snapshots:
-                kept[k] = beams.f
+            sinr_db[k0:k1] = report.sinr_db
+            se[k0:k1] = report.se
+            ridge[k0:k1] = beams.ridge
+            for k in cfg.pattern_snapshots:
+                if k0 <= k < k1:
+                    kept[k] = beams.f[k - k0]
     return sinr_db, se, ridge, [kept[k] for k in cfg.pattern_snapshots]
 
 
@@ -312,6 +370,29 @@ def run_sweep_dt(cfg, out_dir):
     return rows
 
 
+def _echo_precoders(cfg, chan, k0, sources, held):
+    """The echo-fed precoders and powers of the chunk starting at step k0
+    whose channel stack is ``chan``: step k steers with the true angles of
+    its last unblocked step sources[k - k0]. A precoder is built at each
+    step that is its own source, from that step's channel steering, and the
+    last one built is held into the next chunk. ``held`` and the returned
+    hold are (source steps, f, a, theta, ridge, power) stacks. Returns the
+    precoders and powers gathered per step, and what to hold."""
+    fresh = np.flatnonzero(sources == k0 + np.arange(sources.size))
+    pool = held
+    if fresh.size:
+        beams = bf.safe_beamformer(cfg.array, chan.theta[fresh], a=chan.a[fresh])
+        built = (k0 + fresh, beams.f, beams.a, beams.theta, beams.ridge,
+                 bf.equal_power_allocation(beams, cfg.total_power))
+        # the held precoder is needed only while the chunk starts blocked
+        pool = built if sources[0] >= k0 else tuple(map(np.concatenate, zip(held, built)))
+    pick = np.searchsorted(pool[0], sources)
+    pool = tuple(v[pick] for v in pool)
+    _, f, a, theta, ridge, power = pool
+    beams = bf.BeamformerMatrix(f=f, a=a, theta=theta, ridge=ridge)
+    return beams, power, tuple(v[-1:] for v in pool)
+
+
 def run_compare(cfg, out_dir, force_uio_truth=False):
     """Paired blockage comparison of the prediction-fed and echo-fed links at
     the first configured mu bound.
@@ -345,21 +426,27 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
     se_uio = np.empty(cfg.horizon)
     se_echo = np.empty(cfg.horizon)
     fallback_steps = {"uio": [], "echo_baseline": []}
-    with _link_steering(cfg, theta, predicted) as steering:
-        for k in range(cfg.horizon):
-            chan = _channel_at(cfg, run["X"][k], rng, next(steering))
-            symbols, noise = bf.draw_link_samples(n, cfg.sigma2, rng, cfg.noise_draws)
-            uio = _precode(cfg, predicted[k], next(steering))
-            if k == 0 or last_clear[k] != last_clear[k - 1]:
-                # last_clear[k] == k here, so the echo steers with this step's
-                # channel; the precoder is held while the echo is blocked
-                echo = _precode(cfg, chan.theta, chan.a)
-            for mode, se, (beams, power) in (("uio", se_uio, uio),
-                                             ("echo_baseline", se_echo, echo)):
-                se[k] = np.mean(
-                    bf.empirical_link_se(cfg.array, chan, beams, power, symbols, noise))
-                if beams.ridge > 0.0:
-                    fallback_steps[mode].append(k)
+    chunks = _link_chunks(cfg)
+    x = _positions(cfg, run)
+    held = None  # the last echo precoder built, as _echo_precoders holds it
+    with _link_steering(cfg, chunks, theta, predicted) as steering:
+        for k0, k1 in chunks:
+            phases, symbols, noise = bf.draw_link_steps(
+                n, cfg.sigma2, rng, cfg.noise_draws, k1 - k0,
+                channel_phases=cfg.phase_mode == "random",
+            )
+            chan = bf.ChannelRealization.line_of_sight(
+                cfg.array, x[k0:k1], cfg.scenario.center, cfg.sigma2,
+                phase_mode=cfg.phase_mode, phases=phases, a=next(steering),
+            )
+            uio = bf.safe_beamformer(cfg.array, predicted[k0:k1], a=next(steering))
+            uio_power = bf.equal_power_allocation(uio, cfg.total_power)
+            echo, echo_power, held = _echo_precoders(cfg, chan, k0, last_clear[k0:k1], held)
+            for mode, se, beams, power in (("uio", se_uio, uio, uio_power),
+                                           ("echo_baseline", se_echo, echo, echo_power)):
+                se[k0:k1] = np.mean(bf.empirical_link_se(
+                    cfg.array, chan, beams, power, symbols, noise), axis=-1)
+                fallback_steps[mode].extend((k0 + np.flatnonzero(beams.ridge > 0.0)).tolist())
     steps = np.arange(cfg.horizon)
     files = {
         "se_compare.csv": write_csv(

@@ -11,14 +11,27 @@ from uiobeam import beamforming, linalg
 design_module = importlib.import_module("uiobeam.design")
 
 
+class SteeringShapes(list):
+    """Shapes of steering allocations, in build order; an allocation of
+    shape (..., count, N) holds one matrix per step of its leading axes."""
+
+    def matrices(self, count, n=None):
+        """Steering matrices with ``count`` rows (and ``n`` columns) built:
+        the product of the leading dimensions of each such allocation."""
+        return sum(int(np.prod(shape[:-2])) for shape in self
+                   if shape[-2] == count and n in (None, shape[-1]))
+
+
 @pytest.fixture
 def steering_shapes(monkeypatch):
-    """Shapes of the steering matrices the beamforming module builds while
-    the test runs, in build order (clear the list to restart the count).
-    Every matrix, whether steering_matrix or the steering_ahead stream
-    fills it, and on whichever thread, starts as one array allocated by
-    _steering_arguments on the caller's thread, which is what is counted."""
-    shapes = []
+    """Shapes of the steering arrays the beamforming module allocates while
+    the test runs, in build order (clear the list to restart the count); a
+    step stack of C matrices is one (C, count, N) allocation, and
+    ``matrices`` counts matrices. Every matrix, whether steering_matrix or
+    the steering_ahead stream fills it, and on whichever thread, starts in
+    one array allocated by _steering_arguments on the caller's thread, which
+    is what is recorded."""
+    shapes = SteeringShapes()
     allocate = beamforming._steering_arguments
 
     def counted(cfg, thetas, count):

@@ -28,7 +28,7 @@ from uiobeam.beamforming import (
     beam_pattern,
     beamformer,
     default_noise_power,
-    draw_link_samples,
+    draw_link_steps,
     empirical_link_se,
     equal_power_allocation,
     half_power_width,
@@ -495,7 +495,7 @@ def test_se_monotone_in_steering_error():
 def test_empirical_se_reproducible_and_near_analytic():
     chan, bf, power = reference_link(stale=0.01)
     rng = np.random.default_rng(7)
-    symbols, noise = draw_link_samples(4, chan.sigma2, rng, 20_000)
+    _, (symbols,), (noise,) = draw_link_steps(4, chan.sigma2, rng, 20_000, 1)
     se_a = empirical_link_se(CFG, chan, bf, power, symbols, noise)
     se_b = empirical_link_se(CFG, chan, bf, power, symbols, noise)
     np.testing.assert_array_equal(se_a, se_b)
@@ -613,3 +613,73 @@ def test_predicted_angles_match_per_step_rows():
         expected[np.linalg.norm(deltas, axis=1) < 1e-12] = 0.0
         np.testing.assert_array_equal(angles[k], expected)
     assert angles[7, 1] == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m_ce=st.sampled_from([4, 16, 64]),
+    n=st.integers(1, 6),
+    steps=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    colliding=st.lists(st.booleans(), min_size=5, max_size=5),
+    singular=st.integers(-1, 4),
+)
+def test_stacked_link_equals_per_step_calls_bit_for_bit(
+    m_ce, n, steps, seed, colliding, singular
+):
+    # a (steps, ...) stack of the link functions equals their 2-D calls one
+    # step at a time: random angles, steps whose sines collide (ridge) and
+    # one step whose precoder steering has a zero column, an exactly
+    # singular Gram matrix that passes every sine gap
+    cfg = ArrayConfig(m_ce=m_ce, n_u=4, wavelength=0.01)
+    rng = np.random.default_rng(seed)
+    azimuth = rng.uniform(-np.pi, np.pi, (steps, n))
+    reach = rng.uniform(50.0, 300.0, (steps, n, 1))
+    positions = reach * np.stack([np.cos(azimuth), np.sin(azimuth)], axis=-1)
+    angles = azimuth + rng.normal(0.0, 0.01, (steps, n))
+    if n >= 2:
+        for k in range(steps):
+            if colliding[k]:
+                angles[k, 1] = np.pi - angles[k, 0]
+    a = steering_matrix(cfg, angles)
+    singular = singular if n >= 2 and singular < steps else -1
+    if singular >= 0:
+        a[singular, :, rng.integers(n)] = 0.0
+    sigma2 = default_noise_power(cfg, 1.0, n, 250.0, 10.0)
+    chan = ChannelRealization.line_of_sight(cfg, positions, [0.0, 0.0], sigma2)
+    beams = safe_beamformer(cfg, angles, a=a)
+    power = equal_power_allocation(beams, 1.0)
+    report = link_report(cfg, chan, beams, power)
+    _, symbols, noise = beamforming.draw_link_steps(n, sigma2, rng, 8, steps)
+    se = empirical_link_se(cfg, chan, beams, power, symbols, noise)
+    assert beams.ridge.shape == (steps,)
+    if singular >= 0:
+        assert beams.ridge[singular] == FALLBACK_RIDGE
+    for k in range(steps):
+        chan_k = ChannelRealization.line_of_sight(cfg, positions[k], [0.0, 0.0], sigma2)
+        beams_k = safe_beamformer(cfg, angles[k], a=a[k].copy())
+        power_k = equal_power_allocation(beams_k, 1.0)
+        report_k = link_report(cfg, chan_k, beams_k, power_k)
+        assert beams.ridge[k] == beams_k.ridge
+        for got, expected in (
+            (chan.h[k], chan_k.h), (chan.a[k], chan_k.a), (chan.b[k], chan_k.b),
+            (beams.f[k], beams_k.f), (power[k], power_k), (report.g[k], report_k.g),
+            (report.sinr_db[k], report_k.sinr_db), (report.se[k], report_k.se),
+            (se[k], empirical_link_se(cfg, chan_k, beams_k, power_k, symbols[k], noise[k])),
+        ):
+            assert_same_bits(got, expected)
+
+
+def test_link_step_draws_follow_the_per_step_order():
+    # phases, symbol uniforms and the two noise parts, one step after another
+    n, sigma2, draws = 3, 0.5, 5
+    stacked = beamforming.draw_link_steps(n, sigma2, np.random.default_rng(4), draws, 4,
+                                          channel_phases=True)
+    rng = np.random.default_rng(4)
+    for k in range(4):
+        assert_same_bits(stacked[0][k], beamforming.random_phases(rng, n))
+        symbols = np.exp(2j * np.pi * rng.random((draws, n)))
+        noise = np.sqrt(sigma2 / 2.0) * (
+            rng.standard_normal((draws, n)) + 1j * rng.standard_normal((draws, n)))
+        assert_same_bits(stacked[1][k], symbols)
+        assert_same_bits(stacked[2][k], noise)
