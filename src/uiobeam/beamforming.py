@@ -40,17 +40,17 @@ it, so it makes no BLAS call, no RNG draw and no array allocation. These are
 the same ufuncs on the same values as in `steering_matrix`, and each entry
 is computed elementwise, so a stack has the same bits whichever thread fills
 which block. The helper runs only when this process may use at least two
-CPUs (`os.sched_getaffinity`; one where the platform does not say) and one
-step's matrix (M_CE x N) has at least LOOKAHEAD_MIN_ENTRIES entries;
-otherwise the stream fills each stack inline. No setting selects the helper.
+CPUs (`linalg.usable_cpus`) and one step's matrix (M_CE x N) has at least
+LOOKAHEAD_MIN_ENTRIES entries; otherwise the stream fills each stack inline.
+No setting selects the helper.
 """
 
-import os
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import ConditioningError, DegenerateGeometryError, ShapeError, SingularMatrixError
 from .linalg import solve_hermitian
 
@@ -146,11 +146,6 @@ LOOKAHEAD = 2
 BLOCK_ENTRIES = 1 << 15
 
 
-def _lanes():
-    """CPUs this process may run on (1 where the platform does not say)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _finish(out, blocks):
     """``out`` once every row block is filled: the caller fills each block
     the helper has not started and waits for the rest."""
@@ -179,7 +174,7 @@ def steering_ahead(cfg, angle_sets):
     angle_sets = [np.atleast_1d(np.asarray(thetas, float)) for thetas in angle_sets]
     count = cfg.m_ce
     entries = max((count * thetas.shape[-1] for thetas in angle_sets), default=0)
-    if entries < LOOKAHEAD_MIN_ENTRIES or _lanes() < 2:
+    if entries < LOOKAHEAD_MIN_ENTRIES or linalg.usable_cpus() < 2:
         for thetas in angle_sets:
             yield steering_matrix(cfg, thetas)
         return

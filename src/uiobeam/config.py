@@ -188,10 +188,16 @@ def config_from_mapping(data, run_overrides=None):
         raise ConfigError(f"scenario: {exc}") from None
 
     d_diag = _read(data, "measurement.d_diag", ndim=1, size=2 * n_uavs)
+    d_field = "measurement.d_diag" if d_diag is not None else "measurement.d_scale"
     if d_diag is not None:
         model = MeasurementModel(d=d_diag)
     else:
         model = MeasurementModel.scaled_identity(n_uavs, _read(data, "measurement.d_scale", 0.5))
+    # the closed-form floor and feasible dt interval take d^2
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(model.d * model.d)):
+            raise ConfigError(f"{d_field} entries must have a finite square, got "
+                              f"{np.unique(model.d).tolist()}")
 
     alpha = _read(data, "observer.alpha", 0.5)
     if not 0.0 < alpha < 1.0:
@@ -238,8 +244,16 @@ def config_from_mapping(data, run_overrides=None):
         except (OverflowError, ZeroDivisionError):
             sigma2 = 0.0
         if not (np.isfinite(sigma2) and sigma2 > 0):
-            raise ConfigError(f"channel.target_snr_db must give a finite, positive noise "
-                              f"power, got {target_snr_db} dB")
+            wave = (("array.wavelength", wavelength, " m") if wavelength is not None
+                    else ("array.carrier_hz", carrier, " Hz"))
+            inputs = [("channel.target_snr_db", target_snr_db, " dB"), wave,
+                      ("channel.snr_ref_range", snr_ref_range, " m"),
+                      ("channel.total_power", total_power, "")]
+            # the fields the file sets come first: one of them is the cause
+            inputs.sort(key=lambda item: _lookup(data, item[0]) is None)
+            named = ", ".join(f"{name} {value:g}{unit}" for name, value, unit in inputs)
+            raise ConfigError(f"{named}: the noise power they give must be finite and "
+                              f"positive (or set channel.sigma2)")
     elif sigma2 < 0:
         raise ConfigError("channel.sigma2 must be non-negative")
     phase_mode = _lookup(data, "channel.phase_mode", "range")
@@ -317,6 +331,24 @@ def require_link_config(cfg):
         )
 
 
+# libyaml parses a large config about ten times faster than the pure-Python
+# parser and builds the same mapping (both use SafeConstructor and the same
+# resolver), but words some errors differently.
+_FAST_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def _load_yaml(path):
+    """The YAML file at ``path`` as yaml.safe_load reads it. On an error of
+    the fast loader the file is read again by the pure-Python loader, so the
+    error raised, its message, line and column are those of yaml.safe_load."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return yaml.load(fh.read(), Loader=_FAST_LOADER)
+        except yaml.YAMLError:
+            fh.seek(0)
+            return yaml.safe_load(fh)
+
+
 def parse_config(path=None, run_overrides=None):
     """Load a YAML config file (None or empty file means all defaults) and
     validate it with ``run_overrides`` applied to its ``run`` section. A file
@@ -325,8 +357,7 @@ def parse_config(path=None, run_overrides=None):
     data = {}
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = yaml.safe_load(fh)
+            data = _load_yaml(path)
         except UnicodeDecodeError as exc:
             bad = exc.object[exc.start]
             raise ConfigError(f"{path}: not UTF-8 text (byte 0x{bad:02x}: {exc.reason})") from None

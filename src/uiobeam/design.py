@@ -29,9 +29,21 @@ here. The numeric search (p grid, golden section over z on the max-eigenvalue
 oracle) only picks the certificate at the final mu (design_level gives that
 mu, certify_level the certificate); one definiteness check of
 the (dim, 3, 3) tracking-block stack and one of the (dim, 2, 2) performance-
-block stack certify it, per coordinate. The dense blocks (assemble_lmi_blocks,
-feasible) are the test oracle for that certificate: they take dense P and Z,
-build B_T, D and H from the vectors and are not assembled at run time.
+block stack certify it, per coordinate.
+
+The search runs once per level: the p grids of all distinct coordinates form
+one flat stack of grid points, and each golden-section iteration evaluates
+both section points of the whole stack in one eigvalsh call. A stack of at
+least 2 * SEARCH_LANE_MIN_POINTS points is cut into contiguous slices, one
+per usable CPU (linalg.usable_cpus), searched on their own threads; smaller
+stacks stay on the calling thread. Every step is elementwise per grid point
+and LAPACK takes each 3x3 block on its own, so a coordinate's certificate
+has the same bits whatever rows share its stack, however the stack is cut
+and on how many threads. No setting selects the lanes.
+
+The dense blocks (assemble_lmi_blocks, feasible) are the test oracle for
+that certificate: they take dense P and Z, build B_T, D and H from the
+vectors and are not assembled at run time.
 """
 
 from dataclasses import dataclass, replace
@@ -55,6 +67,14 @@ INNER_TOL = 0.1 * linalg.DEFINITENESS_TOL
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 75
+# Smallest number of grid points (3x3 tracking blocks per golden evaluation)
+# per lane of the certificate search; a smaller stack is searched on the
+# calling thread, because below it the hand-off costs more than the second
+# CPU saves. Measured on two cores, two lanes against one, 30 alternating
+# pairs per size (median time ratio, pairs won): 200 points (one row, as in
+# ref-long and fleet-n64) 1.25, 11/30; 400 1.04, 13/30; 600 0.98, 15/30;
+# 800 0.79, 26/30; 1600 0.71, 30/30.
+SEARCH_LANE_MIN_POINTS = 400
 
 
 @dataclass(frozen=True)
@@ -185,6 +205,13 @@ def tracking_blocks(alpha, b, d, p, z):
     dense block is permutation-similar to one block per state coordinate
     (b, d) at certificate entries (p, z). Broadcasts over array arguments to
     a (..., 3, 3) stack."""
+    return _tracking_blocks(alpha, b, d, p, z)
+
+
+def _tracking_blocks(alpha, b, d, p, z):
+    """tracking_blocks() for the certificate search's lane threads:
+    bench/tracer.py times the public functions on one span stack, so only
+    private ones may run off the main thread."""
     blocks = np.zeros(np.broadcast(b, d, p, z).shape + (3, 3))
     blocks[..., 0, 0] = (alpha - 1.0) * p
     blocks[..., 0, 2] = blocks[..., 2, 0] = p - z
@@ -214,44 +241,69 @@ def diagonal_feasible(prob, p_diag, z_diag, mu, tol=ORACLE_TOL):
     return m1.verdict == "NSD" and m2.verdict == "PSD"
 
 
-def _max_eig_m1(alpha, b, d, ps, zs):
-    """lambda_max of the 3x3 tracking blocks, vectorized over paired (ps, zs)."""
-    return np.linalg.eigvalsh(tracking_blocks(alpha, b, d, ps, zs))[:, -1]
-
-
-def _coordinate_search(alpha, b, d, h, mu, tol=INNER_TOL):
-    """Search the (p, z) pair certifying one scalar coordinate at level mu.
-
-    p runs over a log grid anchored at the M2 Schur bound p >= h^2/mu; for
-    each p a golden-section search minimizes lambda_max of the 3x3 block over
-    z within the necessary window |z - p| <= p sqrt(1-alpha) (lambda_max is
-    convex in z, so the section search is globally valid). Among the feasible
-    grid points it prefers the smallest gain magnitude |z/p| (most damped,
-    rounded so eigensolver noise cannot reorder equivalent gains), ties broken
-    by smaller p (smaller certificates are numerically safer). Returns that
-    (p, z) pair, or None when no grid point is feasible.
-    """
-    p_lo = max(h * h / mu, P_FLOOR)
-    ps = np.geomspace(p_lo, P_GRID_SPAN * p_lo, P_GRID_POINTS)
+def _golden_section(alpha, b, d, ps):
+    """Golden-section search over z at every grid point (b, d, p) of a flat
+    stack, within the window |z - p| <= p sqrt(1-alpha): returns the
+    midpoints zs of the final brackets and lambda_max of the tracking block
+    there. f_c and f_d share one eigvalsh call per iteration."""
+    n = ps.size
     half = np.sqrt(1.0 - alpha)
     z_a = ps * (1.0 - half)
     z_b = ps * (1.0 + half)
+    b2, d2, p2 = np.tile(b, 2), np.tile(d, 2), np.tile(ps, 2)
     for _ in range(_GOLDEN_ITERS):
         z_c = z_b - _INVPHI * (z_b - z_a)
         z_d = z_a + _INVPHI * (z_b - z_a)
-        f_c = _max_eig_m1(alpha, b, d, ps, z_c)
-        f_d = _max_eig_m1(alpha, b, d, ps, z_d)
-        take_left = f_c < f_d
+        f = np.linalg.eigvalsh(_tracking_blocks(alpha, b2, d2, p2, np.concatenate([z_c, z_d])))
+        take_left = f[:n, -1] < f[n:, -1]
         z_b = np.where(take_left, z_d, z_b)
         z_a = np.where(take_left, z_a, z_c)
     zs = 0.5 * (z_a + z_b)
-    ok = ((_max_eig_m1(alpha, b, d, ps, zs) <= tol)
-          & (np.linalg.eigvalsh(performance_blocks(h, ps, mu))[:, 0] >= -tol))
-    if not np.any(ok):
-        return None
-    gains = np.round(np.abs(zs[ok] / ps[ok]), 6)
-    best = np.flatnonzero(ok)[np.lexsort((ps[ok], gains))[0]]
-    return float(ps[best]), float(zs[best])
+    return zs, np.linalg.eigvalsh(_tracking_blocks(alpha, b, d, ps, zs))[:, -1]
+
+
+def _certificate_search(alpha, rows, mu, tol=INNER_TOL):
+    """Search the (p, z) pair certifying each coordinate row (b, d, h) of
+    ``rows`` at level mu, all rows in one stacked search.
+
+    Per row, p runs over a log grid anchored at the M2 Schur bound p >=
+    h^2/mu; for each p a golden-section search minimizes lambda_max of the
+    3x3 block over z within the necessary window |z - p| <= p sqrt(1-alpha)
+    (lambda_max is convex in z, so the section search is globally valid).
+    Among a row's feasible grid points it prefers the smallest gain
+    magnitude |z/p| (most damped, rounded so eigensolver noise cannot reorder
+    equivalent gains), ties broken by smaller p (smaller certificates are
+    numerically safer). Returns one (p, z) pair per row, or None for a row
+    with no feasible grid point, the same bits as each row searched alone
+    (see the module docstring for the stack and its lanes).
+    """
+    rows = np.asarray(rows, float).reshape(-1, 3)
+    b, d, h = np.repeat(rows, P_GRID_POINTS, axis=0).T
+    p_lows = [max(h_row * h_row / mu, P_FLOOR) for h_row in rows[:, 2].tolist()]
+    ps = np.concatenate([np.geomspace(p_lo, P_GRID_SPAN * p_lo, P_GRID_POINTS)
+                         for p_lo in p_lows])
+    lanes = min(linalg.usable_cpus(), ps.size // SEARCH_LANE_MIN_POINTS)
+    if lanes < 2:
+        zs, top = _golden_section(alpha, b, d, ps)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        cuts = [ps.size * k // lanes for k in range(lanes + 1)]
+        with ThreadPoolExecutor(max_workers=lanes, thread_name_prefix="uiobeam-search") as pool:
+            futures = [pool.submit(_golden_section, alpha, b[lo:hi], d[lo:hi], ps[lo:hi])
+                       for lo, hi in zip(cuts, cuts[1:])]
+            parts = [future.result() for future in futures]
+        zs, top = (np.concatenate(part) for part in zip(*parts))
+    ok = (top <= tol) & (np.linalg.eigvalsh(performance_blocks(h, ps, mu))[:, 0] >= -tol)
+    pairs = []
+    for p_row, z_row, ok_row in zip(*(a.reshape(-1, P_GRID_POINTS) for a in (ps, zs, ok))):
+        if not np.any(ok_row):
+            pairs.append(None)
+            continue
+        gains = np.round(np.abs(z_row[ok_row] / p_row[ok_row]), 6)
+        best = np.flatnonzero(ok_row)[np.lexsort((p_row[ok_row], gains))[0]]
+        pairs.append((float(p_row[best]), float(z_row[best])))
+    return pairs
 
 
 def mu_floor(alpha, b, d, h):
@@ -308,13 +360,13 @@ def design_level(prob):
 
 def certify_level(prob, mu):
     """The certified design at level ``mu`` (as design_level gives it): one
-    certificate search per distinct coordinate (b, d, h), certified per
-    coordinate with diagonal_feasible() (two stacked definiteness checks, no
-    dense block). It does not read prob.mu_max. Gains: L = P^{-1} Z,
-    Q = I - L, as diagonals l = z / p and q = 1 - l."""
+    stacked certificate search over the distinct coordinates (b, d, h),
+    certified per coordinate with diagonal_feasible() (two stacked
+    definiteness checks, no dense block). It does not read prob.mu_max.
+    Gains: L = P^{-1} Z, Q = I - L, as diagonals l = z / p and q = 1 - l."""
     rows, inverse = np.unique(np.column_stack([prob.b_t, prob.d, prob.h]), axis=0,
                               return_inverse=True)
-    row_pairs = [_coordinate_search(prob.alpha, *map(float, row), mu) for row in rows]
+    row_pairs = _certificate_search(prob.alpha, rows, mu)
     pairs = [row_pairs[k] for k in inverse.ravel()]
     for coord, pair in enumerate(pairs):
         if pair is None:

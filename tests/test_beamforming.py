@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uiobeam import beamforming
+from uiobeam import beamforming, linalg
 from uiobeam.beamforming import (
     FALLBACK_RIDGE,
     BLOCK_ENTRIES,
@@ -238,7 +238,7 @@ def test_steering_stream_is_steering_matrix_bit_for_bit(m_ce, n, lanes, data):
     sets = np.array(data.draw(st.lists(st.lists(angle, min_size=n, max_size=n),
                                        min_size=1, max_size=6)))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(beamforming, "_lanes", lambda: lanes)
+        patch.setattr(linalg, "usable_cpus", lambda: lanes)
         got = list(steering_ahead(cfg, sets))
     assert len(got) == len(sets)
     for matrix, thetas in zip(got, sets):
@@ -264,7 +264,7 @@ def test_caller_fills_every_row_block_the_helper_has_not_started(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Stalled)
     monkeypatch.setattr(beamforming, "_steering_entries", recorded)
-    monkeypatch.setattr(beamforming, "_lanes", lambda: 2)
+    monkeypatch.setattr(linalg, "usable_cpus", lambda: 2)
     m_ce, n = 1024, 64
     cfg = ArrayConfig(m_ce=m_ce, n_u=4, wavelength=0.01)
     sets = np.random.default_rng(3).uniform(-np.pi, np.pi, (5, n))
@@ -281,7 +281,7 @@ def test_caller_fills_every_row_block_the_helper_has_not_started(monkeypatch):
 
 
 def test_closing_the_stream_early_stops_its_helper(monkeypatch):
-    monkeypatch.setattr(beamforming, "_lanes", lambda: 2)
+    monkeypatch.setattr(linalg, "usable_cpus", lambda: 2)
     cfg = ArrayConfig(m_ce=1024, n_u=4, wavelength=0.01)
     stream = steering_ahead(cfg, np.zeros((50, 16)))
     next(stream)

@@ -265,6 +265,11 @@ def test_malformed_values_exit_1_naming_the_field(tmp_path, capsys):
         ("scenario.center", "scenario:\n  center: [1, 2, 3]\n"),
         ("channel.target_snr_db", "channel:\n  target_snr_db: 5000\n"),
         ("observer.h_diag", "observer:\n  h_diag: 1.0e+300\n"),
+        # d^2 overflowed into "needs mu >= nan" (design and sweep-dt, exit 2)
+        ("measurement.d_scale", "measurement:\n  d_scale: 1.0e+300\n"),
+        ("measurement.d_scale", "measurement:\n  d_scale: -1.0e+300\n"),
+        ("measurement.d_diag", "measurement:\n  d_diag: [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, "
+                               "1.0e+300]\n"),
     ):
         cfg = write_yaml(tmp_path, text)
         assert main(["design", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -593,13 +598,13 @@ def test_run_design_searches_one_certificate_per_distinct_level(monkeypatch):
     # the three reference bounds share mu* = MU_BRACKET[0], so one search
     # certifies all three records, each equal to its own design() call
     searches = []
-    search = design_module._coordinate_search
+    search = design_module._certificate_search
 
     def counted(*args, **kwargs):
         searches.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(design_module, "_coordinate_search", counted)
+    monkeypatch.setattr(design_module, "_certificate_search", counted)
     cfg = config_from_mapping({"observer": {"mu_max": [0.05, 0.25, 1.0]}})
     records, designs = run_design(cfg)
     assert len(searches) == 1
@@ -609,6 +614,22 @@ def test_run_design_searches_one_certificate_per_distinct_level(monkeypatch):
         assert record["mu"] == own_solution.mu == solution.mu
         assert record["L_diag"] == own_gains.l.tolist() == gains.l.tolist()
         np.testing.assert_array_equal(solution.p, own_solution.p)
+
+
+@pytest.mark.parametrize("field, text", [
+    ("array.wavelength 1e-300 m", "array:\n  wavelength: 1.0e-300\n"),
+    ("channel.snr_ref_range 1e-300 m", "channel:\n  snr_ref_range: 1.0e-300\n"),
+])
+def test_noise_power_error_names_every_input_it_comes_from(tmp_path, capsys, field, text):
+    # the field the file sets comes first, then the other inputs with their values
+    cfg = write_yaml(tmp_path, text)
+    assert main(["design", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}, ")
+    for named in ("channel.target_snr_db 10 dB", "channel.snr_ref_range ",
+                  "channel.total_power 1", "array."):
+        assert named in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("h_diag", ["1.0e+150", "1.3e+154"])

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from uiobeam import linalg
 from uiobeam.design import (
     AlphaSweepEntry,
     LmiProblem,
@@ -275,25 +276,25 @@ def mixed_d_problem(mu_max):
 
 
 def test_design_names_a_coordinate_without_candidates(monkeypatch):
-    real = design_module._coordinate_search
+    real = design_module._certificate_search
 
-    def no_candidates_for_d07(alpha, b, d, h, mu):
-        return None if d == 0.7 else real(alpha, b, d, h, mu)
+    def no_candidates_for_d07(alpha, rows, mu):
+        return [None if row[1] == 0.7 else pair for row, pair in zip(rows, real(alpha, rows, mu))]
 
-    monkeypatch.setattr(design_module, "_coordinate_search", no_candidates_for_d07)
+    monkeypatch.setattr(design_module, "_certificate_search", no_candidates_for_d07)
     with pytest.raises(InfeasibleError, match=r"for coordinate 2 \(UAV 1, closed-form floor 0\.115\)"):
         design(mixed_d_problem(1.0))
 
 
 def test_search_runs_once_per_distinct_coordinate_in_design_only(monkeypatch):
-    real = design_module._coordinate_search
+    real = design_module._certificate_search
     rows = []
 
-    def counting(alpha, b, d, h, mu):
-        rows.append((b, d, h))
-        return real(alpha, b, d, h, mu)
+    def counting(alpha, searched, mu):
+        rows.extend(map(tuple, searched.tolist()))
+        return real(alpha, searched, mu)
 
-    monkeypatch.setattr(design_module, "_coordinate_search", counting)
+    monkeypatch.setattr(design_module, "_certificate_search", counting)
     prob = mixed_d_problem(1.0)
     solution, _ = design(prob)
     assert solution.certified
@@ -344,8 +345,69 @@ def test_search_finds_nothing_below_floor(coord, fraction):
     floor = mu_floor(*coord)
     assume(floor > 1e-3)
     mu = (1.0 - 1e-3) * fraction * floor
-    assert design_module._coordinate_search(*coord, mu) is None
+    alpha, *row = coord
+    assert design_module._certificate_search(alpha, [row], mu) == [None]
     assert not mu_feasible(scalar_problem(*coord), mu)
+
+
+def search_bits(pairs):
+    return [None if pair is None else np.array(pair).tobytes() for pair in pairs]
+
+
+def search_one_row(alpha, b, d, h, mu):
+    """Reference for the stacked certificate search: one coordinate at a
+    time, one eigvalsh call per section point, through the public block
+    builders. The stacked search must give each row these bits."""
+    p_lo = max(h * h / mu, design_module.P_FLOOR)
+    ps = np.geomspace(p_lo, design_module.P_GRID_SPAN * p_lo, design_module.P_GRID_POINTS)
+    half = np.sqrt(1.0 - alpha)
+    z_a, z_b = ps * (1.0 - half), ps * (1.0 + half)
+
+    def top(zs):
+        return np.linalg.eigvalsh(tracking_blocks(alpha, b, d, ps, zs))[:, -1]
+
+    for _ in range(design_module._GOLDEN_ITERS):
+        z_c = z_b - design_module._INVPHI * (z_b - z_a)
+        z_d = z_a + design_module._INVPHI * (z_b - z_a)
+        take_left = top(z_c) < top(z_d)
+        z_b = np.where(take_left, z_d, z_b)
+        z_a = np.where(take_left, z_a, z_c)
+    zs = 0.5 * (z_a + z_b)
+    tol = design_module.INNER_TOL
+    ok = (top(zs) <= tol) & (np.linalg.eigvalsh(performance_blocks(h, ps, mu))[:, 0] >= -tol)
+    if not np.any(ok):
+        return None
+    gains = np.round(np.abs(zs[ok] / ps[ok]), 6)
+    best = np.flatnonzero(ok)[np.lexsort((ps[ok], gains))[0]]
+    return float(ps[best]), float(zs[best])
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.floats(0.05, 0.95),  # alpha
+    st.lists(st.tuples(st.floats(0.01, 2.0), st.floats(-1.0, 1.5), st.floats(0.1, 3.0)),
+             min_size=1, max_size=4, unique=True),  # rows (b, d, h)
+    st.floats(1.0, 10.0),  # mu over the largest floor of the drawn rows
+    st.floats(1e-3, 10.0),  # mu free of the floors
+    st.integers(0, 4),  # where the row below its floor goes
+    st.sampled_from([2, 3]),  # lanes forced on
+)
+def test_stacked_search_gives_each_row_the_bits_it_gets_alone(alpha, rows, excess, mu_free,
+                                                               at, lanes):
+    mu = max(excess * max(mu_floor(alpha, *row) for row in rows), mu_free)
+    # d = 0 puts this row's floor at h^2 b^2 / alpha = 2 mu
+    b = rows[0][0]
+    rows.insert(min(at, len(rows)), (b, 0.0, np.sqrt(2.0 * mu * alpha) / b))
+    search = design_module._certificate_search
+    alone = [search_one_row(alpha, *row, mu) for row in rows]
+    assert alone[min(at, len(rows) - 1)] is None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "usable_cpus", lambda: 1)
+        assert search_bits(search(alpha, rows, mu)) == search_bits(alone)
+        # a one-point gate cuts every stack into `lanes` slices, across rows too
+        patch.setattr(linalg, "usable_cpus", lambda: lanes)
+        patch.setattr(design_module, "SEARCH_LANE_MIN_POINTS", 1)
+        assert search_bits(search(alpha, rows, mu)) == search_bits(alone)
 
 
 @settings(max_examples=150, deadline=None)
