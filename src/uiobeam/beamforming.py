@@ -13,9 +13,9 @@ unit-norm combining b(theta^)/sqrt(N_U).
 Each steering matrix is built once per angle set: the channel carries the
 transmit and receive steering at its true angles, which every link
 evaluation of that snapshot reads; a precoder builds its steering matrix
-and Gram matrix once, also when it falls back to the ridge; and the pattern
-grid's steering matrix is built once for all the precoders it is
-evaluated on.
+and Gram matrix once, also when it falls back to the ridge; and each point
+of the pattern grid is steered once for all the precoders it is evaluated
+on, one row block at a time (see `beam_pattern`).
 
 Step stacks. The link functions take a leading step axis: angles of shape
 (..., N) give steering stacks (..., count, N), a channel of positions
@@ -63,6 +63,11 @@ FALLBACK_RIDGE = 1e-4
 MIN_RANGE = 1e-12
 # Amplitude floor before conversion to dB so exact nulls stay finite in output.
 PATTERN_FLOOR = 1e-16
+# Entries (grid points * M_CE) of one pattern grid block: 64 rows at
+# M_CE = 1024 and the whole 721-point grid at M_CE = 64. On fleet-n64 (three
+# precoders of 64 beams, 721 points) the traced numpy peak of beam_pattern
+# fell from 13.7 MiB with one grid matrix to 3.2 MiB.
+PATTERN_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -471,23 +476,50 @@ def empirical_link_se(cfg, chan, bf, power, symbols, noise):
     return np.log2(1.0 + sinr)
 
 
+def _pattern_blocks(cfg, fs, points):
+    """(r0, r1) row ranges of a pattern grid of ``points`` points: blocks of
+    PATTERN_BLOCK_ENTRIES // M_CE rows, rounded down to a multiple of 8 and at
+    least 8, with a trailing one-row block joined to the one before it; a
+    single block when any precoder in ``fs`` has one beam."""
+    rows = max(8, PATTERN_BLOCK_ENTRIES // cfg.m_ce // 8 * 8)
+    if any(f.shape[-1] == 1 for f in fs):
+        rows = points
+    edges = list(range(0, points, rows)) + [points]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def beam_pattern(cfg, fs, theta_grid):
     """Per-beam transmit patterns |a^T(theta) f_i| over the grid, one
     (grid point, beam) array per precoder F in ``fs``, each beam normalized
     to its own maximum, in dB (amplitudes floored at PATTERN_FLOOR so exact
-    zero-forcing nulls stay finite). The grid's steering matrix is built
-    once for all the precoders."""
-    theta_grid = np.asarray(theta_grid, float)
+    zero-forcing nulls stay finite).
+
+    The grid is steered in row blocks (`_pattern_blocks`): each block's
+    steering matrix is built once, multiplied into every precoder and
+    dropped, so only the (grid point, beam) magnitudes of the whole grid are
+    held. A block of the product has the bits of the same rows of the
+    one-matrix product when it reaches the same zgemm: blocks of a multiple
+    of 8 rows do, while a one-row block would go to zgemv (its bits differed
+    by up to 1.6e-13) and so does a one-beam precoder (whose zgemv bits move
+    with cuts that are not a multiple of 4), hence the joined trailing row
+    and the single block."""
+    theta_grid = np.atleast_1d(np.asarray(theta_grid, float))
     if np.any(np.abs(theta_grid) >= np.pi / 2):
         raise ShapeError("pattern grid must lie within (-pi/2, pi/2)")
-    rows = steering_matrix(cfg, theta_grid, cfg.m_ce).T
-    patterns = []
-    for f in fs:
-        response = np.abs(rows @ np.asarray(f, complex))
-        peaks = np.max(response, axis=0)
-        normalized = np.maximum(response / peaks[None, :], PATTERN_FLOOR)
-        patterns.append(20.0 * np.log10(normalized))
-    return patterns
+    fs = [np.asarray(f, complex) for f in fs]
+    responses = [np.empty((theta_grid.size, f.shape[-1])) for f in fs]
+    for r0, r1 in _pattern_blocks(cfg, fs, theta_grid.size):
+        rows = steering_matrix(cfg, theta_grid[r0:r1], cfg.m_ce).T
+        for f, response in zip(fs, responses):
+            np.abs(rows @ f, out=response[r0:r1])
+    for response in responses:
+        response /= np.max(response, axis=0)
+        np.maximum(response, PATTERN_FLOOR, out=response)
+        np.log10(response, out=response)
+        response *= 20.0
+    return responses
 
 
 def half_power_width(theta_grid, gain_db):

@@ -419,7 +419,8 @@ def critical_dt(prob, dt_bracket, mu=None, resolution=1e-3):
     if not 0 < lo < hi:
         raise BracketError(f"dt bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
     low, high = dt_interval(prob, mu)
-    where = (f"feasible dt lies in [{max(low, 0.0):.4g}, {high:.4g}] s" if low <= high
+    low = max(low, 0.0)  # a measurement interval is positive
+    where = (f"feasible dt lies in [{low:.4g}, {high:.4g}] s" if low <= high
              else "no dt is feasible")
     if not low <= lo <= high:
         raise BracketError(f"dt bracket low end {lo:g} s is already infeasible at mu={mu:g}; "

@@ -11,8 +11,10 @@ sequentially.
 The link layer builds each precoder once per distinct steering input: the
 pattern snapshots reuse the precoders of the link time series, the echo-fed
 precoder of `run_compare` is held while the echo stays blocked (also across
-chunk edges) and reuses the channel's steering, and the pattern grid is
-steered once per design.
+chunk edges) and reuses the channel's steering, and each pattern grid point
+is steered once per design. Both output stages hold a block at a time: the
+pattern grid is steered in row blocks (`beamforming.beam_pattern`) and
+`write_csv` converts and writes CSV_BLOCK_ROWS rows at a time.
 
 Both link loops run over chunks of steps, not single steps: a chunk holds
 max(1, LINK_CHUNK_ENTRIES // (max(M_CE, noise_draws) * N)) steps, and each
@@ -53,6 +55,11 @@ PATTERN_SPAN_DEG = 89.75
 # ran within the run-to-run spread of 2^12.
 LINK_CHUNK_ENTRIES = 1 << 12
 _FORMATS = {"b": "%d", "i": "%d", "f": "%.17g"}
+# Rows formatted and written per block by write_csv, so only one block of
+# each column is held as Python objects: fleet-n64's 46,144-row pattern files
+# take 12 blocks (traced peak of one write 3.2 MiB as whole columns, 0.3 MiB
+# in blocks), and every ref-long table takes one.
+CSV_BLOCK_ROWS = 4096
 
 
 def write_csv(path, header, columns):
@@ -63,12 +70,16 @@ def write_csv(path, header, columns):
     with %d, float columns with %.17g (the digits of format(x, '.17g')) and
     any other column with %s. A nan or inf in a float column raises
     NumericalError naming the file, the column and the first bad row, and
-    nothing is written.
+    nothing is written: every whole column is checked before the file is
+    opened. The rows are then formatted and written CSV_BLOCK_ROWS at a
+    time, converting one block of each column to Python values; every row
+    goes through the same template, so the block size changes no byte.
     """
     columns = [np.ravel(c) for c in columns]
     sizes = {c.size for c in columns}
     if len(sizes) != 1:
         raise ShapeError(f"CSV columns differ in length: {sorted(sizes)}")
+    (size,) = sizes
     for name, c in zip(header, columns):
         if c.dtype.kind == "f" and not np.all(np.isfinite(c)):
             row = int(np.argmin(np.isfinite(c)))
@@ -77,8 +88,10 @@ def write_csv(path, header, columns):
     template = ",".join(_FORMATS.get(c.dtype.kind, "%s") for c in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(template % row for row in zip(*(c.tolist() for c in columns)))
-    return sizes.pop()
+        for r0 in range(0, size, CSV_BLOCK_ROWS):
+            block = (c[r0:r0 + CSV_BLOCK_ROWS].tolist() for c in columns)
+            fh.writelines(template % row for row in zip(*block))
+    return size
 
 
 def _first_non_finite(obj, where=""):

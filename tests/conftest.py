@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,24 @@ def steering_shapes(monkeypatch):
 
     monkeypatch.setattr(beamforming, "_steering_arguments", counted)
     return shapes
+
+
+@pytest.fixture
+def traced_peak():
+    """A function that runs ``call()`` and returns the peak of the memory
+    tracemalloc traced while it ran (numpy arrays included), in bytes above
+    what was traced when it started; what ``call`` returns counts too."""
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 @pytest.fixture

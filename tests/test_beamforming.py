@@ -23,6 +23,8 @@ from uiobeam import beamforming, linalg
 from uiobeam.beamforming import (
     FALLBACK_RIDGE,
     BLOCK_ENTRIES,
+    PATTERN_BLOCK_ENTRIES,
+    PATTERN_FLOOR,
     ArrayConfig,
     ChannelRealization,
     beam_pattern,
@@ -303,6 +305,70 @@ def test_beam_pattern_builds_the_grid_once_for_every_precoder(steering_shapes):
     assert [p.shape for p in patterns] == [(grid.size, f.shape[1]) for f in fs]
     for got, expected in zip(patterns, one_by_one):
         np.testing.assert_array_equal(got, expected)
+
+
+def one_block_pattern(cfg, f, grid):
+    """The pattern of precoder f with the whole grid steered as one matrix."""
+    response = np.abs(steering_matrix(cfg, grid).T @ f)
+    return 20.0 * np.log10(np.maximum(response / np.max(response, axis=0), PATTERN_FLOOR))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m_ce=st.sampled_from([2, 3, 8, 64, 100, 1024]),
+    beams=st.lists(st.sampled_from([1, 2, 3, 4, 7, 16, 64]), min_size=1, max_size=3),
+    block_rows=st.sampled_from([8, 16, 64]),
+    blocks=st.integers(0, 4),
+    remainder=st.sampled_from([0, 1, 2, 7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pattern_blocks_keep_the_one_block_bits(m_ce, beams, block_rows, blocks, remainder,
+                                                seed):
+    # blocks of block_rows rows and a remainder of 0, 1, 2 or 7 rows (a one-row
+    # remainder joins the block before it), one block with a one-beam precoder
+    points = blocks * block_rows + remainder
+    assume(points > 0)
+    rng = np.random.default_rng(seed)
+    cfg = ArrayConfig(m_ce=m_ce, n_u=1, wavelength=0.01)
+    grid = np.sort(rng.uniform(-1.5, 1.5, points))
+    fs = [rng.standard_normal((m_ce, n)) + 1j * rng.standard_normal((m_ce, n)) for n in beams]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(beamforming, "PATTERN_BLOCK_ENTRIES", block_rows * m_ce)
+        patterns = beam_pattern(cfg, fs, grid)
+    for got, f in zip(patterns, fs):
+        assert_same_bits(got, one_block_pattern(cfg, f, grid))
+
+
+FLEET = ArrayConfig(m_ce=1024, n_u=4, wavelength=0.01)
+FLEET_GRID = np.deg2rad(np.linspace(-89.75, 89.75, 721))
+
+
+def fleet_precoders():
+    """Three 64-beam precoders on 1024 antennas, the pattern snapshots of the
+    64-UAV benchmark fleet."""
+    rng = np.random.default_rng(5)
+    return [beamformer(FLEET, np.sort(rng.uniform(-1.4, 1.4, 64)), ridge=FALLBACK_RIDGE).f
+            for _ in range(3)]
+
+
+def test_beam_pattern_steers_each_fleet_grid_point_once_in_blocks(steering_shapes):
+    fs = fleet_precoders()
+    steering_shapes.clear()
+    patterns = beam_pattern(FLEET, fs, FLEET_GRID)
+    block_rows = PATTERN_BLOCK_ENTRIES // FLEET.m_ce
+    assert len(steering_shapes) == -(-FLEET_GRID.size // block_rows) > 1
+    assert all(shape[:-1] == (FLEET.m_ce,) for shape in steering_shapes)
+    assert max(shape[-1] for shape in steering_shapes) == block_rows
+    assert sum(shape[-1] for shape in steering_shapes) == FLEET_GRID.size
+    for got, f in zip(patterns, fs):
+        assert_same_bits(got, one_block_pattern(FLEET, f, FLEET_GRID))
+
+
+def test_beam_pattern_memory_stays_within_a_block(traced_peak):
+    # one 721 x 1024 grid matrix alone is 11.3 MiB (a traced peak of 13.7 MiB);
+    # the three 721 x 64 patterns returned are 1.1 MiB
+    fs = fleet_precoders()
+    assert traced_peak(lambda: beam_pattern(FLEET, fs, FLEET_GRID)) < 4 * 2**20
 
 
 def true_angles(positions, center):

@@ -213,6 +213,15 @@ def test_sweep_dt_bracket_errors_state_the_feasible_interval(tmp_path, capsys):
         assert "lower it" not in err and "raise it" not in err
 
 
+def test_sweep_dt_names_an_empty_feasible_interval(tmp_path, capsys):
+    # a negative D puts every coordinate's feasible dt interval below zero
+    cfg = write_yaml(tmp_path, "measurement: {d_scale: -1.0}\n")
+    assert main(["sweep-dt", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "low end 0.15 s is already infeasible" in err and "no dt is feasible" in err
+    assert "feasible dt lies in" not in err
+
+
 def test_infeasible_design_names_the_binding_coordinate(tmp_path, capsys):
     cfg = write_yaml(
         tmp_path,
@@ -559,6 +568,51 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
     assert path.read_text().split("\n") == expected + [""]
     with pytest.raises(ShapeError):
         write_csv(path, ["i", "f"], [ints, floats[:-1]])
+
+
+def csv_table(rows):
+    """The columns of a pattern file of ``rows`` rows: theta, beam id, gain."""
+    rng = np.random.default_rng(11)
+    return [np.repeat(np.linspace(-89.75, 89.75, -(-rows // 64)), 64)[:rows],
+            np.tile(np.arange(64), -(-rows // 64))[:rows], rng.standard_normal(rows) * 40.0]
+
+
+def test_write_csv_blocks_write_the_same_bytes(tmp_path, monkeypatch):
+    rows = simulate_module.CSV_BLOCK_ROWS + 5
+    columns = csv_table(rows) + [np.arange(rows) % 3 == 0, np.full(rows, "uio")]
+    header = ["theta_deg", "beam_id", "gain_db", "flag", "mode"]
+    expected = tmp_path / "default.csv"
+    assert write_csv(expected, header, columns) == rows
+    for block_rows in (1, 2, 3):
+        monkeypatch.setattr(simulate_module, "CSV_BLOCK_ROWS", block_rows)
+        path = tmp_path / f"block{block_rows}.csv"
+        assert write_csv(path, header, columns) == rows
+        assert path.read_bytes() == expected.read_bytes()
+    text = expected.read_text().split("\n")
+    assert len(text) == rows + 2 and text[-1] == ""
+    assert text[-2] == ",".join(
+        [format(float(columns[0][-1]), ".17g"), str(columns[1][-1]),
+         format(float(columns[2][-1]), ".17g"), str(int(columns[3][-1])), "uio"])
+
+
+def test_write_csv_reports_a_bad_value_of_a_later_block_at_its_file_row(tmp_path):
+    rows = 2 * simulate_module.CSV_BLOCK_ROWS + 10
+    columns = csv_table(rows)
+    bad = simulate_module.CSV_BLOCK_ROWS + 7
+    columns[2][bad] = np.nan
+    path = tmp_path / "pattern.csv"
+    with pytest.raises(NumericalError, match=rf"column gain_db is nan at row {bad} "):
+        write_csv(path, ["theta_deg", "beam_id", "gain_db"], columns)
+    assert not path.exists()
+
+
+def test_write_csv_memory_stays_within_a_block(traced_peak, tmp_path):
+    # a 64-UAV pattern file: 721 grid points x 64 beams; converting whole
+    # columns to Python lists peaked at 3.2 MiB
+    columns = csv_table(721 * 64)
+    path = tmp_path / "pattern.csv"
+    peak = traced_peak(lambda: write_csv(path, ["theta_deg", "beam_id", "gain_db"], columns))
+    assert peak < 2**20
 
 
 # 48 steps of the reference fleet, whose link chunks hold 16 steps by default
