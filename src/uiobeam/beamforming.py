@@ -34,13 +34,12 @@ The link loops draw their M_CE-row steering stacks from one stream,
 caller runs the current chunk's Gram, solve, precoder and gain products. The
 caller allocates each stack and writes the arguments m*phase into its real
 part (numpy allocates iterator buffers for that broadcast product, so it
-stays on the caller); the helper runs only the two in-place ufuncs `sin`
-(into the imaginary part) and `cos` (into the real part) on row blocks of
-it, so it makes no BLAS call, no RNG draw and no array allocation. These are
-the same ufuncs on the same values as in `steering_matrix`, and each entry
-is computed elementwise, so a stack has the same bits whichever thread fills
-which block. The helper runs only when this process may use at least two
-CPUs (`linalg.usable_cpus`) and one step's matrix (M_CE x N) has at least
+stays on the caller); the helper runs one task per stack, the in-place
+ufuncs `sin` (into the imaginary part) and `cos` (into the real part), so it
+makes no BLAS call, no RNG draw and no array allocation. These are the
+ufuncs of `steering_matrix` on the same values, elementwise, so a stack has
+its bits. The helper runs only when this process may use at least two CPUs
+(`linalg.usable_cpus`) and one step's matrix (M_CE x N) has at least
 LOOKAHEAD_MIN_ENTRIES entries; otherwise the stream fills each stack inline.
 No setting selects the helper.
 """
@@ -143,39 +142,19 @@ LOOKAHEAD_MIN_ENTRIES = 1 << 12
 # Stacks queued on the helper beyond the one the caller waits for: one link
 # chunk, its true-angle and its steered-angle stack.
 LOOKAHEAD = 2
-# Entries per row block, the unit of work the caller takes over from the
-# helper when it needs a matrix before the helper has started on it. Each
-# block costs a hand-off between the threads: on two cores, 8192-entry
-# blocks made a 1024x16 link 17% slower than 16384 or more, and 2^15 and 2^16
-# measured the same on it and on fleet-n64 (1024x64, two blocks).
-BLOCK_ENTRIES = 1 << 15
-
-
-def _finish(out, blocks):
-    """``out`` once every row block is filled: the caller fills each block
-    the helper has not started and waits for the rest."""
-    for (real, imag), future in blocks:
-        if future.cancel():
-            _steering_entries(real, imag)
-        else:
-            future.result()
-    return out
 
 
 def steering_ahead(cfg, angle_sets):
-    """Yield ``steering_matrix(cfg, thetas)`` (M_CE rows) for each array
-    ``thetas`` of shape (..., N) in the sequence ``angle_sets``, in order,
-    bit for bit: a (C, N) array of C steps' angles gives a (C, M_CE, N)
-    stack.
+    """Yield ``steering_matrix(cfg, thetas)`` (M_CE rows) for each (..., N)
+    array ``thetas`` in ``angle_sets``, in order, bit for bit: C steps'
+    angles (C, N) give a (C, M_CE, N) stack.
 
-    With at least two CPUs and LOOKAHEAD_MIN_ENTRIES entries per steering
-    matrix (M_CE * N, one step of a stack), one helper thread fills up to
-    LOOKAHEAD stacks beyond the one last yielded, in row blocks of the
-    stack's (C * M_CE, N) rows (see the module docstring for what it runs);
-    otherwise each stack is filled inline when it is needed. Close the
-    generator (for instance with
-    ``contextlib.closing``) when leaving the loop early: that cancels the
-    blocks not started and waits for the one running."""
+    With at least two CPUs and LOOKAHEAD_MIN_ENTRIES entries per step matrix
+    (M_CE * N), one helper thread fills up to LOOKAHEAD stacks beyond the one
+    last yielded, one task per stack, and the caller waits for a stack's task
+    before yielding it; otherwise each stack is filled inline. Close the
+    generator (for instance with ``contextlib.closing``) when leaving early:
+    that cancels the tasks not started and waits for the one running."""
     angle_sets = [np.atleast_1d(np.asarray(thetas, float)) for thetas in angle_sets]
     count = cfg.m_ce
     entries = max((count * thetas.shape[-1] for thetas in angle_sets), default=0)
@@ -185,20 +164,16 @@ def steering_ahead(cfg, angle_sets):
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    queued = deque()  # (stack, [((real, imag) row block, future)]) in yield order
+    queued = deque()  # (stack, future of its fill) in yield order
     helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="uiobeam-steering")
     try:
-        for thetas in angle_sets:
-            out = _steering_arguments(cfg, thetas, count)
-            rows = out.reshape(-1, thetas.shape[-1])
-            step = max(1, BLOCK_ENTRIES // thetas.shape[-1])
-            blocks = [(rows.real[r0:r0 + step], rows.imag[r0:r0 + step])
-                      for r0 in range(0, len(rows), step)]
-            queued.append((out, [(b, helper.submit(_steering_entries, *b)) for b in blocks]))
-            if len(queued) > LOOKAHEAD:
-                yield _finish(*queued.popleft())
-        while queued:
-            yield _finish(*queued.popleft())
+        for i in range(len(angle_sets) + LOOKAHEAD):
+            if i < len(angle_sets):
+                out = _steering_arguments(cfg, angle_sets[i], count)
+                queued.append((out, helper.submit(_steering_entries, out.real, out.imag)))
+            if i >= LOOKAHEAD:
+                queued[0][1].result()
+                yield queued.popleft()[0]
     finally:
         helper.shutdown(wait=True, cancel_futures=True)
 
@@ -284,25 +259,26 @@ def beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=0.0):
                             ridge=loads)
 
 
-def safe_beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=FALLBACK_RIDGE, a=None):
-    """Strict zero-forcing when well conditioned, diagonally-loaded fallback
-    at angle collisions (the orbit geometry crosses equal sines twice per
-    revolution per UAV pair, so long runs need this) and when the Gram matrix
-    is numerically singular although every sine gap passes (many UAVs on a
-    short array, or more UAVs than antennas). Angles (..., N) give one
-    precoder per step, each decided on its own.
+def safe_beamformer(cfg, thetas, a=None):
+    """Strict zero-forcing when well conditioned, fallback loaded by
+    FALLBACK_RIDGE at angle collisions (sine gaps below MIN_SIN_GAP; the
+    orbit geometry crosses equal sines twice per revolution per UAV pair, so
+    long runs need this) and when the Gram matrix is numerically singular
+    although every sine gap passes (many UAVs on a short array, or more UAVs
+    than antennas). Angles (..., N) give one precoder per step, each decided
+    on its own.
 
     The steering matrix ``a`` (built here unless given, for instance by
     ``steering_ahead``) and its Gram matrix are built once; the fallback
-    loads that same Gram matrix, so each step equals
-    ``beamformer(cfg, thetas_k, ridge=ridge)`` bit for bit. A loaded solve
-    that still fails raises SingularMatrixError."""
+    loads that same Gram matrix, so each step equals ``beamformer(cfg,
+    thetas_k, ridge=load)`` bit for bit, its load being 0.0 or
+    FALLBACK_RIDGE. A loaded solve that still fails raises SingularMatrixError."""
     thetas = np.atleast_1d(np.asarray(thetas, float))
     if a is None:
         a = steering_matrix(cfg, thetas, cfg.m_ce)
     a_conj, gram = _gram(a)
-    collide = np.any(_close_pairs(thetas, min_sin_gap)[1], axis=(-2, -1))
-    loads = np.where(collide, ridge, 0.0)
+    collide = np.any(_close_pairs(thetas, MIN_SIN_GAP)[1], axis=(-2, -1))
+    loads = np.where(collide, FALLBACK_RIDGE, 0.0)
     try:
         f = _zero_forcing(cfg, a, a_conj, gram, loads)
     except SingularMatrixError:
@@ -314,7 +290,7 @@ def safe_beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=FALLBACK_RIDGE, 
             try:
                 solve_hermitian(grams[k], eye)
             except SingularMatrixError:
-                step_loads[k] = ridge
+                step_loads[k] = FALLBACK_RIDGE
         f = _zero_forcing(cfg, a, a_conj, gram, loads)
     return BeamformerMatrix(f=f, a=a, theta=thetas, ridge=loads)
 
@@ -327,16 +303,15 @@ def azimuths(deltas):
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Line-of-sight channel snapshot: complex coefficient, true azimuth and
-    range per UAV, the per-antenna noise power, and the steering at the true
+    """Line-of-sight channel snapshot: complex coefficient and true azimuth
+    per UAV, the per-antenna noise power, and the steering at the true
     azimuths: transmit rows a (M_CE x N) and receive columns b (N_U x N).
-    A stack of steps carries (..., N) coefficients, azimuths and ranges and
+    A stack of steps carries (..., N) coefficients and azimuths and
     (..., M_CE, N) / (..., N_U, N) steering."""
 
     h: np.ndarray
     sigma2: float
     theta: np.ndarray
-    ranges: np.ndarray
     a: np.ndarray
     b: np.ndarray
 
@@ -345,15 +320,14 @@ class ChannelRealization:
             raise ShapeError("noise power must be non-negative")
 
     @classmethod
-    def line_of_sight(cls, cfg, positions, center, sigma2, phase_mode="range", rng=None,
-                      a=None, phases=None):
+    def line_of_sight(cls, cfg, positions, center, sigma2, phases=None, a=None):
         """Free-space coefficient h_i = (lambda / (4 pi r_i)) e^{j phi_i} at
-        the positions (..., N, 2) (a flat vector holds stacked (x, y) pairs);
-        phase_mode 'range' uses the propagation phase -2 pi r / lambda
-        (deterministic), 'random' takes the ``phases`` the caller drew with
-        ``random_phases`` or draws them from the seeded generator ``rng``.
-        ``a`` is the transmit steering at the true azimuths when the caller
-        has built it (from ``azimuths`` of the same positions)."""
+        the positions (..., N, 2) (a flat vector holds stacked (x, y) pairs):
+        phi is the propagation phase -2 pi r / lambda (phase_mode 'range')
+        unless the caller gives the ``phases`` it drew with ``random_phases``
+        (phase_mode 'random'). ``a`` is the transmit steering at the true
+        azimuths when the caller has built it (from ``azimuths`` of the same
+        positions)."""
         positions = np.asarray(positions, float)
         if positions.ndim < 2:
             positions = positions.reshape(-1, 2)
@@ -362,18 +336,11 @@ class ChannelRealization:
         if np.any(ranges < MIN_RANGE):
             raise DegenerateGeometryError("UAV coincides with the central UAV")
         theta = azimuths(deltas)
-        if phase_mode == "range":
+        if phases is None:
             phases = -2.0 * np.pi * ranges / cfg.wavelength
-        elif phase_mode == "random":
-            if phases is None:
-                if rng is None:
-                    raise ShapeError("phase_mode='random' needs a generator")
-                phases = random_phases(rng, ranges.shape)
-        else:
-            raise ShapeError(f"unknown phase_mode {phase_mode!r}")
         h = (cfg.wavelength / (4.0 * np.pi * ranges)) * np.exp(1j * phases)
         return cls(
-            h=h, sigma2=float(sigma2), theta=theta, ranges=ranges,
+            h=h, sigma2=float(sigma2), theta=theta,
             a=steering_matrix(cfg, theta, cfg.m_ce) if a is None else a,
             b=steering_matrix(cfg, theta, cfg.n_u),
         )

@@ -16,16 +16,16 @@ is steered once per design. Both output stages hold a block at a time: the
 pattern grid is steered in row blocks (`beamforming.beam_pattern`) and
 `write_csv` converts and writes CSV_BLOCK_ROWS rows at a time.
 
-Both link loops run over chunks of steps, not single steps: a chunk holds
-max(1, LINK_CHUNK_ENTRIES // (max(M_CE, noise_draws) * N)) steps, and each
-beamforming call of an iteration takes the chunk's (step, ...) stacks. The
-beamforming functions give every step of a stack the bits of its own 2-D
-call, so the chunk size changes no output byte. `run_compare` makes each
-chunk's random draws one step after another in the order of a per-step loop
-(the channel phases of phase_mode 'random', then the symbol uniforms and the
-two noise parts). Both loops take their M_CE-row steering stacks from one
-`beamforming.steering_ahead` stream, ordered [true chunk, steered chunk], so
-the next chunk's stacks can be filled while the current chunk runs.
+Both links, `link_timeseries` (analytic SINR) and `run_compare` (empirical
+SE), run on one engine, `_link_chunks`, each handing it a ``draw`` (a chunk's
+random draws) and a ``step`` (the chunk's evaluation). The engine runs over
+chunks of max(1, LINK_CHUNK_ENTRIES // (max(M_CE, noise_draws) * N)) steps
+on (step, ...) stacks; the beamforming functions give every step of a stack
+the bits of its own 2-D call, so the chunk size changes no output byte. The
+draws are made one step after another in the order of a per-step loop, and
+the M_CE-row steering stacks come from one `beamforming.steering_ahead`
+stream, ordered [true chunk, steered chunk], so the next chunk's stacks can
+be filled while the current chunk runs.
 """
 
 import json
@@ -177,30 +177,35 @@ def _predicted_angles(cfg, xhat):
     return np.where(row_norms(deltas) < bf.MIN_RANGE, 0.0, bf.azimuths(deltas))
 
 
-def _positions(cfg, run):
-    """(step, UAV, 2) true positions of the link steps."""
-    return run["X"][:cfg.horizon].reshape(cfg.horizon, -1, 2)
-
-
 def _true_angles(cfg, run):
     """(step, UAV) true azimuths, as the channel of each step computes them."""
-    return bf.azimuths(_positions(cfg, run) - cfg.scenario.center)
+    return bf.azimuths(run["X"][:cfg.horizon].reshape(cfg.horizon, -1, 2) - cfg.scenario.center)
 
 
-def _link_chunks(cfg):
-    """(k0, k1) step ranges of the link loops: chunks of
-    max(1, LINK_CHUNK_ENTRIES // (max(M_CE, noise_draws) * N)) steps."""
+def _link_chunks(cfg, run, angles, draw, step):
+    """The link engine: the tracking run in chunks of
+    max(1, LINK_CHUNK_ENTRIES // (max(M_CE, noise_draws) * N)) steps, beams
+    steered at ``angles`` (step, UAV). Chunk k0..k1-1 takes
+    ``draws = draw(k1 - k0)`` (draws[0]: the random channel phases, or None
+    for the propagation phase) and ends in ``step(k0, k1, draws, chan,
+    beams, power)``, with its channel, precoder and equal power split."""
     size = cfg.scenario.n_uavs * max(cfg.array.m_ce, cfg.noise_draws)
     steps = max(1, LINK_CHUNK_ENTRIES // size)
-    return [(k0, min(k0 + steps, cfg.horizon)) for k0 in range(0, cfg.horizon, steps)]
-
-
-def _link_steering(cfg, chunks, theta, angles):
-    """The link loop's M_CE-row steering stacks as a stream in a context
-    manager: for each chunk, the channel's at the true azimuths theta, then
-    the precoder's at ``angles``, each (chunk steps, M_CE, N)."""
+    chunks = [(k0, min(k0 + steps, cfg.horizon)) for k0 in range(0, cfg.horizon, steps)]
+    x = run["X"][:cfg.horizon].reshape(cfg.horizon, -1, 2)
+    theta = _true_angles(cfg, run)
     sets = [s for k0, k1 in chunks for s in (theta[k0:k1], angles[k0:k1])]
-    return closing(bf.steering_ahead(cfg.array, sets))
+    with closing(bf.steering_ahead(cfg.array, sets)) as steering:
+        for k0, k1 in chunks:
+            draws = draw(k1 - k0)
+            chan = bf.ChannelRealization.line_of_sight(
+                cfg.array, x[k0:k1], cfg.scenario.center, cfg.sigma2,
+                phases=draws[0], a=next(steering),
+            )
+            beams = bf.safe_beamformer(cfg.array, angles[k0:k1], a=next(steering))
+            step(k0, k1, draws, chan, beams, bf.equal_power_allocation(beams, cfg.total_power))
+            # hold no chunk while the next one is drawn and built
+            del draws, chan, beams
 
 
 def echo_blockage(windows, dt, horizon):
@@ -229,29 +234,25 @@ def link_timeseries(cfg, run, angles):
     cfg.pattern_snapshots, in that order.
     """
     n = cfg.scenario.n_uavs
-    horizon = cfg.horizon
     rng = np.random.default_rng(cfg.seed)
-    sinr_db = np.empty((horizon, n))
-    se = np.empty((horizon, n))
-    ridge = np.empty(horizon)
+    sinr_db = np.empty((cfg.horizon, n))
+    se = np.empty((cfg.horizon, n))
+    ridge = np.empty(cfg.horizon)
     kept = {}
-    chunks = _link_chunks(cfg)
-    x = _positions(cfg, run)
-    with _link_steering(cfg, chunks, _true_angles(cfg, run), angles) as steering:
-        for k0, k1 in chunks:
-            chan = bf.ChannelRealization.line_of_sight(
-                cfg.array, x[k0:k1], cfg.scenario.center, cfg.sigma2,
-                phase_mode=cfg.phase_mode, rng=rng, a=next(steering),
-            )
-            beams = bf.safe_beamformer(cfg.array, angles[k0:k1], a=next(steering))
-            power = bf.equal_power_allocation(beams, cfg.total_power)
-            report = bf.link_report(cfg.array, chan, beams, power)
-            sinr_db[k0:k1] = report.sinr_db
-            se[k0:k1] = report.se
-            ridge[k0:k1] = beams.ridge
-            for k in cfg.pattern_snapshots:
-                if k0 <= k < k1:
-                    kept[k] = beams.f[k - k0]
+
+    def draw(steps):
+        return (bf.random_phases(rng, (steps, n)) if cfg.phase_mode == "random" else None,)
+
+    def step(k0, k1, draws, chan, beams, power):
+        report = bf.link_report(cfg.array, chan, beams, power)
+        sinr_db[k0:k1] = report.sinr_db
+        se[k0:k1] = report.se
+        ridge[k0:k1] = beams.ridge
+        for k in cfg.pattern_snapshots:
+            if k0 <= k < k1:
+                kept[k] = beams.f[k - k0]
+
+    _link_chunks(cfg, run, angles, draw, step)
     return sinr_db, se, ridge, [kept[k] for k in cfg.pattern_snapshots]
 
 
@@ -434,32 +435,27 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
     blocked, last_clear = echo_blockage(cfg.windows, dt0, cfg.horizon)
     rng = np.random.default_rng(cfg.seed)
     n = cfg.scenario.n_uavs
-    theta = _true_angles(cfg, run)
-    predicted = theta if force_uio_truth else _predicted_angles(cfg, run["XHAT"])
+    predicted = _true_angles(cfg, run) if force_uio_truth else _predicted_angles(cfg, run["XHAT"])
     se_uio = np.empty(cfg.horizon)
     se_echo = np.empty(cfg.horizon)
     fallback_steps = {"uio": [], "echo_baseline": []}
-    chunks = _link_chunks(cfg)
-    x = _positions(cfg, run)
     held = None  # the last echo precoder built, as _echo_precoders holds it
-    with _link_steering(cfg, chunks, theta, predicted) as steering:
-        for k0, k1 in chunks:
-            phases, symbols, noise = bf.draw_link_steps(
-                n, cfg.sigma2, rng, cfg.noise_draws, k1 - k0,
-                channel_phases=cfg.phase_mode == "random",
-            )
-            chan = bf.ChannelRealization.line_of_sight(
-                cfg.array, x[k0:k1], cfg.scenario.center, cfg.sigma2,
-                phase_mode=cfg.phase_mode, phases=phases, a=next(steering),
-            )
-            uio = bf.safe_beamformer(cfg.array, predicted[k0:k1], a=next(steering))
-            uio_power = bf.equal_power_allocation(uio, cfg.total_power)
-            echo, echo_power, held = _echo_precoders(cfg, chan, k0, last_clear[k0:k1], held)
-            for mode, se, beams, power in (("uio", se_uio, uio, uio_power),
-                                           ("echo_baseline", se_echo, echo, echo_power)):
-                se[k0:k1] = np.mean(bf.empirical_link_se(
-                    cfg.array, chan, beams, power, symbols, noise), axis=-1)
-                fallback_steps[mode].extend((k0 + np.flatnonzero(beams.ridge > 0.0)).tolist())
+
+    def draw(steps):
+        return bf.draw_link_steps(n, cfg.sigma2, rng, cfg.noise_draws, steps,
+                                  channel_phases=cfg.phase_mode == "random")
+
+    def step(k0, k1, draws, chan, uio, uio_power):
+        nonlocal held
+        _, symbols, noise = draws
+        echo, echo_power, held = _echo_precoders(cfg, chan, k0, last_clear[k0:k1], held)
+        for mode, se, beams, power in (("uio", se_uio, uio, uio_power),
+                                       ("echo_baseline", se_echo, echo, echo_power)):
+            se[k0:k1] = np.mean(bf.empirical_link_se(
+                cfg.array, chan, beams, power, symbols, noise), axis=-1)
+            fallback_steps[mode].extend((k0 + np.flatnonzero(beams.ridge > 0.0)).tolist())
+
+    _link_chunks(cfg, run, predicted, draw, step)
     steps = np.arange(cfg.horizon)
     files = {
         "se_compare.csv": write_csv(

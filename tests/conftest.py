@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import importlib
+import threading
 import tracemalloc
 
 import numpy as np
@@ -96,3 +97,16 @@ def dense_certificate_oracle(monkeypatch):
     monkeypatch.undo()
     for prob, p, z, mu, tol, verdict in issued:
         assert design_module.feasible(prob, p, z, mu, tol) == verdict
+
+
+@pytest.fixture(autouse=True)
+def no_helper_thread_outlives_its_test():
+    """After each test, every thread the package started (the steering
+    helper, the certificate search's lanes: names starting with uiobeam-)
+    must end: each is joined with a timeout, and one still alive fails the
+    test."""
+    yield
+    for thread in threading.enumerate():
+        if thread.name.startswith("uiobeam-"):
+            thread.join(timeout=10.0)
+            assert not thread.is_alive(), f"thread {thread.name} outlived its test"

@@ -10,19 +10,17 @@ Independent oracles:
     including a bisected half-power point for the main-lobe width.
 """
 
-import concurrent.futures
 import dataclasses
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uiobeam import beamforming, linalg
 from uiobeam.beamforming import (
     FALLBACK_RIDGE,
-    BLOCK_ENTRIES,
     PATTERN_BLOCK_ENTRIES,
     PATTERN_FLOOR,
     ArrayConfig,
@@ -229,57 +227,29 @@ def assert_same_bits(got, expected):
 @given(
     m_ce=st.sampled_from([8, 64, 1000, 1024, 2048]),
     n=st.integers(1, 64),
+    steps=st.integers(1, 3),
+    count=st.integers(1, 4),
     lanes=st.sampled_from([1, 2]),
-    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_steering_stream_is_steering_matrix_bit_for_bit(m_ce, n, lanes, data):
-    # sizes on both sides of LOOKAHEAD_MIN_ENTRIES, one or two lanes: the
-    # helper thread runs only for two lanes above the gate
+@example(m_ce=1024, n=64, steps=3, count=4, lanes=2, seed=0)
+@example(m_ce=1024, n=64, steps=2, count=3, lanes=1, seed=1)
+def test_steering_stream_is_steering_matrix_bit_for_bit(m_ce, n, steps, count, lanes, seed):
+    # ``count`` stacks of ``steps`` steps each, on both sides of
+    # LOOKAHEAD_MIN_ENTRIES per step matrix and up to 3 x 1024 x 64 entries
+    # per stack, with one or two lanes: the helper thread runs only for two
+    # lanes above the gate, and fills each stack in one task
     cfg = ArrayConfig(m_ce=m_ce, n_u=1, wavelength=0.01)
-    angle = st.one_of(st.floats(-np.pi, np.pi), st.sampled_from([0.0, -0.0, np.pi / 2]))
-    sets = np.array(data.draw(st.lists(st.lists(angle, min_size=n, max_size=n),
-                                       min_size=1, max_size=6)))
+    rng = np.random.default_rng(seed)
+    sets = rng.uniform(-np.pi, np.pi, (count, steps, n))
+    special = rng.random(sets.shape) < 0.1
+    sets[special] = rng.choice([0.0, -0.0, np.pi / 2, -np.pi, np.pi], int(special.sum()))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "usable_cpus", lambda: lanes)
         got = list(steering_ahead(cfg, sets))
     assert len(got) == len(sets)
-    for matrix, thetas in zip(got, sets):
-        assert_same_bits(matrix, steering_matrix(cfg, thetas))
-
-
-def test_caller_fills_every_row_block_the_helper_has_not_started(monkeypatch):
-    # the helper is kept busy by a task queued ahead of every fill, so the
-    # caller takes over each row block; the bits stay those of steering_matrix
-    release = threading.Event()
-
-    class Stalled(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.submit(release.wait, 30.0)
-
-    fillers = []
-    fill = beamforming._steering_entries
-
-    def recorded(real, imag):
-        fillers.append(threading.current_thread())
-        fill(real, imag)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Stalled)
-    monkeypatch.setattr(beamforming, "_steering_entries", recorded)
-    monkeypatch.setattr(linalg, "usable_cpus", lambda: 2)
-    m_ce, n = 1024, 64
-    cfg = ArrayConfig(m_ce=m_ce, n_u=4, wavelength=0.01)
-    sets = np.random.default_rng(3).uniform(-np.pi, np.pi, (5, n))
-    stream = steering_ahead(cfg, sets)
-    got = [next(stream) for _ in sets]
-    release.set()
-    with pytest.raises(StopIteration):
-        next(stream)
-    blocks = -(-m_ce // (BLOCK_ENTRIES // n))
-    assert blocks > 1
-    assert fillers == [threading.main_thread()] * (len(sets) * blocks)
-    for matrix, thetas in zip(got, sets):
-        assert_same_bits(matrix, steering_matrix(cfg, thetas))
+    for stack, thetas in zip(got, sets):
+        assert_same_bits(stack, steering_matrix(cfg, thetas))
 
 
 def test_closing_the_stream_early_stops_its_helper(monkeypatch):
@@ -409,7 +379,7 @@ def _channel(thetas, ranges, sigma2, h=None):
             -2j * np.pi * ranges / CFG.wavelength
         )
     return ChannelRealization(
-        h=np.asarray(h, complex), sigma2=sigma2, theta=thetas, ranges=ranges,
+        h=np.asarray(h, complex), sigma2=sigma2, theta=thetas,
         a=steering_matrix(CFG, thetas), b=steering_matrix(CFG, thetas, CFG.n_u),
     )
 

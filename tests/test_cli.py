@@ -10,9 +10,9 @@ import threading
 import numpy as np
 import pytest
 
-from uiobeam import beamforming
+from uiobeam import beamforming, linalg
 from uiobeam.cli import main
-from uiobeam.config import config_from_mapping
+from uiobeam.config import config_from_mapping, parse_config
 from uiobeam.errors import NumericalError, ShapeError
 from uiobeam.simulate import echo_blockage, run_compare, run_design, run_simulate, write_csv
 
@@ -504,6 +504,40 @@ def test_degenerate_geometry_mid_loop_exits_1_and_stops_the_helper(
         assert not steering_helpers()
 
 
+class StepFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("run, name, calls_per_chunk", [
+    (run_simulate, "link_report", 1),
+    (run_compare, "empirical_link_se", 2),
+], ids=["simulate", "compare-baseline"])
+def test_a_failing_link_step_reaches_the_caller_and_stops_the_helper(
+    tmp_path, monkeypatch, run, name, calls_per_chunk
+):
+    # 16 UAVs on 512 elements: 8192 entries per step start the helper given
+    # two CPUs, and each chunk holds one step; the step of the second chunk
+    # raises while the helper holds the steering of later chunks
+    cfg = parse_config(link_config(tmp_path, 16, 512))
+    monkeypatch.setattr(linalg, "usable_cpus", lambda: 2)
+    error = StepFailure("the second chunk's step fails")
+    evaluate = getattr(beamforming, name)
+    helpers_seen = []
+
+    def failing(*args, **kwargs):
+        helpers_seen.append(bool(steering_helpers()))
+        if len(helpers_seen) > calls_per_chunk:
+            raise error
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(beamforming, name, failing)
+    with pytest.raises(StepFailure) as raised:
+        run(cfg, tmp_path / "out")
+    assert raised.value is error
+    assert len(helpers_seen) == calls_per_chunk + 1 and all(helpers_seen)
+    assert not steering_helpers()
+
+
 def test_manifests_list_zero_forcing_fallback_steps(tmp_path):
     # the singular-Gram fleet falls back on some steps of every link; the
     # reference fleet's predicted angles never collide
@@ -631,18 +665,33 @@ CHUNK_EDGE_CONFIG = {
 @pytest.mark.parametrize("phase_mode", ["range", "random"])
 def test_link_outputs_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, phase_mode):
     cfg = config_from_mapping({**CHUNK_EDGE_CONFIG, "channel": {"phase_mode": phase_mode}})
-    assert [k0 for k0, _ in simulate_module._link_chunks(cfg)] == [0, 16, 32]
     _, last_clear = echo_blockage(cfg.windows, 0.15, cfg.horizon)
     assert last_clear[16] == 9 and last_clear[32] == 32
     path = write_yaml(tmp_path, json.dumps(
         {**CHUNK_EDGE_CONFIG, "channel": {"phase_mode": phase_mode}}))
+    # the first step of every chunk the engine hands to a link's step
+    starts = []
+    engine = simulate_module._link_chunks
+
+    def recorded(cfg, run, angles, draw, step):
+        def recorded_step(k0, *args):
+            starts.append(k0)
+            step(k0, *args)
+
+        engine(cfg, run, angles, draw, recorded_step)
+
+    monkeypatch.setattr(simulate_module, "_link_chunks", recorded)
     outputs = []
     # one step per chunk, the default, and the whole horizon in one chunk
-    for entries in (1, simulate_module.LINK_CHUNK_ENTRIES, 2**30):
+    for entries, chunk_starts in ((1, list(range(48))),
+                                  (simulate_module.LINK_CHUNK_ENTRIES, [0, 16, 32]),
+                                  (2**30, [0])):
         monkeypatch.setattr(simulate_module, "LINK_CHUNK_ENTRIES", entries)
         out = tmp_path / f"entries{entries}"
         for sub in ("simulate", "compare-baseline"):
+            starts.clear()
             assert main([sub, "--config", path, "--out", str(out / sub)]) == 0
+            assert starts == chunk_starts
         outputs.append(output_bytes(out))
     assert len(outputs[0]) == 12
     assert outputs[0] == outputs[1] == outputs[2]
@@ -698,9 +747,13 @@ def test_huge_output_matrix_fails_validation(tmp_path, capsys, h_diag):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "at h = 1e148 the per-coordinate certificate (p near 1e302) and the dense "
-    "oracle disagree, both verdicts being rounding noise against the absolute "
-    "tolerance; see the FOUND entry on h_diag 1e148 in CHANGES.md"))
+    "design puts p on M2's singular edge, p = h^2/mu, so rounding decides the "
+    "dense verdict: the dense lambda_min(M2) is -1.6e-9 at h = 10 and 0 at h = 20, "
+    "where both verdicts agree, and -6.0e-8 at h = 30, -4.6e-8 at h = 50 and "
+    "-7.8e-7 at h = 100, where the dense oracle rejects what the per-coordinate "
+    "certificate accepts; they also disagree at every even decade from 1e2 to "
+    "1e148. The fix is a p inside the window, not on its h^2/mu edge (ROADMAP "
+    "item 2, closed-form design)"))
 def test_largest_accepted_output_matrix_designs_a_certificate_the_oracle_accepts(tmp_path):
     cfg = write_yaml(tmp_path, "observer:\n  h_diag: 1.0e+148\n")
     assert main(["design", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
