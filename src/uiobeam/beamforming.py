@@ -12,10 +12,12 @@ unit-norm combining b(theta^)/sqrt(N_U).
 
 Each steering matrix is built once per angle set: the channel carries the
 transmit and receive steering at its true angles, which every link
-evaluation of that snapshot reads; a precoder builds its steering matrix
-and Gram matrix once, also when it falls back to the ridge; and each point
-of the pattern grid is steered once for all the precoders it is evaluated
-on, one row block at a time (see `beam_pattern`).
+evaluation of that snapshot reads, and each point of the pattern grid is
+steered once for all the precoders it is evaluated on, one row block at a
+time (see `beam_pattern`). A precoder is one loaded-Gram solve per stack:
+each step's Gram matrix A^T A* gains load*M_CE on its diagonal (load 0.0 is
+strict zero-forcing) and the whole stack reaches `solve_hermitian` in one
+call.
 
 Step stacks. The link functions take a leading step axis: angles of shape
 (..., N) give steering stacks (..., count, N), a channel of positions
@@ -24,10 +26,7 @@ and the link reports are computed for every step of the stack at once. The
 2-D call is the one-step case. Every step slice of a stack reaches the same
 BLAS/LAPACK call (zgemm, zpotrf, zgesv) with the same strides as the 2-D
 call, runs the same elementwise ufuncs and reduces along the same axis, so a
-stacked call equals the per-step 2-D calls bit for bit. `safe_beamformer`
-decides strict versus ridge for each step: a step whose sines collide is
-loaded at once, the strict steps share one batched Cholesky, and only when
-that fails are they retried one by one to find the singular ones.
+stacked call equals the per-step 2-D calls bit for bit.
 
 The link loops draw their M_CE-row steering stacks from one stream,
 `steering_ahead`, which fills the next stacks on a helper thread while the
@@ -214,30 +213,18 @@ def _check_sine_gaps(thetas, min_sin_gap):
         )
 
 
-def _zero_forcing(cfg, a, a_conj, gram, loads):
-    """F = A*(A^T A* + load*M_CE*I)^{-1} for each step, from the steering
-    stack A, its conjugate and its unloaded Gram stack A^T A*; ``loads``
-    holds the loading of each step. The strict steps (load 0.0) share one
-    batched solve and the loaded steps another; SingularMatrixError when
-    any of them is not positive definite."""
-    n = gram.shape[-1]
-    eye = np.eye(n, dtype=complex)
-    grams = gram.reshape(-1, n, n)
-    loads = loads.reshape(-1)
-    inverse = np.empty_like(grams)
-    strict = loads == 0.0
-    if strict.any():
-        inverse[strict] = solve_hermitian(grams[strict], eye)
-    if not strict.all():
-        loaded = grams[~strict] + (loads[~strict] * cfg.m_ce)[:, None, None] * np.eye(n)
-        inverse[~strict] = solve_hermitian(loaded, eye)
-    return a_conj @ inverse.reshape(gram.shape)
-
-
-def _gram(a):
-    """The conjugate A* of the steering stack and its Gram stack A^T A*."""
+def _precoder(cfg, thetas, a, loads):
+    """Zero-forcing precoder F = A*(A^T A* + load*M_CE*I)^{-1} at the angles
+    ``thetas`` from their steering stack ``a``, ``loads`` holding each step's
+    loading (0.0: strict). The whole loaded Gram stack is solved in one call;
+    SingularMatrixError when any of it is not positive definite."""
+    n = thetas.shape[-1]
     a_conj = a.conj()
-    return a_conj, np.swapaxes(a, -1, -2) @ a_conj
+    gram = np.swapaxes(a, -1, -2) @ a_conj
+    # in place: an out-of-place sum left fleet-n64's peak RSS 0.6 MiB higher
+    gram +=(loads * cfg.m_ce)[..., None, None] * np.eye(n)
+    f = a_conj @ solve_hermitian(gram, np.eye(n, dtype=complex))
+    return BeamformerMatrix(f=f, a=a, theta=thetas, ridge=loads)
 
 
 def beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=0.0):
@@ -252,47 +239,40 @@ def beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=0.0):
     thetas = np.atleast_1d(np.asarray(thetas, float))
     if ridge == 0.0:
         _check_sine_gaps(thetas, min_sin_gap)
-    a = steering_matrix(cfg, thetas, cfg.m_ce)
-    a_conj, gram = _gram(a)
-    loads = np.full(thetas.shape[:-1], float(ridge))
-    return BeamformerMatrix(f=_zero_forcing(cfg, a, a_conj, gram, loads), a=a, theta=thetas,
-                            ridge=loads)
+    return _precoder(cfg, thetas, steering_matrix(cfg, thetas),
+                     np.full(thetas.shape[:-1], float(ridge)))
 
 
 def safe_beamformer(cfg, thetas, a=None):
-    """Strict zero-forcing when well conditioned, fallback loaded by
-    FALLBACK_RIDGE at angle collisions (sine gaps below MIN_SIN_GAP; the
-    orbit geometry crosses equal sines twice per revolution per UAV pair, so
-    long runs need this) and when the Gram matrix is numerically singular
-    although every sine gap passes (many UAVs on a short array, or more UAVs
-    than antennas). Angles (..., N) give one precoder per step, each decided
-    on its own.
-
-    The steering matrix ``a`` (built here unless given, for instance by
-    ``steering_ahead``) and its Gram matrix are built once; the fallback
-    loads that same Gram matrix, so each step equals ``beamformer(cfg,
-    thetas_k, ridge=load)`` bit for bit, its load being 0.0 or
-    FALLBACK_RIDGE. A loaded solve that still fails raises SingularMatrixError."""
+    """Zero-forcing at the angles (..., N), each step loaded by 0.0 (strict)
+    or FALLBACK_RIDGE. The ridge takes the steps whose sines collide (gaps
+    below MIN_SIN_GAP; the orbit geometry crosses equal sines twice per
+    revolution per UAV pair, so long runs need this) and, found one by one
+    only when the stack's solve fails, the strict steps whose Gram matrix is
+    numerically singular although every sine gap passes (many UAVs on a
+    short array, or more UAVs than antennas). The steering stack ``a``
+    (built here unless given, for instance by ``steering_ahead``) is solved
+    once with these loads, so each step equals ``beamformer(cfg, thetas_k,
+    ridge=load)`` bit for bit. A loaded solve that still fails raises
+    SingularMatrixError."""
     thetas = np.atleast_1d(np.asarray(thetas, float))
     if a is None:
-        a = steering_matrix(cfg, thetas, cfg.m_ce)
-    a_conj, gram = _gram(a)
+        a = steering_matrix(cfg, thetas)
     collide = np.any(_close_pairs(thetas, MIN_SIN_GAP)[1], axis=(-2, -1))
     loads = np.where(collide, FALLBACK_RIDGE, 0.0)
     try:
-        f = _zero_forcing(cfg, a, a_conj, gram, loads)
+        return _precoder(cfg, thetas, a, loads)
     except SingularMatrixError:
-        # find the strict steps whose Gram matrix is singular, one by one
+        # load the strict steps whose Gram matrix is singular, found one by one
         n = thetas.shape[-1]
-        step_loads, grams = loads.reshape(-1), gram.reshape(-1, n, n)
-        eye = np.eye(n, dtype=complex)
+        step_thetas, step_a = thetas.reshape(-1, n), a.reshape(-1, cfg.m_ce, n)
+        step_loads = loads.reshape(-1)
         for k in np.flatnonzero(step_loads == 0.0):
             try:
-                solve_hermitian(grams[k], eye)
+                _precoder(cfg, step_thetas[k], step_a[k], step_loads[k])
             except SingularMatrixError:
                 step_loads[k] = FALLBACK_RIDGE
-        f = _zero_forcing(cfg, a, a_conj, gram, loads)
-    return BeamformerMatrix(f=f, a=a, theta=thetas, ridge=loads)
+        return _precoder(cfg, thetas, a, loads)
 
 
 def azimuths(deltas):

@@ -55,6 +55,8 @@ from .errors import BracketError, InfeasibleError, ShapeError
 
 # Bisection bracket for the performance level mu = gamma^2.
 MU_BRACKET = (1e-6, 10.0)
+# Width (s) to which critical_dt bisects its dt bracket.
+DT_RESOLUTION = 1e-3
 # Log-spaced grid over p per coordinate: [h^2/mu, P_GRID_SPAN * h^2/mu].
 P_GRID_POINTS = 200
 P_GRID_SPAN = 1e6
@@ -262,7 +264,7 @@ def _golden_section(alpha, b, d, ps):
     return zs, np.linalg.eigvalsh(_tracking_blocks(alpha, b, d, ps, zs))[:, -1]
 
 
-def _certificate_search(alpha, rows, mu, tol=INNER_TOL):
+def _certificate_search(alpha, rows, mu):
     """Search the (p, z) pair certifying each coordinate row (b, d, h) of
     ``rows`` at level mu, all rows in one stacked search.
 
@@ -294,7 +296,8 @@ def _certificate_search(alpha, rows, mu, tol=INNER_TOL):
                        for lo, hi in zip(cuts, cuts[1:])]
             parts = [future.result() for future in futures]
         zs, top = (np.concatenate(part) for part in zip(*parts))
-    ok = (top <= tol) & (np.linalg.eigvalsh(performance_blocks(h, ps, mu))[:, 0] >= -tol)
+    ok = ((top <= INNER_TOL)
+          & (np.linalg.eigvalsh(performance_blocks(h, ps, mu))[:, 0] >= -INNER_TOL))
     pairs = []
     for p_row, z_row, ok_row in zip(*(a.reshape(-1, P_GRID_POINTS) for a in (ps, zs, ok))):
         if not np.any(ok_row):
@@ -408,11 +411,11 @@ def dt_interval(prob, mu):
     return float(np.max(d - r)), float(np.min(d + r))
 
 
-def critical_dt(prob, dt_bracket, mu=None, resolution=1e-3):
-    """Largest uniform measurement interval feasible at level mu (default
-    prob.mu_max), bisected against dt_interval to ``resolution`` seconds. The
-    bracket must be feasible at its low end and infeasible at its high end."""
-    mu = prob.mu_max if mu is None else mu
+def critical_dt(prob, dt_bracket):
+    """Largest uniform measurement interval feasible at level prob.mu_max,
+    bisected against dt_interval to DT_RESOLUTION seconds. The bracket must
+    be feasible at its low end and infeasible at its high end."""
+    mu = prob.mu_max
     lo, hi = float(dt_bracket[0]), float(dt_bracket[1])
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise BracketError(f"dt bracket ends must be finite, got ({lo}, {hi})")
@@ -429,7 +432,7 @@ def critical_dt(prob, dt_bracket, mu=None, resolution=1e-3):
         raise BracketError(f"dt bracket high end {hi:g} s is still feasible at mu={mu:g}; "
                            f"{where}")
     # bisected, not returned as `high`, so the reported frontier keeps its bits
-    while hi - lo > resolution:
+    while hi - lo > DT_RESOLUTION:
         mid = 0.5 * (lo + hi)
         if mid <= high:
             lo = mid

@@ -172,8 +172,9 @@ def solve_hermitian(m, rhs):
             f"(allowed {HERMITIAN_TOL * scale[at]:.3e})"
         )
     herm = 0.5 * (m + m_h)
+    # the solve can still meet an exactly singular matrix that passed Cholesky
     try:
         np.linalg.cholesky(herm)
+        return np.linalg.solve(herm, rhs)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("matrix is not positive definite") from None
-    return np.linalg.solve(herm, rhs)

@@ -128,9 +128,9 @@ def mu_label(mu):
     return format(float(mu), "g")
 
 
-def design_problem(cfg, mu_max, alpha=None):
+def design_problem(cfg, mu_max):
     return LmiProblem(
-        alpha=cfg.alpha if alpha is None else alpha,
+        alpha=cfg.alpha,
         b_t=cfg.scenario.b_t_diag,
         d=cfg.model.d,
         h=cfg.h_diag,

@@ -660,6 +660,11 @@ def test_predicted_angles_match_per_step_rows():
     colliding=st.lists(st.booleans(), min_size=5, max_size=5),
     singular=st.integers(-1, 4),
 )
+# more UAVs than antennas: Cholesky passes some of these rank-deficient Gram
+# matrices, and the solve then finds them exactly singular
+@example(m_ce=4, n=5, steps=5, seed=218, colliding=[False] * 5, singular=0)
+@example(m_ce=4, n=5, steps=5, seed=218, colliding=[True, False, True, False, False],
+         singular=0)
 def test_stacked_link_equals_per_step_calls_bit_for_bit(
     m_ce, n, steps, seed, colliding, singular
 ):

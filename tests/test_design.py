@@ -322,8 +322,8 @@ coordinates = st.tuples(
 )
 
 
-def scalar_problem(alpha, b, d, h):
-    return LmiProblem(alpha=alpha, b_t=[b], d=[d], h=[h], mu_max=1.0)
+def scalar_problem(alpha, b, d, h, mu_max=1.0):
+    return LmiProblem(alpha=alpha, b_t=[b], d=[d], h=[h], mu_max=mu_max)
 
 
 @settings(max_examples=150, deadline=None)
@@ -337,6 +337,26 @@ def test_closed_form_certificate_passes_dense_check(coord, excess, mu_free):
     assert feasible(scalar_problem(*coord), [[p]], [[ell * p]], mu)
     assert mu_feasible(scalar_problem(*coord), mu)
     assert gain_point_feasible(scalar_problem(*coord), ell, mu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coordinates, st.floats(1e-6, 10.0), st.floats(1e-3, 10.0), st.integers(1, 50))
+def test_certified_gamma_bounds_the_exact_linf_gain(coord, excess, mu_free, horizon):
+    # the error e_{k+1} = q e_k + (ell d - b) w_k seen through h has the
+    # l-infinity gain g = |h (ell d - b)| / (1 - |q|), which the certified
+    # gamma must bound; the bang-bang input of unit size reaches g (1 - |q|^K)
+    alpha, b, d, h = coord
+    mu_max = max(mu_floor(alpha, b, d, h) * (1.0 + excess), mu_free)
+    assume(mu_max <= 10.0)
+    solution, gains = design(scalar_problem(*coord, mu_max))
+    ell, q = gains.l[0], gains.q[0]
+    gain = abs(h * (ell * d - b)) / (1.0 - abs(q))
+    assert gain <= solution.gamma * (1.0 + 1e-9)
+    w = np.sign(h * (ell * d - b) * q ** (horizon - 1 - np.arange(horizon)))
+    e = 0.0
+    for w_k in w:
+        e = q * e + (ell * d - b) * w_k
+    assert abs(h * e) == pytest.approx(gain * (1.0 - abs(q) ** horizon), rel=1e-9, abs=0.0)
 
 
 @settings(max_examples=100, deadline=None)
