@@ -16,7 +16,7 @@ UAV_AZIMUTHS = np.array([0.10, 0.60, -0.40, 1.00])  # rad
 def main():
     cfg = ArrayConfig.at_carrier(64, 4, 30.0e9)
     beams = beamformer(cfg, UAV_AZIMUTHS)
-    cross = np.abs(steering_matrix(cfg, UAV_AZIMUTHS, cfg.m_ce).T @ beams.f)
+    cross = np.abs(steering_matrix(cfg, UAV_AZIMUTHS).T @ beams.f)
     print("=== zero-forcing cross-gain matrix |a^T(theta_j) f_i| ===")
     with np.printoptions(precision=2, suppress=False):
         print(cross)

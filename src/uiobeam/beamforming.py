@@ -10,17 +10,18 @@ definition); perfect angle estimates then give exactly zero inter-stream
 interference. Spectral efficiency is log2(1 + SINR) per stream with matched
 unit-norm combining b(theta^)/sqrt(N_U).
 
-Each steering matrix is built once per angle set: the channel carries the
-transmit and receive steering at its true angles, which every link
-evaluation of that snapshot reads, and each point of the pattern grid is
-steered once for all the precoders it is evaluated on, one row block at a
-time (see `beam_pattern`). A precoder is one loaded-Gram solve per stack:
+Each steering matrix is built once per angle set, with M_CE rows: the
+channel carries the steering at its true angles, which every link
+evaluation of that snapshot reads (its first N_U rows, as the precoder's,
+are the receive steering), and each point of the pattern grid is steered
+once for all the precoders it is evaluated on, one row block at a time (see
+`beam_pattern`). A precoder is one loaded-Gram solve per stack:
 each step's Gram matrix A^T A* gains load*M_CE on its diagonal (load 0.0 is
 strict zero-forcing) and the whole stack reaches `solve_hermitian` in one
 call.
 
 Step stacks. The link functions take a leading step axis: angles of shape
-(..., N) give steering stacks (..., count, N), a channel of positions
+(..., N) give steering stacks (..., M_CE, N), a channel of positions
 (..., N, 2) holds (..., N) coefficients, and the precoder, the power split
 and the link reports are computed for every step of the stack at once. The
 2-D call is the one-step case. Every step slice of a stack reaches the same
@@ -37,10 +38,9 @@ stays on the caller); the helper runs one task per stack, the in-place
 ufuncs `sin` (into the imaginary part) and `cos` (into the real part), so it
 makes no BLAS call, no RNG draw and no array allocation. These are the
 ufuncs of `steering_matrix` on the same values, elementwise, so a stack has
-its bits. The helper runs only when this process may use at least two CPUs
-(`linalg.usable_cpus`) and one step's matrix (M_CE x N) has at least
+its bits. The helper runs when one step's matrix (M_CE x N) has at least
 LOOKAHEAD_MIN_ENTRIES entries; otherwise the stream fills each stack inline.
-No setting selects the helper.
+The size alone decides, and no setting selects the helper.
 """
 
 from collections import deque
@@ -48,7 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import ConditioningError, DegenerateGeometryError, ShapeError, SingularMatrixError
 from .linalg import solve_hermitian
 
@@ -96,14 +95,14 @@ class ArrayConfig:
         return cls(m_ce=m_ce, n_u=n_u, wavelength=lam, spacing=spacing)
 
 
-def _steering_arguments(cfg, thetas, count):
-    """A new (..., count, N) complex array for the (..., N) ``thetas`` whose
+def _steering_arguments(cfg, thetas):
+    """A new (..., M_CE, N) complex array for the (..., N) ``thetas`` whose
     real part holds the arguments m*phase_i of the steering entries,
     phase = (2pi/lambda)*d*sin(theta)."""
     phase = (2.0 * np.pi / cfg.wavelength) * cfg.spacing * np.sin(thetas)
-    out = np.empty(thetas.shape[:-1] + (count, thetas.shape[-1]), dtype=complex)
+    out = np.empty(thetas.shape[:-1] + (cfg.m_ce, thetas.shape[-1]), dtype=complex)
     # Adding 0.0 turns a phase of -0.0 into the +0.0 that 1j*phase has.
-    np.multiply(np.arange(count)[:, None], phase[..., None, :] + 0.0, out=out.real)
+    np.multiply(np.arange(cfg.m_ce)[:, None], phase[..., None, :] + 0.0, out=out.real)
     return out
 
 
@@ -115,16 +114,12 @@ def _steering_entries(real, imag):
     np.cos(real, out=real)
 
 
-def steering_matrix(cfg, thetas, count=None):
-    """ULA steering vectors toward the azimuths ``thetas``, one column per
-    angle, with ``count`` elements (defaults to M_CE): entry (m, i) is
+def steering_matrix(cfg, thetas):
+    """ULA steering vectors of the M_CE-element array toward the azimuths
+    ``thetas``, one column per angle: entry (m, i) is
     exp(j*(2pi/lambda)*d*m*sin(theta_i)). Angles of shape (..., N) give a
-    (..., count, N) stack."""
-    if count is None:
-        count = cfg.m_ce
-    if count < 1:
-        raise ShapeError("element count must be positive")
-    out = _steering_arguments(cfg, np.atleast_1d(np.asarray(thetas, float)), count)
+    (..., M_CE, N) stack; its first N_U rows are the N_U-element steering."""
+    out = _steering_arguments(cfg, np.atleast_1d(np.asarray(thetas, float)))
     _steering_entries(out.real, out.imag)
     return out
 
@@ -148,16 +143,15 @@ def steering_ahead(cfg, angle_sets):
     array ``thetas`` in ``angle_sets``, in order, bit for bit: C steps'
     angles (C, N) give a (C, M_CE, N) stack.
 
-    With at least two CPUs and LOOKAHEAD_MIN_ENTRIES entries per step matrix
-    (M_CE * N), one helper thread fills up to LOOKAHEAD stacks beyond the one
+    With at least LOOKAHEAD_MIN_ENTRIES entries per step matrix (M_CE * N),
+    one helper thread fills up to LOOKAHEAD stacks beyond the one
     last yielded, one task per stack, and the caller waits for a stack's task
     before yielding it; otherwise each stack is filled inline. Close the
     generator (for instance with ``contextlib.closing``) when leaving early:
     that cancels the tasks not started and waits for the one running."""
     angle_sets = [np.atleast_1d(np.asarray(thetas, float)) for thetas in angle_sets]
-    count = cfg.m_ce
-    entries = max((count * thetas.shape[-1] for thetas in angle_sets), default=0)
-    if entries < LOOKAHEAD_MIN_ENTRIES or linalg.usable_cpus() < 2:
+    entries = max((cfg.m_ce * thetas.shape[-1] for thetas in angle_sets), default=0)
+    if entries < LOOKAHEAD_MIN_ENTRIES:
         for thetas in angle_sets:
             yield steering_matrix(cfg, thetas)
         return
@@ -168,7 +162,7 @@ def steering_ahead(cfg, angle_sets):
     try:
         for i in range(len(angle_sets) + LOOKAHEAD):
             if i < len(angle_sets):
-                out = _steering_arguments(cfg, angle_sets[i], count)
+                out = _steering_arguments(cfg, angle_sets[i])
                 queued.append((out, helper.submit(_steering_entries, out.real, out.imag)))
             if i >= LOOKAHEAD:
                 queued[0][1].result()
@@ -284,16 +278,15 @@ def azimuths(deltas):
 @dataclass(frozen=True)
 class ChannelRealization:
     """Line-of-sight channel snapshot: complex coefficient and true azimuth
-    per UAV, the per-antenna noise power, and the steering at the true
-    azimuths: transmit rows a (M_CE x N) and receive columns b (N_U x N).
-    A stack of steps carries (..., N) coefficients and azimuths and
-    (..., M_CE, N) / (..., N_U, N) steering."""
+    per UAV, the per-antenna noise power, and the steering a (M_CE x N) at
+    the true azimuths, whose first N_U rows are the receive steering. A
+    stack of steps carries (..., N) coefficients and azimuths and
+    (..., M_CE, N) steering."""
 
     h: np.ndarray
     sigma2: float
     theta: np.ndarray
     a: np.ndarray
-    b: np.ndarray
 
     def __post_init__(self):
         if self.sigma2 < 0:
@@ -319,11 +312,8 @@ class ChannelRealization:
         if phases is None:
             phases = -2.0 * np.pi * ranges / cfg.wavelength
         h = (cfg.wavelength / (4.0 * np.pi * ranges)) * np.exp(1j * phases)
-        return cls(
-            h=h, sigma2=float(sigma2), theta=theta,
-            a=steering_matrix(cfg, theta, cfg.m_ce) if a is None else a,
-            b=steering_matrix(cfg, theta, cfg.n_u),
-        )
+        return cls(h=h, sigma2=float(sigma2), theta=theta,
+                   a=steering_matrix(cfg, theta) if a is None else a)
 
 
 def default_noise_power(cfg, total_power, n_streams, ref_range, target_snr_db):
@@ -342,13 +332,14 @@ def equal_power_allocation(bf, total_power):
 
 def _gain_matrix(cfg, chan, bf, power):
     """Post-combining link gains g_ij from stream j into UAV i's matched
-    combiner b(theta^_i)/sqrt(N_U), (..., N, N) for a stack of steps."""
+    combiner b(theta^_i)/sqrt(N_U), (..., N, N) for a stack of steps; b is
+    the first N_U rows of the channel's and the precoder's steering."""
     power = np.asarray(power, float)
     if bf.f.shape[-1] != chan.h.shape[-1] or power.shape != chan.h.shape:
         raise ShapeError("beamformer/power dimensions inconsistent with the channel")
     t = np.swapaxes(chan.a, -1, -2) @ bf.f
-    b_hat = steering_matrix(cfg, bf.theta, cfg.n_u)
-    combine = np.sum(b_hat.conj() * chan.b, axis=-2) / np.sqrt(cfg.n_u)
+    b_hat, b = bf.a[..., :cfg.n_u, :], chan.a[..., :cfg.n_u, :]
+    combine = np.sum(b_hat.conj() * b, axis=-2) / np.sqrt(cfg.n_u)
     scale = 1.0 / np.sqrt(cfg.m_ce * cfg.n_u)
     return (scale * chan.h[..., :, None] * combine[..., :, None] * t
             * np.sqrt(power)[..., None, :])
@@ -458,7 +449,7 @@ def beam_pattern(cfg, fs, theta_grid):
     fs = [np.asarray(f, complex) for f in fs]
     responses = [np.empty((theta_grid.size, f.shape[-1])) for f in fs]
     for r0, r1 in _pattern_blocks(cfg, fs, theta_grid.size):
-        rows = steering_matrix(cfg, theta_grid[r0:r1], cfg.m_ce).T
+        rows = steering_matrix(cfg, theta_grid[r0:r1]).T
         for f, response in zip(fs, responses):
             np.abs(rows @ f, out=response[r0:r1])
     for response in responses:

@@ -314,11 +314,19 @@ def config_from_mapping(data, run_overrides=None):
     )
 
 
+# Bound (m) on the coordinates of the truth rollout: a UAV starts within
+# |center| + R and moves at most R |omega| (dt + perturbation_ratio) per step.
+# The link squares ranges and subtracts the center, which overflow or cancel
+# near 1e300 m, so the bound keeps the headroom of a square.
+POSITION_HEADROOM = 1e150
+
+
 def require_link_config(cfg):
-    """Zero-forcing needs one antenna per served UAV, and the time column,
-    the blockage windows and the echo hold run on one clock. The link
-    subcommands call this; design and sweep-dt build neither, so more UAVs
-    than antennas and per-UAV dt stay valid for them."""
+    """Zero-forcing needs one antenna per served UAV, the time column, the
+    blockage windows and the echo hold run on one clock, and the positions
+    stay below POSITION_HEADROOM. The link subcommands call this; design and
+    sweep-dt build neither link nor positions, so more UAVs than antennas,
+    per-UAV dt and far-flung orbits stay valid for them."""
     dt = cfg.scenario.dt
     if np.any(dt != dt[0]):
         raise ConfigError(f"scenario.dt must be one interval for simulate and "
@@ -329,6 +337,16 @@ def require_link_config(cfg):
             f"array.m_ce={m_ce} must be at least scenario.n_uavs={n_uavs}: "
             f"zero-forcing needs one antenna per served UAV"
         )
+    sc, radius, omega = cfg.scenario, np.max(cfg.scenario.radii), abs(cfg.scenario.omega)
+    with np.errstate(over="ignore"):  # finite non-negative factors: inf, never nan
+        step = omega * dt[0] + omega * sc.perturbation_ratio
+        reach = np.max(np.abs(sc.center)) + radius * (1.0 + cfg.horizon * step)
+    if not reach < POSITION_HEADROOM:
+        raise ConfigError(
+            f"scenario.center {sc.center.tolist()}, scenario.radii up to {radius:g}, "
+            f"scenario.omega {sc.omega:g}, scenario.dt {dt[0]:g}, scenario.perturbation_ratio "
+            f"{sc.perturbation_ratio:g} and run.horizon {cfg.horizon} let positions reach "
+            f"{reach:.3g} m, not below {POSITION_HEADROOM:g} m")
 
 
 # libyaml parses a large config about ten times faster than the pure-Python

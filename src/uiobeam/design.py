@@ -34,12 +34,12 @@ block stack certify it, per coordinate.
 The search runs once per level: the p grids of all distinct coordinates form
 one flat stack of grid points, and each golden-section iteration evaluates
 both section points of the whole stack in one eigvalsh call. A stack of at
-least 2 * SEARCH_LANE_MIN_POINTS points is cut into contiguous slices, one
-per usable CPU (linalg.usable_cpus), searched on their own threads; smaller
-stacks stay on the calling thread. Every step is elementwise per grid point
-and LAPACK takes each 3x3 block on its own, so a coordinate's certificate
-has the same bits whatever rows share its stack, however the stack is cut
-and on how many threads. No setting selects the lanes.
+least 2 * SEARCH_LANE_MIN_POINTS points is cut in two halves: one helper
+thread searches the second while the calling thread searches the first.
+Smaller stacks stay on the calling thread; the size alone decides, and no
+setting selects the helper. Every step is elementwise per grid point and
+LAPACK takes each 3x3 block on its own, so a coordinate's certificate has
+the same bits whatever rows share its stack and wherever the stack is cut.
 
 The dense blocks (assemble_lmi_blocks, feasible) are the test oracle for
 that certificate: they take dense P and Z, build B_T, D and H from the
@@ -70,12 +70,12 @@ INNER_TOL = 0.1 * linalg.DEFINITENESS_TOL
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 75
 # Smallest number of grid points (3x3 tracking blocks per golden evaluation)
-# per lane of the certificate search; a smaller stack is searched on the
-# calling thread, because below it the hand-off costs more than the second
-# CPU saves. Measured on two cores, two lanes against one, 30 alternating
-# pairs per size (median time ratio, pairs won): 200 points (one row, as in
-# ref-long and fleet-n64) 1.25, 11/30; 400 1.04, 13/30; 600 0.98, 15/30;
-# 800 0.79, 26/30; 1600 0.71, 30/30.
+# in each half of a certificate search split onto the helper thread; a
+# smaller stack is searched on the calling thread alone, because below it
+# the hand-off costs more than the second CPU saves. Measured on two cores,
+# two lanes against one, 30 alternating pairs per size (median time ratio,
+# pairs won): 200 points (one row, as in ref-long and fleet-n64) 1.25,
+# 11/30; 400 1.04, 13/30; 600 0.98, 15/30; 800 0.79, 26/30; 1600 0.71, 30/30.
 SEARCH_LANE_MIN_POINTS = 400
 
 
@@ -211,7 +211,7 @@ def tracking_blocks(alpha, b, d, p, z):
 
 
 def _tracking_blocks(alpha, b, d, p, z):
-    """tracking_blocks() for the certificate search's lane threads:
+    """tracking_blocks() for the certificate search's helper thread:
     bench/tracer.py times the public functions on one span stack, so only
     private ones may run off the main thread."""
     blocks = np.zeros(np.broadcast(b, d, p, z).shape + (3, 3))
@@ -277,25 +277,23 @@ def _certificate_search(alpha, rows, mu):
     equivalent gains), ties broken by smaller p (smaller certificates are
     numerically safer). Returns one (p, z) pair per row, or None for a row
     with no feasible grid point, the same bits as each row searched alone
-    (see the module docstring for the stack and its lanes).
+    (see the module docstring for the stack and its halves).
     """
     rows = np.asarray(rows, float).reshape(-1, 3)
     b, d, h = np.repeat(rows, P_GRID_POINTS, axis=0).T
     p_lows = [max(h_row * h_row / mu, P_FLOOR) for h_row in rows[:, 2].tolist()]
     ps = np.concatenate([np.geomspace(p_lo, P_GRID_SPAN * p_lo, P_GRID_POINTS)
                          for p_lo in p_lows])
-    lanes = min(linalg.usable_cpus(), ps.size // SEARCH_LANE_MIN_POINTS)
-    if lanes < 2:
+    if ps.size < 2 * SEARCH_LANE_MIN_POINTS:
         zs, top = _golden_section(alpha, b, d, ps)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        cuts = [ps.size * k // lanes for k in range(lanes + 1)]
-        with ThreadPoolExecutor(max_workers=lanes, thread_name_prefix="uiobeam-search") as pool:
-            futures = [pool.submit(_golden_section, alpha, b[lo:hi], d[lo:hi], ps[lo:hi])
-                       for lo, hi in zip(cuts, cuts[1:])]
-            parts = [future.result() for future in futures]
-        zs, top = (np.concatenate(part) for part in zip(*parts))
+        cut = ps.size // 2
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="uiobeam-search") as helper:
+            second = helper.submit(_golden_section, alpha, b[cut:], d[cut:], ps[cut:])
+            first = _golden_section(alpha, b[:cut], d[:cut], ps[:cut])
+            zs, top = (np.concatenate(half) for half in zip(first, second.result()))
     ok = ((top <= INNER_TOL)
           & (np.linalg.eigvalsh(performance_blocks(h, ps, mu))[:, 0] >= -INNER_TOL))
     pairs = []

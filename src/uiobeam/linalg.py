@@ -9,10 +9,9 @@ verdicts are taken over the union of the block spectra.
 Every tolerance that the certificate checks and the tests share is a named
 constant here, so the solver and its verification cannot drift apart.
 Everything is a pure function over immutable inputs, safe to call from
-parallel workers.
+any thread; this module starts none and reads no CPU count.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +30,6 @@ DEFINITENESS_TOL = 1e-8
 SOLVE_RESIDUAL_TOL = 1e-9
 # Contract of pinv_full_col_rank: ||pinv(G) G - I||_inf below this.
 PINV_IDENTITY_TOL = 1e-10
-
-
-def usable_cpus():
-    """CPUs this process may run on (1 where the platform does not say). The
-    steering helper thread and the certificate search's lanes are gated on
-    it."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _as_square(m, name="matrix"):

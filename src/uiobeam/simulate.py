@@ -12,9 +12,12 @@ The link layer builds each precoder once per distinct steering input: the
 pattern snapshots reuse the precoders of the link time series, the echo-fed
 precoder of `run_compare` is held while the echo stays blocked (also across
 chunk edges) and reuses the channel's steering, and each pattern grid point
-is steered once per design. Both output stages hold a block at a time: the
-pattern grid is steered in row blocks (`beamforming.beam_pattern`) and
-`write_csv` converts and writes CSV_BLOCK_ROWS rows at a time.
+is steered once per distinct design level mu* (`run_simulate` runs each
+level once). No N_U-row steering is built: the link reads the receive
+steering from the first N_U rows of the M_CE-row stacks. Both output stages
+hold a block at a time: the pattern grid is steered in row blocks
+(`beamforming.beam_pattern`) and `write_csv` converts and writes
+CSV_BLOCK_ROWS rows at a time.
 
 Both links, `link_timeseries` (analytic SINR) and `run_compare` (empirical
 SE), run on one engine, `_link_chunks`, each handing it a ``draw`` (a chunk's
@@ -25,7 +28,8 @@ the bits of its own 2-D call, so the chunk size changes no output byte. The
 draws are made one step after another in the order of a per-step loop, and
 the M_CE-row steering stacks come from one `beamforming.steering_ahead`
 stream, ordered [true chunk, steered chunk], so the next chunk's stacks can
-be filled while the current chunk runs.
+be filled on its helper thread while the current chunk runs; the size of one
+step's matrix alone decides whether the helper runs.
 """
 
 import json
@@ -320,16 +324,13 @@ def write_manifest(out_dir, cfg, files, wall_clock_s, **report):
     return manifest
 
 
-def _same_gains(a, b):
-    return all(np.array_equal(getattr(a, m), getattr(b, m)) for m in ("l", "q", "h"))
-
-
 def run_simulate(cfg, out_dir):
     """Tracking + link + pattern CSVs, one subdirectory per configured design.
 
-    The outputs depend on a design only through its gains, so each distinct
-    design is run once and its files are copied into the directories of the
-    designs with equal gains. The manifest lists, per design directory, the
+    The outputs depend on a design only through its level mu*, the key by
+    which run_design shares one certificate among bounds, so each distinct
+    level is run once and its files are copied into the directories of the
+    other bounds at that level. The manifest lists, per design directory, the
     steps whose precoder fell back to the ridge (``zf_fallback_steps``).
     """
     require_link_config(cfg)
@@ -339,12 +340,11 @@ def run_simulate(cfg, out_dir):
     records, designs = run_design(cfg)
     files = {}
     fallback_steps = {}
-    written = []  # (gains, directory, {file name: rows}, fallback steps) per distinct design
+    written = {}  # mu* -> (directory, {file name: rows}, fallback steps)
     for record, (solution, gains) in zip(records, designs):
         sub = out_dir / f"design_mu{mu_label(record['mu_max'])}"
         sub.mkdir(parents=True, exist_ok=True)
-        twin = next((w for w in written if _same_gains(w[0], gains)), None)
-        if twin is None:
+        if solution.mu not in written:
             run = obs.track(
                 cfg.scenario, cfg.model, gains, cfg.horizon, gamma=solution.gamma,
                 init=cfg.observer_init, transient_cutoff=cfg.transient_cutoff,
@@ -353,9 +353,9 @@ def run_simulate(cfg, out_dir):
             sub_files = {}
             _write_tracking_csvs(cfg, run, sub, sub_files)
             steps = _write_link_csvs(cfg, run, angles, sub, sub_files)
-            written.append((gains, sub, sub_files, steps))
+            written[solution.mu] = (sub, sub_files, steps)
         else:
-            _, source, sub_files, steps = twin
+            source, sub_files, steps = written[solution.mu]
             if source != sub:
                 for name in sub_files:
                     shutil.copyfile(source / name, sub / name)

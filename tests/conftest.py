@@ -36,8 +36,8 @@ def steering_shapes(monkeypatch):
     shapes = SteeringShapes()
     allocate = beamforming._steering_arguments
 
-    def counted(cfg, thetas, count):
-        out = allocate(cfg, thetas, count)
+    def counted(cfg, thetas):
+        out = allocate(cfg, thetas)
         shapes.append(out.shape)
         return out
 
@@ -102,7 +102,7 @@ def dense_certificate_oracle(monkeypatch):
 @pytest.fixture(autouse=True)
 def no_helper_thread_outlives_its_test():
     """After each test, every thread the package started (the steering
-    helper, the certificate search's lanes: names starting with uiobeam-)
+    helper, the certificate search's helper: names starting with uiobeam-)
     must end: each is joined with a timeout, and one still alive fails the
     test."""
     yield

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from uiobeam import beamforming, linalg
+from uiobeam import beamforming
 from uiobeam.beamforming import (
     FALLBACK_RIDGE,
     PATTERN_BLOCK_ENTRIES,
@@ -49,6 +49,18 @@ from uiobeam.simulate import _predicted_angles, echo_blockage
 CFG = ArrayConfig.at_carrier(64, 4, 30.0e9)
 
 
+def array_of(count):
+    """CFG's geometry on an array of ``count`` elements."""
+    return ArrayConfig(m_ce=count, n_u=1, wavelength=CFG.wavelength, spacing=CFG.spacing)
+
+
+def receive_steering(cfg, thetas):
+    """N_U x N receive steering toward ``thetas``, from the ULA formula
+    itself, so that the oracles read no steering from the code under test."""
+    phase = (2.0 * np.pi / cfg.wavelength) * cfg.spacing * np.sin(np.atleast_1d(thetas))
+    return np.exp(np.arange(cfg.n_u)[:, None] * (1j * phase))
+
+
 def test_array_config_invariants():
     assert CFG.wavelength == pytest.approx(299792458.0 / 30.0e9)
     assert CFG.spacing == pytest.approx(CFG.wavelength / 2.0)
@@ -57,27 +69,28 @@ def test_array_config_invariants():
 
 
 def test_steering_broadside_is_all_ones():
-    np.testing.assert_array_equal(steering_matrix(CFG, 0.0, 16)[:, 0], np.ones(16))
+    np.testing.assert_array_equal(steering_matrix(array_of(16), 0.0)[:, 0], np.ones(16))
 
 
 def test_steering_endfire_alternates():
-    np.testing.assert_allclose(steering_matrix(CFG, np.pi / 2, 2)[:, 0], [1.0, -1.0],
+    np.testing.assert_allclose(steering_matrix(array_of(2), np.pi / 2)[:, 0], [1.0, -1.0],
                                atol=1e-9)
 
 
 def test_steering_30_degrees_quarter_turns():
     # sin(pi/6) = 1/2, half-wavelength spacing: phases m * pi/2
-    v = steering_matrix(CFG, np.pi / 6, 4)[:, 0]
+    v = steering_matrix(array_of(4), np.pi / 6)[:, 0]
     np.testing.assert_allclose(v, [1.0, 1j, -1.0, -1j], atol=1e-9)
 
 
 def test_steering_matrix_matches_per_angle_formula():
     thetas = np.linspace(-1.5, 1.5, 13)
-    a = steering_matrix(CFG, thetas, 32)
+    cfg = array_of(32)
+    a = steering_matrix(cfg, thetas)
     for i, theta in enumerate(thetas):
-        phase = (2.0 * np.pi / CFG.wavelength) * CFG.spacing * np.sin(theta)
+        phase = (2.0 * np.pi / cfg.wavelength) * cfg.spacing * np.sin(theta)
         np.testing.assert_array_equal(a[:, i], np.exp(1j * phase * np.arange(32)))
-        np.testing.assert_array_equal(steering_matrix(CFG, theta, 32)[:, 0], a[:, i])
+        np.testing.assert_array_equal(steering_matrix(cfg, theta)[:, 0], a[:, i])
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,10 +100,10 @@ def test_steering_matrix_matches_per_angle_formula():
     thetas=st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=16),
 )
 def test_steering_matrix_is_the_complex_exponential_bit_for_bit(count, spacing, thetas):
-    cfg = ArrayConfig(m_ce=64, n_u=4, wavelength=0.01, spacing=spacing * 0.01)
+    cfg = ArrayConfig(m_ce=count, n_u=1, wavelength=0.01, spacing=spacing * 0.01)
     phase = (2.0 * np.pi / cfg.wavelength) * cfg.spacing * np.sin(np.asarray(thetas))
     expected = np.exp(np.arange(count)[:, None] * (1j * phase))
-    got = steering_matrix(cfg, thetas, count)
+    got = steering_matrix(cfg, thetas)
     assert got.shape == expected.shape
     # the raw bits, so that signed zeros count too
     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
@@ -99,13 +112,13 @@ def test_steering_matrix_is_the_complex_exponential_bit_for_bit(count, spacing, 
 def test_steering_unit_modulus():
     rng = np.random.default_rng(4)
     for theta in rng.uniform(-np.pi / 2, np.pi / 2, 16):
-        np.testing.assert_allclose(np.abs(steering_matrix(CFG, theta, 64)), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(steering_matrix(CFG, theta)), 1.0, atol=1e-12)
 
 
 def test_single_stream_beamformer_matched_form():
     theta = 0.37
     bf = beamformer(CFG, [theta])
-    expected = steering_matrix(CFG, theta, 64).conj() / 64.0
+    expected = steering_matrix(CFG, theta).conj() / 64.0
     np.testing.assert_allclose(bf.f, expected, atol=1e-12)
 
 
@@ -212,48 +225,57 @@ def test_zero_forcing_identity_on_well_separated_angles(m_ce, start, extra_gaps)
     np.testing.assert_array_equal(strict.f, beamformer(cfg, thetas).f)
 
 
-def test_channel_carries_its_true_angle_steering():
-    chan = ChannelRealization.line_of_sight(CFG, [100.0, 20.0, -30.0, 90.0], [0.0, 0.0], 0.0)
-    np.testing.assert_array_equal(chan.a, steering_matrix(CFG, chan.theta))
-    np.testing.assert_array_equal(chan.b, steering_matrix(CFG, chan.theta, CFG.n_u))
-
-
 def assert_same_bits(got, expected):
     assert got.shape == expected.shape
-    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(expected).view(np.uint64))
+
+
+def test_channel_carries_its_true_angle_steering():
+    chan = ChannelRealization.line_of_sight(CFG, [100.0, 20.0, -30.0, 90.0], [0.0, 0.0], 0.0)
+    assert not hasattr(chan, "b")
+    assert_same_bits(chan.a, steering_matrix(CFG, chan.theta))
+    # its first N_U rows are the receive steering of an N_U-element build
+    assert_same_bits(chan.a[:CFG.n_u], steering_matrix(array_of(CFG.n_u), chan.theta))
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     m_ce=st.sampled_from([8, 64, 1000, 1024, 2048]),
+    n_u=st.integers(1, 4),
     n=st.integers(1, 64),
     steps=st.integers(1, 3),
     count=st.integers(1, 4),
-    lanes=st.sampled_from([1, 2]),
+    helper=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(m_ce=1024, n=64, steps=3, count=4, lanes=2, seed=0)
-@example(m_ce=1024, n=64, steps=2, count=3, lanes=1, seed=1)
-def test_steering_stream_is_steering_matrix_bit_for_bit(m_ce, n, steps, count, lanes, seed):
+@example(m_ce=1024, n_u=4, n=64, steps=3, count=4, helper=True, seed=0)
+@example(m_ce=1024, n_u=3, n=64, steps=2, count=3, helper=False, seed=1)
+def test_steering_stream_is_steering_matrix_bit_for_bit(m_ce, n_u, n, steps, count, helper,
+                                                         seed):
     # ``count`` stacks of ``steps`` steps each, on both sides of
     # LOOKAHEAD_MIN_ENTRIES per step matrix and up to 3 x 1024 x 64 entries
-    # per stack, with one or two lanes: the helper thread runs only for two
-    # lanes above the gate, and fills each stack in one task
-    cfg = ArrayConfig(m_ce=m_ce, n_u=1, wavelength=0.01)
+    # per stack, with the gate as it is or above every stack: the helper
+    # thread runs only above the gate, and fills each stack in one task. The
+    # first N_U rows of each stack, which the link reads as the receive
+    # steering, have the bits of an N_U-element build
+    cfg = ArrayConfig(m_ce=m_ce, n_u=n_u, wavelength=0.01)
+    receive = ArrayConfig(m_ce=n_u, n_u=n_u, wavelength=0.01)
     rng = np.random.default_rng(seed)
     sets = rng.uniform(-np.pi, np.pi, (count, steps, n))
     special = rng.random(sets.shape) < 0.1
     sets[special] = rng.choice([0.0, -0.0, np.pi / 2, -np.pi, np.pi], int(special.sum()))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "usable_cpus", lambda: lanes)
+        if not helper:
+            patch.setattr(beamforming, "LOOKAHEAD_MIN_ENTRIES", m_ce * n + 1)
         got = list(steering_ahead(cfg, sets))
     assert len(got) == len(sets)
     for stack, thetas in zip(got, sets):
         assert_same_bits(stack, steering_matrix(cfg, thetas))
+        assert_same_bits(stack[..., :n_u, :], steering_matrix(receive, thetas))
 
 
-def test_closing_the_stream_early_stops_its_helper(monkeypatch):
-    monkeypatch.setattr(linalg, "usable_cpus", lambda: 2)
+def test_closing_the_stream_early_stops_its_helper():
     cfg = ArrayConfig(m_ce=1024, n_u=4, wavelength=0.01)
     stream = steering_ahead(cfg, np.zeros((50, 16)))
     next(stream)
@@ -380,7 +402,7 @@ def _channel(thetas, ranges, sigma2, h=None):
         )
     return ChannelRealization(
         h=np.asarray(h, complex), sigma2=sigma2, theta=thetas,
-        a=steering_matrix(CFG, thetas), b=steering_matrix(CFG, thetas, CFG.n_u),
+        a=steering_matrix(CFG, thetas),
     )
 
 
@@ -390,7 +412,8 @@ def apply_channel(cfg, chan, f, s_hat, rng):
         r_i = (1/sqrt(M_CE N_U)) h_i b(theta_i) (a^T(theta_i) F s^) + nu_i
 
     with nu_i circular complex Gaussian, variance sigma2 per entry, drawn
-    from ``rng``; the steering is the channel's own a and b."""
+    from ``rng``; the transmit steering is the channel's own a, the receive
+    steering b that of ``receive_steering``."""
     f = np.asarray(f, complex)
     s_hat = np.asarray(s_hat, complex)
     n = chan.h.size
@@ -398,11 +421,12 @@ def apply_channel(cfg, chan, f, s_hat, rng):
     scale = 1.0 / np.sqrt(cfg.m_ce * cfg.n_u)
     tx = f @ s_hat
     out = np.empty((n, cfg.n_u), dtype=complex)
+    b = receive_steering(cfg, chan.theta)
     for i in range(n):
         noise = np.sqrt(chan.sigma2 / 2.0) * (
             rng.standard_normal(cfg.n_u) + 1j * rng.standard_normal(cfg.n_u)
         )
-        out[i] = scale * chan.h[i] * chan.b[:, i] * (chan.a[:, i] @ tx) + noise
+        out[i] = scale * chan.h[i] * b[:, i] * (chan.a[:, i] @ tx) + noise
     return out
 
 
@@ -411,7 +435,7 @@ def test_apply_channel_noise_free_single_stream():
     bf = beamformer(CFG, [0.3])
     rng = np.random.default_rng(0)
     r = apply_channel(CFG, chan, bf.f, np.array([2.0 + 0j]), rng)
-    expected = (1.0 / np.sqrt(64 * 4)) * steering_matrix(CFG, 0.3, 4)[:, 0] * 2.0
+    expected = (1.0 / np.sqrt(64 * 4)) * steering_matrix(array_of(4), 0.3)[:, 0] * 2.0
     np.testing.assert_allclose(r[0], expected, atol=1e-12)
 
 
@@ -473,9 +497,9 @@ def mc_sinr(cfg, chan, bf, power, n_draws, seed):
     s_hat = units * np.sqrt(power)[None, :]
     out = np.empty(n)
     for i in range(n):
-        a_row = steering_matrix(cfg, chan.theta[i], cfg.m_ce)[:, 0]
-        b_true = steering_matrix(cfg, chan.theta[i], cfg.n_u)[:, 0]
-        w = steering_matrix(cfg, bf.theta[i], cfg.n_u)[:, 0] / np.sqrt(cfg.n_u)
+        a_row = steering_matrix(cfg, chan.theta[i])[:, 0]
+        b_true = receive_steering(cfg, chan.theta[i])[:, 0]
+        w = receive_steering(cfg, bf.theta[i])[:, 0] / np.sqrt(cfg.n_u)
         inner = s_hat @ (bf.f.T @ a_row)
         nu = np.sqrt(chan.sigma2 / 2.0) * (
             rng.standard_normal((n_draws, cfg.n_u))
@@ -553,7 +577,7 @@ def test_pattern_nulls_and_peak_location():
     thetas = np.array([-0.7, -0.2, 0.4, 1.1])
     bf = beamformer(CFG, thetas)
     # exact zero-forcing nulls at the other beams' steering angles
-    rows = steering_matrix(CFG, thetas, 64).T
+    rows = steering_matrix(CFG, thetas).T
     cross = np.abs(rows @ bf.f)
     np.testing.assert_allclose(np.diag(cross), 1.0, atol=1e-9)
     assert np.max(np.abs(cross - np.diag(np.diag(cross)))) <= 1e-8
@@ -703,7 +727,7 @@ def test_stacked_link_equals_per_step_calls_bit_for_bit(
         report_k = link_report(cfg, chan_k, beams_k, power_k)
         assert beams.ridge[k] == beams_k.ridge
         for got, expected in (
-            (chan.h[k], chan_k.h), (chan.a[k], chan_k.a), (chan.b[k], chan_k.b),
+            (chan.h[k], chan_k.h), (chan.a[k], chan_k.a),
             (beams.f[k], beams_k.f), (power[k], power_k), (report.g[k], report_k.g),
             (report.sinr_db[k], report_k.sinr_db), (report.se[k], report_k.se),
             (se[k], empirical_link_se(cfg, chan_k, beams_k, power_k, symbols[k], noise[k])),

@@ -4,13 +4,12 @@ blockage comparison, all on desk-scale horizons."""
 import concurrent.futures
 import importlib
 import json
-import os
 import threading
 
 import numpy as np
 import pytest
 
-from uiobeam import beamforming, linalg
+from uiobeam import beamforming
 from uiobeam.cli import main
 from uiobeam.config import config_from_mapping, parse_config
 from uiobeam.errors import NumericalError, ShapeError
@@ -366,6 +365,8 @@ def test_compare_builds_each_steering_matrix_once(tmp_path, steering_shapes):
     })
     run_compare(cfg, tmp_path / "out")
     assert steering_shapes.matrices(cfg.array.m_ce) == 2 * cfg.horizon == 80
+    # the receive steering is read from the first N_U rows, never built
+    assert steering_shapes.matrices(cfg.array.n_u) == 0
 
 
 @pytest.mark.parametrize(
@@ -384,6 +385,7 @@ def test_simulate_builds_the_pattern_grid_once_per_distinct_design(
     m_ce = cfg.array.m_ce
     assert steering_shapes.matrices(m_ce, 11) == distinct
     assert steering_shapes.matrices(m_ce, 4) == 2 * cfg.horizon * distinct
+    assert steering_shapes.matrices(cfg.array.n_u) == 0
 
 
 def test_runtime_certificate_is_per_coordinate(tmp_path, monkeypatch, definiteness_shapes):
@@ -450,7 +452,8 @@ def steering_helpers():
 
 def test_steering_helper_leaves_every_output_byte_unchanged(tmp_path, monkeypatch):
     # 16 UAVs on 1024 elements reach the matrix size at which the link loops
-    # fill the next step's steering on a helper thread, given two CPUs
+    # fill the next step's steering on a helper thread; a gate above that size
+    # fills every stack inline
     cfg = link_config(tmp_path, 16, 1024)
     started = []
     submitted = set()
@@ -466,14 +469,14 @@ def test_steering_helper_leaves_every_output_byte_unchanged(tmp_path, monkeypatc
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
     outputs = []
-    for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+    for helper, gate in ((False, 16 * 1024 + 1), (True, beamforming.LOOKAHEAD_MIN_ENTRIES)):
+        monkeypatch.setattr(beamforming, "LOOKAHEAD_MIN_ENTRIES", gate)
         started.clear()
-        out = tmp_path / f"cpus{len(cpus)}"
+        out = tmp_path / f"helper{helper}"
         for sub in ("simulate", "compare-baseline"):
             assert main([sub, "--config", cfg, "--out", str(out / sub)]) == 0
         # one stream per link loop: simulate's single design and compare's
-        assert len(started) == (0 if len(cpus) == 1 else 2)
+        assert len(started) == (2 if helper else 0)
         outputs.append(output_bytes(out))
     assert len(outputs[0]) == 9
     assert outputs[0] == outputs[1]
@@ -489,7 +492,6 @@ def test_degenerate_geometry_mid_loop_exits_1_and_stops_the_helper(
     # steering of later steps: the channel's error ends the run with its exit
     # code, and the stream cancels or finishes its blocks instead of hanging
     cfg = link_config(tmp_path, 16, 1024)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     track = observer_module.track
 
     def coincident(*args, **kwargs):
@@ -515,11 +517,10 @@ class StepFailure(Exception):
 def test_a_failing_link_step_reaches_the_caller_and_stops_the_helper(
     tmp_path, monkeypatch, run, name, calls_per_chunk
 ):
-    # 16 UAVs on 512 elements: 8192 entries per step start the helper given
-    # two CPUs, and each chunk holds one step; the step of the second chunk
-    # raises while the helper holds the steering of later chunks
+    # 16 UAVs on 512 elements: 8192 entries per step start the helper, and
+    # each chunk holds one step; the step of the second chunk raises while
+    # the helper holds the steering of later chunks
     cfg = parse_config(link_config(tmp_path, 16, 512))
-    monkeypatch.setattr(linalg, "usable_cpus", lambda: 2)
     error = StepFailure("the second chunk's step fails")
     evaluate = getattr(beamforming, name)
     helpers_seen = []
@@ -764,13 +765,20 @@ def test_largest_accepted_output_matrix_designs_a_certificate_the_oracle_accepts
     assert design_module.feasible(prob, np.diag(solution.p), np.diag(solution.z), solution.mu)
 
 
-def test_non_finite_output_exits_4_and_writes_no_partial_file(tmp_path, capsys):
-    # a finite radius whose range overflows: the tracking errors are not
-    # finite, so simulate stops at the first CSV and leaves no file behind
-    cfg = write_yaml(tmp_path, json.dumps({
-        "scenario": {"radii": [1.0e300, 150, 200, 250]},
-        "run": {"horizon": 6},
-    }))
+def test_non_finite_output_exits_4_and_writes_no_partial_file(tmp_path, capsys, monkeypatch):
+    # a prediction that overflowed: the tracking errors are not finite, so
+    # simulate stops at the first CSV and leaves no file behind (the
+    # validator rejects the configs that overflowed so, see
+    # test_positions_beyond_the_headroom_fail_validation_for_link_subcommands)
+    cfg = write_yaml(tmp_path, json.dumps({"run": {"horizon": 6}}))
+    track = observer_module.track
+
+    def overflowed(*args, **kwargs):
+        run = track(*args, **kwargs)
+        run["XHAT"][2, 0] = np.inf
+        return run
+
+    monkeypatch.setattr(observer_module, "track", overflowed)
     out = tmp_path / "out"
     with np.errstate(all="ignore"):
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
@@ -778,6 +786,35 @@ def test_non_finite_output_exits_4_and_writes_no_partial_file(tmp_path, capsys):
     assert err.startswith("error: ") and "trajectories.csv" in err and "column " in err
     assert "Traceback" not in err
     assert not list(out.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("scenario, named", [
+    ({"radii": 1.0e300}, "scenario.radii up to 1e+300,"),
+    ({"omega": 1.0e300}, "scenario.omega 1e+300,"),
+    ({"perturbation_ratio": 1.0e300}, "scenario.perturbation_ratio 1e+300 "),
+    ({"center": [1.0e300, 0.0]}, "scenario.center [1e+300, 0.0],"),
+], ids=["radii", "omega", "perturbation_ratio", "center"])
+def test_positions_beyond_the_headroom_fail_validation_for_link_subcommands(
+    tmp_path, capsys, scenario, named
+):
+    # positions that may reach 1e300 m overflowed the link (exit 4) or lost
+    # the orbit to cancellation ("UAV coincides with the central UAV"); the
+    # link subcommands now reject them naming the fields of the bound, while
+    # design and sweep-dt roll out no positions and keep them
+    cfg = write_yaml(tmp_path, json.dumps({
+        "scenario": scenario,
+        "blockage": {"windows": [[0.3, 0.6]]},
+        "run": {"horizon": 6},
+    }))
+    for sub in ("simulate", "compare-baseline"):
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario.center ")
+        assert named in err and "run.horizon 6" in err and "1e+150 m" in err
+        assert "Traceback" not in err
+        assert not list((tmp_path / sub).rglob("*.csv"))
+    for sub in ("design", "sweep-dt"):
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0
 
 
 def test_finite_gate_of_the_writers(tmp_path):

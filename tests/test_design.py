@@ -12,6 +12,7 @@ Derived example points (p, z, mu) were verified against the minors by hand
 before being frozen.
 """
 
+import concurrent.futures
 import importlib
 
 import numpy as np
@@ -19,7 +20,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uiobeam import linalg
 from uiobeam.design import (
     AlphaSweepEntry,
     LmiProblem,
@@ -410,10 +410,9 @@ def search_one_row(alpha, b, d, h, mu):
     st.floats(1.0, 10.0),  # mu over the largest floor of the drawn rows
     st.floats(1e-3, 10.0),  # mu free of the floors
     st.integers(0, 4),  # where the row below its floor goes
-    st.sampled_from([2, 3]),  # lanes forced on
 )
 def test_stacked_search_gives_each_row_the_bits_it_gets_alone(alpha, rows, excess, mu_free,
-                                                               at, lanes):
+                                                               at):
     mu = max(excess * max(mu_floor(alpha, *row) for row in rows), mu_free)
     # d = 0 puts this row's floor at h^2 b^2 / alpha = 2 mu
     b = rows[0][0]
@@ -421,13 +420,25 @@ def test_stacked_search_gives_each_row_the_bits_it_gets_alone(alpha, rows, exces
     search = design_module._certificate_search
     alone = [search_one_row(alpha, *row, mu) for row in rows]
     assert alone[min(at, len(rows) - 1)] is None
+    helpers = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            helpers.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    points = len(rows) * design_module.P_GRID_POINTS
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "usable_cpus", lambda: 1)
+        patch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+        # a gate above the stack searches it inline
+        patch.setattr(design_module, "SEARCH_LANE_MIN_POINTS", points + 1)
         assert search_bits(search(alpha, rows, mu)) == search_bits(alone)
-        # a one-point gate cuts every stack into `lanes` slices, across rows too
-        patch.setattr(linalg, "usable_cpus", lambda: lanes)
+        assert helpers == []
+        # a one-point gate cuts every stack in halves, across rows too, the
+        # second searched on one helper thread
         patch.setattr(design_module, "SEARCH_LANE_MIN_POINTS", 1)
         assert search_bits(search(alpha, rows, mu)) == search_bits(alone)
+        assert helpers == [{"max_workers": 1, "thread_name_prefix": "uiobeam-search"}]
 
 
 @settings(max_examples=150, deadline=None)
