@@ -4,9 +4,11 @@ published scalar gain points in closed form, and trace how the feasibility
 frontier shrinks as the measurement interval grows.
 """
 
+import dataclasses
+
 import numpy as np
 
-from uiobeam import LmiProblem, critical_dt, design, design_alpha_sweep, gain_point_feasible
+from uiobeam import InfeasibleError, LmiProblem, critical_dt, design, gain_point_feasible
 
 
 def main():
@@ -43,12 +45,13 @@ def main():
 
     print("=== decay-rate sweep at mu <= 0.25 ===")
     prob = LmiProblem.uniform(4, 0.15, d_scale=0.5, alpha=0.5, mu_max=0.25)
-    for entry in design_alpha_sweep(prob, [0.5, 0.1, 0.01]):
-        if entry.feasible:
-            print(f"alpha = {entry.alpha:<5}: gamma = {entry.solution.gamma:.4g}, "
-                  f"L = {entry.gains.l[0]:.4g} I")
-        else:
-            print(f"alpha = {entry.alpha:<5}: infeasible ({entry.error})")
+    for alpha in (0.5, 0.1, 0.01):
+        try:
+            solution, gains = design(dataclasses.replace(prob, alpha=alpha))
+        except InfeasibleError as exc:
+            print(f"alpha = {alpha:<5}: infeasible ({exc})")
+            continue
+        print(f"alpha = {alpha:<5}: gamma = {solution.gamma:.4g}, L = {gains.l[0]:.4g} I")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from .design import (
     assemble_lmi_blocks,
     critical_dt,
     design,
-    design_alpha_sweep,
     diagonal_feasible,
     feasible,
     gain_point_feasible,

@@ -271,7 +271,12 @@ def config_from_mapping(data, run_overrides=None):
     if transient_cutoff < 0:
         raise ConfigError("run.transient_cutoff must be non-negative")
 
-    end_time = horizon * float(dt[0])
+    # the run ends at horizon * dt as the time column rounds it; a horizon past
+    # the float range is compared exactly instead
+    try:
+        end_time = horizon * float(dt[0])
+    except OverflowError:
+        end_time = horizon * Fraction(float(dt[0]))
     windows_raw = _lookup(data, "blockage.windows", [])
     if not isinstance(windows_raw, (list, tuple)):
         raise ConfigError(f"blockage.windows must be a list of [t_start, t_end] pairs, "
@@ -284,7 +289,7 @@ def config_from_mapping(data, run_overrides=None):
             raise ConfigError(f"{name} must satisfy 0 <= t_start < t_end, got {win}")
         if t1 > end_time:
             raise ConfigError(
-                f"{name} ends at {t1} s, beyond the horizon ({end_time} s)"
+                f"{name} ends at {t1} s, beyond the horizon ({float(end_time)} s)"
             )
         windows.append((t0, t1))
 
@@ -319,14 +324,27 @@ def config_from_mapping(data, run_overrides=None):
 # The link squares ranges and subtracts the center, which overflow or cancel
 # near 1e300 m, so the bound keeps the headroom of a square.
 POSITION_HEADROOM = 1e150
+# Bound on run.horizon * scenario.n_uavs, the (step, UAV) pairs of one link
+# run. simulate's peak grows by about 220 bytes per pair (max RSS of the
+# reference fleet at horizons 2000 and 40000), so the bound keeps a run near
+# 1 GiB and rejects a horizon that could not be allocated before anything is.
+MAX_ROLLOUT_PAIRS = 1 << 22
+# The link steers at each UAV's offset positions - center, taken in float64,
+# which resolves an orbit of radius R to about |center| 2^-52 / R. The smallest
+# radius must be at least CENTER_PRECISION * max|center|, so every offset keeps
+# 26 of its 52 bits (angles to ~1e-8 rad) and none cancels to zero.
+CENTER_PRECISION = 2.0 ** -26
 
 
 def require_link_config(cfg):
     """Zero-forcing needs one antenna per served UAV, the time column, the
-    blockage windows and the echo hold run on one clock, and the positions
-    stay below POSITION_HEADROOM. The link subcommands call this; design and
-    sweep-dt build neither link nor positions, so more UAVs than antennas,
-    per-UAV dt and far-flung orbits stay valid for them."""
+    blockage windows and the echo hold run on one clock, the rollout holds at
+    most MAX_ROLLOUT_PAIRS (step, UAV) pairs, the positions stay below
+    POSITION_HEADROOM and the radii resolve against the center
+    (CENTER_PRECISION). The link subcommands call this before they allocate
+    anything; design and sweep-dt build neither link nor positions, so more
+    UAVs than antennas, per-UAV dt, long horizons and far-flung orbits stay
+    valid for them."""
     dt = cfg.scenario.dt
     if np.any(dt != dt[0]):
         raise ConfigError(f"scenario.dt must be one interval for simulate and "
@@ -337,6 +355,11 @@ def require_link_config(cfg):
             f"array.m_ce={m_ce} must be at least scenario.n_uavs={n_uavs}: "
             f"zero-forcing needs one antenna per served UAV"
         )
+    if cfg.horizon * n_uavs > MAX_ROLLOUT_PAIRS:
+        raise ConfigError(
+            f"run.horizon {cfg.horizon} and scenario.n_uavs {n_uavs} give "
+            f"{cfg.horizon * n_uavs} (step, UAV) pairs, above the "
+            f"{MAX_ROLLOUT_PAIRS} one link run may hold")
     sc, radius, omega = cfg.scenario, np.max(cfg.scenario.radii), abs(cfg.scenario.omega)
     with np.errstate(over="ignore"):  # finite non-negative factors: inf, never nan
         step = omega * dt[0] + omega * sc.perturbation_ratio
@@ -347,6 +370,13 @@ def require_link_config(cfg):
             f"scenario.omega {sc.omega:g}, scenario.dt {dt[0]:g}, scenario.perturbation_ratio "
             f"{sc.perturbation_ratio:g} and run.horizon {cfg.horizon} let positions reach "
             f"{reach:.3g} m, not below {POSITION_HEADROOM:g} m")
+    far = np.max(np.abs(sc.center))
+    if not np.min(sc.radii) >= CENTER_PRECISION * far:
+        raise ConfigError(
+            f"scenario.center {sc.center.tolist()} is too far out for scenario.radii "
+            f"down to {np.min(sc.radii):g}: an offset from the center keeps 26 bits "
+            f"only for radii of at least {CENTER_PRECISION:g} * {far:g} = "
+            f"{CENTER_PRECISION * far:.3g} m")
 
 
 # libyaml parses a large config about ten times faster than the pure-Python

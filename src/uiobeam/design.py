@@ -20,16 +20,16 @@ condition of the error dynamics E_{k+1} = Q E_k + (L D - B_T) W_k produces
 
 In the UAV problem B_T, D and H are all diagonal and are carried as (dim,)
 vectors of their diagonals (b, d, h); so are the certificate P, Z and the
-gains L, Q. Both blocks are permutation-similar to one independent 3x3 / 2x2
-pair per state coordinate (b, d, h). The Schur complement of M1 on its -P
-block gives a closed form (Boyd, El Ghaoui, Feron, Balakrishnan, LMIs in
-System and Control Theory, SIAM 1994): a coordinate is feasible iff mu >=
-mu_floor(alpha, b, d, h), and this floor decides every feasibility question
-here. The numeric search (p grid, golden section over z on the max-eigenvalue
-oracle) only picks the certificate at the final mu (design_level gives that
-mu, certify_level the certificate); one definiteness check of
-the (dim, 3, 3) tracking-block stack and one of the (dim, 2, 2) performance-
-block stack certify it, per coordinate.
+gain L, from which Q = I - L is derived. Both blocks are permutation-similar
+to one independent 3x3 / 2x2 pair per state coordinate (b, d, h). The Schur
+complement of M1 on its -P block gives a closed form (Boyd, El Ghaoui,
+Feron, Balakrishnan, LMIs in System and Control Theory, SIAM 1994): a
+coordinate is feasible iff mu >= mu_floor(alpha, b, d, h), and this floor
+decides every feasibility question here. The numeric search (p grid, golden
+section over z on the max-eigenvalue oracle) only picks the certificate at
+the final mu (design_level gives that mu, certify_level the certificate);
+one definiteness check of the (dim, 3, 3) tracking-block stack and one of
+the (dim, 2, 2) performance-block stack certify it, per coordinate.
 
 The search runs once per level: the p grids of all distinct coordinates form
 one flat stack of grid points, and each golden-section iteration evaluates
@@ -43,10 +43,11 @@ the same bits whatever rows share its stack and wherever the stack is cut.
 
 The dense blocks (assemble_lmi_blocks, feasible) are the test oracle for
 that certificate: they take dense P and Z, build B_T, D and H from the
-vectors and are not assembled at run time.
+vectors and are not assembled at run time. Both the certificate and its
+oracle issue their verdicts at the one tolerance linalg.DEFINITENESS_TOL.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,9 +63,8 @@ P_GRID_POINTS = 200
 P_GRID_SPAN = 1e6
 # Floor for the p grid when the performance row is inactive (h = 0).
 P_FLOOR = 1e-9
-# Published certification tolerance; the inner search runs 10x tighter so the
-# final certificate always clears it.
-ORACLE_TOL = linalg.DEFINITENESS_TOL
+# The inner search runs 10x tighter than the certification tolerance
+# linalg.DEFINITENESS_TOL, so the final certificate always clears it.
 INNER_TOL = 0.1 * linalg.DEFINITENESS_TOL
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -125,47 +125,42 @@ class LmiProblem:
 @dataclass(frozen=True)
 class LmiSolution:
     """Certified solution: the diagonals p, z of P and Z, the achieved mu and
-    gamma = sqrt(mu)."""
+    the verdict of its certificate."""
 
     p: np.ndarray
     z: np.ndarray
     mu: float
-    gamma: float
     certified: bool
 
-    @classmethod
-    def from_mu(cls, p, z, mu, certified):
-        return cls(p=np.asarray(p, float), z=np.asarray(z, float), mu=float(mu),
-                   gamma=float(np.sqrt(mu)), certified=certified)
+    @property
+    def gamma(self):
+        return float(np.sqrt(self.mu))
 
 
 @dataclass(frozen=True)
 class ObserverGains:
-    """Diagonals of the observer matrices L (gain) and Q = I - L (state),
-    plus that of the performance output matrix H, one (2N,) vector each."""
+    """Diagonals of the observer gain L and of the performance output matrix
+    H, one (2N,) vector each; the state matrix Q = I - L is derived from L."""
 
     l: np.ndarray
-    q: np.ndarray
     h: np.ndarray
 
     def __post_init__(self):
-        for name in ("l", "q", "h"):
+        for name in ("l", "h"):
             v = np.asarray(getattr(self, name), float)
             object.__setattr__(self, name, v)
             if v.shape != self.l.shape or v.ndim != 1:
                 raise ShapeError(f"{name} must be a vector of diagonal entries like l, "
                                  f"got shape {v.shape}")
-        if not np.all(self.q + self.l == 1.0):
-            raise ShapeError("gains must satisfy Q + L = I exactly")
 
     @classmethod
     def from_l(cls, l, h=None):
         l = np.asarray(l, float)
-        return cls(l=l, q=1.0 - l, h=np.ones_like(l) if h is None else h)
+        return cls(l=l, h=np.ones_like(l) if h is None else h)
 
     @property
-    def spectral_radius(self):
-        return float(np.max(np.abs(self.q)))
+    def q(self):
+        return 1.0 - self.l
 
 
 def assemble_lmi_blocks(prob, p, z, mu):
@@ -192,13 +187,13 @@ def assemble_lmi_blocks(prob, p, z, mu):
     return m1, m2
 
 
-def feasible(prob, p, z, mu, tol=ORACLE_TOL):
-    """True iff M1 is NSD and M2 is PSD at tolerance ``tol``, checked on the
-    dense blocks at dense P and Z. The test oracle of diagonal_feasible(),
+def feasible(prob, p, z, mu):
+    """True iff M1 is NSD and M2 is PSD at linalg.DEFINITENESS_TOL, checked on
+    the dense blocks at dense P and Z. The test oracle of diagonal_feasible(),
     which design() uses."""
     m1, m2 = assemble_lmi_blocks(prob, p, z, mu)
-    nsd = linalg.check_definiteness(m1, "NSD", tol).verdict == "NSD"
-    psd = linalg.check_definiteness(m2, "PSD", tol).verdict == "PSD"
+    nsd = linalg.check_definiteness(m1, "NSD").verdict == "NSD"
+    psd = linalg.check_definiteness(m2, "PSD").verdict == "PSD"
     return nsd and psd
 
 
@@ -233,13 +228,13 @@ def performance_blocks(h, p, mu):
     return blocks
 
 
-def diagonal_feasible(prob, p_diag, z_diag, mu, tol=ORACLE_TOL):
+def diagonal_feasible(prob, p_diag, z_diag, mu):
     """feasible() at P = diag(p_diag), Z = diag(z_diag), certified on the
     per-coordinate block stacks: one NSD check of the (dim, 3, 3) tracking
     stack and one PSD check of the (dim, 2, 2) performance stack."""
     m1 = linalg.check_definiteness(
-        tracking_blocks(prob.alpha, prob.b_t, prob.d, p_diag, z_diag), "NSD", tol)
-    m2 = linalg.check_definiteness(performance_blocks(prob.h, p_diag, mu), "PSD", tol)
+        tracking_blocks(prob.alpha, prob.b_t, prob.d, p_diag, z_diag), "NSD")
+    m2 = linalg.check_definiteness(performance_blocks(prob.h, p_diag, mu), "PSD")
     return m1.verdict == "NSD" and m2.verdict == "PSD"
 
 
@@ -378,8 +373,8 @@ def certify_level(prob, mu):
                 mu_attempted=mu,
             )
     p_diag, z_diag = np.array(pairs).T
-    certified = diagonal_feasible(prob, p_diag, z_diag, mu, tol=ORACLE_TOL)
-    solution = LmiSolution.from_mu(p_diag, z_diag, mu, certified)
+    solution = LmiSolution(p_diag, z_diag, float(mu),
+                           diagonal_feasible(prob, p_diag, z_diag, mu))
     gains = ObserverGains.from_l(z_diag / p_diag, h=prob.h)
     return solution, gains
 
@@ -437,33 +432,3 @@ def critical_dt(prob, dt_bracket):
         else:
             hi = mid
     return lo
-
-
-@dataclass(frozen=True)
-class AlphaSweepEntry:
-    """One design attempt of an alpha sweep; solution/gains are None when the
-    level bound is infeasible at that alpha."""
-
-    alpha: float
-    solution: "LmiSolution | None"
-    gains: "ObserverGains | None"
-    error: "str | None" = None
-
-    @property
-    def feasible(self):
-        return self.solution is not None
-
-
-def design_alpha_sweep(prob, alphas):
-    """Run design() at each alpha under the shared mu bound; per-alpha
-    infeasibility is recorded in the entry without aborting the sweep."""
-    entries = []
-    for alpha in alphas:
-        if not 0.0 < alpha < 1.0:
-            raise ShapeError(f"alpha must lie in (0, 1), got {alpha}")
-        try:
-            solution, gains = design(replace(prob, alpha=float(alpha)))
-            entries.append(AlphaSweepEntry(float(alpha), solution, gains))
-        except InfeasibleError as exc:
-            entries.append(AlphaSweepEntry(float(alpha), None, None, error=str(exc)))
-    return entries

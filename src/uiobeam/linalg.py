@@ -7,7 +7,8 @@ stack stands for the block-diagonal matrix of its blocks, so bounds and
 verdicts are taken over the union of the block spectra.
 
 Every tolerance that the certificate checks and the tests share is a named
-constant here, so the solver and its verification cannot drift apart.
+constant here, so the solver and its verification cannot drift apart; every
+definiteness verdict is issued at DEFINITENESS_TOL.
 Everything is a pure function over immutable inputs, safe to call from
 any thread; this module starts none and reads no CPU count.
 """
@@ -24,7 +25,7 @@ SYMMETRY_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
 # Smallest eigenvalue of G^T G still treated as full column rank.
 RANK_TOL = 1e-12
-# Default tolerance at which semidefiniteness verdicts are issued.
+# Tolerance at which every semidefiniteness verdict is issued.
 DEFINITENESS_TOL = 1e-8
 # Contract of solve_hermitian: ||m x - rhs||_inf <= SOLVE_RESIDUAL_TOL * ||rhs||_inf.
 SOLVE_RESIDUAL_TOL = 1e-9
@@ -71,16 +72,15 @@ def eig_sym_bounds(m):
 @dataclass(frozen=True)
 class DefinitenessReport:
     """Eigenvalue bounds plus a verdict ('PSD', 'NSD' or 'indefinite') issued
-    at a stated tolerance."""
+    at DEFINITENESS_TOL."""
 
     min_eigenvalue: float
     max_eigenvalue: float
     verdict: str
-    tol: float
 
 
-def check_definiteness(m, sense, tol=DEFINITENESS_TOL):
-    """Classify a symmetric matrix as PSD/NSD/indefinite at tolerance ``tol``.
+def check_definiteness(m, sense):
+    """Classify a symmetric matrix as PSD/NSD/indefinite at DEFINITENESS_TOL.
 
     A stack of shape (..., k, k) is classified as its block-diagonal matrix:
     PSD iff every block is, NSD iff every block is, so a certificate whose
@@ -92,16 +92,14 @@ def check_definiteness(m, sense, tol=DEFINITENESS_TOL):
     """
     if sense not in ("PSD", "NSD"):
         raise ValueError(f"sense must be 'PSD' or 'NSD', got {sense!r}")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     lo, hi = eig_sym_bounds(m)
-    is_psd = lo >= -tol
-    is_nsd = hi <= tol
+    is_psd = lo >= -DEFINITENESS_TOL
+    is_nsd = hi <= DEFINITENESS_TOL
     if sense == "PSD":
         verdict = "PSD" if is_psd else ("NSD" if is_nsd else "indefinite")
     else:
         verdict = "NSD" if is_nsd else ("PSD" if is_psd else "indefinite")
-    return DefinitenessReport(lo, hi, verdict, tol)
+    return DefinitenessReport(lo, hi, verdict)
 
 
 def row_norms(a):

@@ -218,13 +218,18 @@ def echo_blockage(windows, dt, horizon):
     Returns (in_window, last_clear): whether t lies in any [t_start, t_end)
     window, and the last step at or before k whose echo was not blocked, 0
     when blocked from the start. The echo-fed link steers with the true
-    angles of step last_clear[k].
+    angles of step last_clear[k]. A window that holds no step would leave its
+    mean spectral efficiency undefined; it raises a ConfigError naming it.
     """
     steps = np.arange(horizon)
     t = steps * dt
     in_window = np.zeros(horizon, dtype=bool)
-    for t0, t1 in windows:
-        in_window |= (t0 <= t) & (t < t1)
+    for idx, (t0, t1) in enumerate(windows):
+        hit = (t0 <= t) & (t < t1)
+        if not hit.any():
+            raise ConfigError(f"blockage.windows[{idx}] [{t0}, {t1}) s holds no step of "
+                              f"scenario.dt {dt} s within run.horizon {horizon}")
+        in_window |= hit
     return in_window, np.maximum.accumulate(np.where(in_window, 0, steps))
 
 
@@ -424,6 +429,8 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
         raise ConfigError("compare-baseline needs at least one blockage window")
     require_link_config(cfg)
     t0 = time.perf_counter()
+    dt0 = float(cfg.scenario.dt[0])
+    blocked, last_clear = echo_blockage(cfg.windows, dt0, cfg.horizon)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     solution, gains = solve_design(design_problem(cfg, cfg.mu_list[0]))
@@ -431,8 +438,6 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
         cfg.scenario, cfg.model, gains, cfg.horizon, gamma=solution.gamma,
         init=cfg.observer_init, transient_cutoff=cfg.transient_cutoff,
     )
-    dt0 = float(cfg.scenario.dt[0])
-    blocked, last_clear = echo_blockage(cfg.windows, dt0, cfg.horizon)
     rng = np.random.default_rng(cfg.seed)
     n = cfg.scenario.n_uavs
     predicted = _true_angles(cfg, run) if force_uio_truth else _predicted_angles(cfg, run["XHAT"])

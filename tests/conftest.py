@@ -70,9 +70,9 @@ def definiteness_shapes(monkeypatch):
     shapes = []
     check = linalg.check_definiteness
 
-    def recorded(m, sense, tol=linalg.DEFINITENESS_TOL):
+    def recorded(m, sense):
         shapes.append(np.shape(m))
-        return check(m, sense, tol)
+        return check(m, sense)
 
     monkeypatch.setattr(linalg, "check_definiteness", recorded)
     return shapes
@@ -87,16 +87,16 @@ def dense_certificate_oracle(monkeypatch):
     issued = []
     certify = design_module.diagonal_feasible
 
-    def recorded(prob, p_diag, z_diag, mu, tol=design_module.ORACLE_TOL):
-        verdict = certify(prob, p_diag, z_diag, mu, tol)
-        issued.append((prob, np.diag(p_diag), np.diag(z_diag), mu, tol, verdict))
+    def recorded(prob, p_diag, z_diag, mu):
+        verdict = certify(prob, p_diag, z_diag, mu)
+        issued.append((prob, np.diag(p_diag), np.diag(z_diag), mu, verdict))
         return verdict
 
     monkeypatch.setattr(design_module, "diagonal_feasible", recorded)
     yield
     monkeypatch.undo()
-    for prob, p, z, mu, tol, verdict in issued:
-        assert design_module.feasible(prob, p, z, mu, tol) == verdict
+    for prob, p, z, mu, verdict in issued:
+        assert design_module.feasible(prob, p, z, mu) == verdict
 
 
 @pytest.fixture(autouse=True)

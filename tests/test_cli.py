@@ -12,7 +12,7 @@ import pytest
 from uiobeam import beamforming
 from uiobeam.cli import main
 from uiobeam.config import config_from_mapping, parse_config
-from uiobeam.errors import NumericalError, ShapeError
+from uiobeam.errors import ConfigError, NumericalError, ShapeError
 from uiobeam.simulate import echo_blockage, run_compare, run_design, run_simulate, write_csv
 
 # the package re-exports the function design(), which shadows the module name
@@ -788,6 +788,22 @@ def test_non_finite_output_exits_4_and_writes_no_partial_file(tmp_path, capsys, 
     assert not list(out.rglob("*.csv"))
 
 
+def link_validation_exits(tmp_path, capsys, cfg, starts, *named):
+    """simulate and compare-baseline exit 1 with a message that starts with
+    ``starts`` and holds each of ``named``, print no traceback and write
+    nothing; design and sweep-dt, which build no link, exit 0."""
+    for sub in ("simulate", "compare-baseline"):
+        out = tmp_path / sub
+        assert main([sub, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {starts}")
+        assert all(text in err for text in named)
+        assert "Traceback" not in err
+        assert not out.exists()
+    for sub in ("design", "sweep-dt"):
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+
+
 @pytest.mark.parametrize("scenario, named", [
     ({"radii": 1.0e300}, "scenario.radii up to 1e+300,"),
     ({"omega": 1.0e300}, "scenario.omega 1e+300,"),
@@ -806,15 +822,65 @@ def test_positions_beyond_the_headroom_fail_validation_for_link_subcommands(
         "blockage": {"windows": [[0.3, 0.6]]},
         "run": {"horizon": 6},
     }))
-    for sub in ("simulate", "compare-baseline"):
-        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: scenario.center ")
-        assert named in err and "run.horizon 6" in err and "1e+150 m" in err
-        assert "Traceback" not in err
-        assert not list((tmp_path / sub).rglob("*.csv"))
-    for sub in ("design", "sweep-dt"):
-        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+    link_validation_exits(tmp_path, capsys, cfg, "scenario.center ",
+                          named, "run.horizon 6", "1e+150 m")
+
+
+@pytest.mark.parametrize("horizon", [10**14, 10**310], ids=["1e14", "311-digit"])
+def test_a_horizon_too_long_to_roll_out_fails_validation_for_link_subcommands(
+    tmp_path, capsys, horizon
+):
+    # 1e14 steps would take 728 TiB for scenario_inputs alone, and a horizon
+    # past the float range has no float end time; the link subcommands reject
+    # the rollout before allocating it, and design and sweep-dt never roll out
+    cfg = write_yaml(tmp_path, json.dumps({
+        "blockage": {"windows": [[0.3, 0.6]]},
+        "run": {"horizon": horizon},
+    }))
+    link_validation_exits(tmp_path, capsys, cfg, f"run.horizon {horizon} ",
+                          "scenario.n_uavs 4", "(step, UAV) pairs")
+
+
+def test_a_center_that_swamps_the_radii_fails_validation_for_link_subcommands(
+    tmp_path, capsys
+):
+    # with |center| 2^-52 above every radius, positions - center cancels to
+    # zero and the link would see every UAV on the central one
+    cfg = write_yaml(tmp_path, json.dumps({
+        "scenario": {"center": [1.0e149, 0.0]},
+        "blockage": {"windows": [[0.3, 0.6]]},
+        "run": {"horizon": 6},
+    }))
+    link_validation_exits(tmp_path, capsys, cfg, "scenario.center [1e+149, 0.0] ",
+                          "scenario.radii down to 100")
+    # a center the radii still resolve runs
+    cfg = write_yaml(tmp_path, json.dumps({
+        "scenario": {"center": [1.0e9, 0.0]},
+        "blockage": {"windows": [[0.3, 0.6]]},
+        "run": {"horizon": 6},
+    }))
+    assert main(["compare-baseline", "--config", cfg, "--out", str(tmp_path / "near")]) == 0
+
+
+def test_a_blockage_window_that_holds_no_step_fails_validation(tmp_path, capsys):
+    # no step k * 0.15 s lies in [0.01, 0.02), so the window's mean spectral
+    # efficiency would be the mean of an empty slice
+    cfg = write_yaml(tmp_path, json.dumps({
+        "blockage": {"windows": [[0.01, 0.02]]},
+        "run": {"horizon": 20},
+    }))
+    out = tmp_path / "out"
+    assert main(["compare-baseline", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: blockage.windows[0] [0.01, 0.02) s holds no step")
+    assert "Traceback" not in err
+    assert not out.exists()
+    # each window needs a step of its own, even inside another window
+    with pytest.raises(ConfigError, match=r"blockage\.windows\[1\] "):
+        echo_blockage([(0.0, 0.3), (0.01, 0.02)], 0.15, 20)
+    # one step suffices: t = 0.15 s lies in [0.1, 0.16)
+    blocked, _ = echo_blockage([(0.1, 0.16)], 0.15, 20)
+    np.testing.assert_array_equal(np.flatnonzero(blocked), [1])
 
 
 def test_finite_gate_of_the_writers(tmp_path):

@@ -86,6 +86,16 @@ def test_window_validation():
     assert cfg.windows == ((5.0, 8.0),)
 
 
+def test_window_validation_past_the_float_range_of_the_horizon():
+    # 10**310 steps cannot be converted to float; the run's end is compared
+    # exactly, 10**10 s at dt 1e-300
+    base = {"scenario": {"dt": 1e-300}, "run": {"horizon": 10**310}}
+    cfg = config_from_mapping({**base, "blockage": {"windows": [[0.0, 1e9]]}})
+    assert cfg.windows == ((0.0, 1e9),)
+    with pytest.raises(ConfigError, match=r"beyond the horizon \(10000000000\.0 s\)"):
+        config_from_mapping({**base, "blockage": {"windows": [[0.0, 1e20]]}})
+
+
 def test_alpha_and_init_validation():
     with pytest.raises(ConfigError, match="observer.alpha"):
         config_from_mapping({"observer": {"alpha": 1.5}})

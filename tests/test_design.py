@@ -13,6 +13,7 @@ before being frozen.
 """
 
 import concurrent.futures
+import dataclasses
 import importlib
 
 import numpy as np
@@ -21,13 +22,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uiobeam.design import (
-    AlphaSweepEntry,
     LmiProblem,
+    LmiSolution,
     ObserverGains,
     assemble_lmi_blocks,
     critical_dt,
     design,
-    design_alpha_sweep,
     diagonal_feasible,
     dt_interval,
     feasible,
@@ -38,7 +38,7 @@ from uiobeam.design import (
     tracking_blocks,
 )
 from uiobeam.errors import BracketError, InfeasibleError, ShapeError
-from uiobeam.linalg import check_definiteness
+from uiobeam.linalg import DEFINITENESS_TOL, DefinitenessReport, check_definiteness
 
 # the package re-exports the function design(), which shadows the module name
 design_module = importlib.import_module("uiobeam.design")
@@ -99,7 +99,7 @@ def test_assemble_identity_case():
 def test_assemble_m2_boundary_psd():
     prob = reference_problem()
     _, m2 = assemble_lmi_blocks(prob, np.eye(8), np.eye(8), 1.0)
-    lo = check_definiteness(m2, "PSD", 1e-8)
+    lo = check_definiteness(m2, "PSD")
     assert lo.verdict == "PSD"
     assert abs(lo.min_eigenvalue) <= 1e-10
 
@@ -154,8 +154,9 @@ def test_design_reference_levels_and_reported_gain_points():
         assert gain_point_feasible(prob, ell, gamma_ref**2)
         # gains structure; scalar-identity solutions have radius |1 - z/p|
         np.testing.assert_array_equal(gains.q + gains.l, np.ones(8))
-        assert gains.spectral_radius < 1.0
-        assert gains.spectral_radius == pytest.approx(abs(1.0 - gains.l[0]), rel=1e-12)
+        radius = np.max(np.abs(gains.q))
+        assert radius < 1.0
+        assert radius == pytest.approx(abs(1.0 - gains.l[0]), rel=1e-12)
         assert np.min(solution.p) > 1e-10
 
 
@@ -210,36 +211,41 @@ def test_critical_dt_rejects_non_finite_bracket():
             critical_dt(prob, bracket)
 
 
-def test_alpha_sweep_reference_alphas():
+def test_design_at_reference_decay_rates():
     prob = reference_problem(mu_max=0.25)
-    entries = design_alpha_sweep(prob, [0.5, 0.1, 0.01])
-    assert all(isinstance(e, AlphaSweepEntry) and e.feasible for e in entries)
-    assert [e.alpha for e in entries] == [0.5, 0.1, 0.01]
-    for e in entries:
-        assert e.solution.certified
+    for alpha in (0.5, 0.1, 0.01):
+        solution, gains = design(dataclasses.replace(prob, alpha=alpha))
+        assert solution.certified
+        assert solution.mu <= prob.mu_max
+        np.testing.assert_array_equal(gains.h, prob.h)
 
 
-def test_alpha_sweep_singleton_matches_design():
-    prob = reference_problem(mu_max=0.25)
-    (entry,) = design_alpha_sweep(prob, [0.5])
-    solution, gains = design(prob)
-    assert entry.solution.mu == pytest.approx(solution.mu)
-    np.testing.assert_allclose(entry.gains.l, gains.l)
-
-
-def test_alpha_sweep_flags_infeasible_alpha():
+def test_design_infeasible_at_small_decay_rate():
     # at dt = 1.2 the admissible certificate scale is ~0.04 for alpha = 0.01
     # (needs mu >= ~24), while alpha = 0.5 is feasible under mu_max = 1
     prob = reference_problem(mu_max=1.0, dt=1.2)
-    entries = design_alpha_sweep(prob, [0.5, 0.01])
-    assert entries[0].feasible
-    assert not entries[1].feasible
-    assert entries[1].error is not None
+    solution, _ = design(prob)
+    assert solution.certified
+    with pytest.raises(InfeasibleError) as excinfo:
+        design(dataclasses.replace(prob, alpha=0.01))
+    assert excinfo.value.mu_attempted == pytest.approx(1.0)
+
+
+def test_state_matrix_is_derived_from_the_gain():
+    # 1 - l rounds for l = -3.9998, so Q + L = I need not hold bit for bit:
+    # Q is derived from L, never checked against it
+    l = np.array([0.4, -3.9998, 7.3])
+    gains = ObserverGains.from_l(l)
+    np.testing.assert_array_equal(gains.q.view(np.uint64), (1.0 - l).view(np.uint64))
+    np.testing.assert_array_equal(gains.h, np.ones(3))
+    # each record stores a value once: gamma and Q are derived from mu and L
+    assert [f.name for f in dataclasses.fields(ObserverGains)] == ["l", "h"]
+    assert [f.name for f in dataclasses.fields(LmiSolution)] == ["p", "z", "mu", "certified"]
+    assert [f.name for f in dataclasses.fields(DefinitenessReport)] == [
+        "min_eigenvalue", "max_eigenvalue", "verdict"]
 
 
 def test_gains_validation():
-    with pytest.raises(ShapeError, match=r"Q \+ L = I"):
-        ObserverGains(l=np.full(2, 0.4), q=np.full(2, 0.7), h=np.ones(2))
     # the matrices are carried as their diagonals
     with pytest.raises(ShapeError, match="vector of diagonal entries"):
         ObserverGains.from_l(0.4 * np.eye(2))
@@ -474,7 +480,7 @@ def test_stacked_certificate_agrees_with_dense_oracle(alpha, b, coords, mu):
     n = len(coords)
     prob = LmiProblem(alpha=alpha, b_t=np.full(n, b), d=d, h=h, mu_max=mu)
     m1, m2 = assemble_lmi_blocks(prob, np.diag(p_diag), np.diag(z_diag), mu)
-    tol = design_module.ORACLE_TOL
+    tol = DEFINITENESS_TOL
     scale = max(1.0, np.max(np.abs(m1)), np.max(np.abs(m2)))
     assume(abs(np.linalg.eigvalsh(m1)[-1] - tol) > 1e-9 * scale)
     assume(abs(np.linalg.eigvalsh(m2)[0] + tol) > 1e-9 * scale)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from uiobeam.errors import ShapeError, SingularMatrixError
 from uiobeam.linalg import (
+    DEFINITENESS_TOL,
     DefinitenessReport,
     PINV_IDENTITY_TOL,
     SOLVE_RESIDUAL_TOL,
@@ -62,29 +63,29 @@ def test_eig_bounds_symmetrizes_tiny_asymmetry():
 
 
 def test_definiteness_identity_psd():
-    report = check_definiteness(np.eye(3), "PSD", 1e-9)
+    report = check_definiteness(np.eye(3), "PSD")
     assert report.verdict == "PSD"
     assert report.min_eigenvalue <= report.max_eigenvalue
 
 
 def test_definiteness_negative_identity_nsd():
-    assert check_definiteness(-np.eye(3), "NSD", 1e-9).verdict == "NSD"
+    assert check_definiteness(-np.eye(3), "NSD").verdict == "NSD"
 
 
 def test_definiteness_indefinite_2x2():
     # eigenvalues -1 and 3
-    report = check_definiteness([[1.0, 2.0], [2.0, 1.0]], "PSD", 1e-9)
+    report = check_definiteness([[1.0, 2.0], [2.0, 1.0]], "PSD")
     assert report.verdict == "indefinite"
 
 
 def test_definiteness_zero_matrix_takes_requested_sense():
     z = np.zeros((2, 2))
-    assert check_definiteness(z, "PSD", 1e-9).verdict == "PSD"
-    assert check_definiteness(z, "NSD", 1e-9).verdict == "NSD"
+    assert check_definiteness(z, "PSD").verdict == "PSD"
+    assert check_definiteness(z, "NSD").verdict == "NSD"
 
 
 def test_definiteness_report_type():
-    assert isinstance(check_definiteness(np.eye(2), "PSD", 1e-9), DefinitenessReport)
+    assert isinstance(check_definiteness(np.eye(2), "PSD"), DefinitenessReport)
 
 
 def block_diagonal(stack):
@@ -110,11 +111,12 @@ def test_stack_bounds_and_verdict_match_block_diagonal(k, n, seed, log_scale, sh
     assert abs(lo - dense_lo) <= 1e-12 * scale
     assert abs(hi - dense_hi) <= 1e-12 * scale
     for sense in ("PSD", "NSD"):
-        report = check_definiteness(stack, sense, 1e-9)
-        dense_report = check_definiteness(dense, sense, 1e-9)
+        report = check_definiteness(stack, sense)
+        dense_report = check_definiteness(dense, sense)
         assert (report.min_eigenvalue, report.max_eigenvalue) == (lo, hi)
         # verdicts agree unless an extreme eigenvalue sits within rounding of the tolerance
-        if min(abs(dense_lo + 1e-9), abs(dense_hi - 1e-9)) > 1e-12 * scale:
+        if (min(abs(dense_lo + DEFINITENESS_TOL), abs(dense_hi - DEFINITENESS_TOL))
+                > 1e-12 * scale):
             assert report.verdict == dense_report.verdict
 
 
