@@ -78,16 +78,18 @@ class ArrayConfig:
     spacing: float = None
 
     def __post_init__(self):
-        if self.m_ce < 1 or self.n_u < 1:
-            raise ShapeError("antenna counts must be positive")
+        if self.m_ce < 1:
+            raise ShapeError(f"m_ce must be positive, got {self.m_ce}")
+        if self.n_u < 1:
+            raise ShapeError(f"n_u must be positive, got {self.n_u}")
         if self.n_u > self.m_ce:
-            raise ShapeError(f"N_U={self.n_u} must not exceed M_CE={self.m_ce}")
+            raise ShapeError(f"n_u {self.n_u} must not exceed m_ce {self.m_ce}")
         if not self.wavelength > 0:
-            raise ShapeError("wavelength must be positive")
+            raise ShapeError(f"wavelength must be positive, got {self.wavelength}")
         if self.spacing is None:
             object.__setattr__(self, "spacing", 0.5 * self.wavelength)
         if not self.spacing > 0:
-            raise ShapeError("spacing must be positive")
+            raise ShapeError(f"spacing must be positive, got {self.spacing}")
 
     @classmethod
     def at_carrier(cls, m_ce, n_u, carrier_hz, spacing=None):

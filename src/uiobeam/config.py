@@ -2,21 +2,28 @@
 defaults set to the reference four-UAV scenario (radii 100/150/200/250 m,
 omega 0.5 rad/s, dT 0.15 s, D = 0.5 I, alpha 0.5, 64x4 antennas at 30 GHz).
 
-Unknown keys are errors, not warnings; invariant violations name the field.
+A file is parsed once, by libyaml when PyYAML has it and by the pure-Python
+parser otherwise; an invalid file's error names the file, line and column in
+that parser's wording. Every rejection starts with the ``section.field`` it
+concerns: the parser checks types, shapes and the rules no class owns, and
+the errors of `UavScenario` and `ArrayConfig`, which state their own rules
+and defaults, gain the section prefix here.
 """
 
 import dataclasses
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import yaml
 
-from .beamforming import ArrayConfig, default_noise_power
+from .beamforming import MIN_RANGE, ArrayConfig, default_noise_power
 from .design import MU_BRACKET, P_GRID_SPAN
 from .dynamics import MeasurementModel, UavScenario
 from .errors import ConfigError, ShapeError
+from .observer import DEFAULT_TRANSIENT_CUTOFF
 
 _SCHEMA = {
     "scenario": {
@@ -163,16 +170,11 @@ def config_from_mapping(data, run_overrides=None):
         )
     omega = _read(data, "scenario.omega", 0.5)
     dt = _read(data, "scenario.dt", 0.15, ndim=None, size=n_uavs)
-    if not np.all(dt > 0):
-        raise ConfigError("scenario.dt must be positive")
-    if not np.all(radii > 0):
-        raise ConfigError("scenario.radii must be positive")
     phases = _read(data, "scenario.phases", ndim=1, size=n_uavs)
     center = _read(data, "scenario.center", [0.0, 0.0], ndim=1, size=2)
-    ratio = _read(data, "scenario.perturbation_ratio", 0.2)
-    if ratio < 0:
-        raise ConfigError("scenario.perturbation_ratio must be non-negative")
-    rate_multiple = _read(data, "scenario.perturbation_rate_multiple", 10.0)
+    ratio = _read(data, "scenario.perturbation_ratio", UavScenario.perturbation_ratio)
+    rate_multiple = _read(data, "scenario.perturbation_rate_multiple",
+                          UavScenario.perturbation_rate_multiple)
     try:
         if phases is None:
             scenario = UavScenario.evenly_phased(
@@ -185,7 +187,7 @@ def config_from_mapping(data, run_overrides=None):
                 perturbation_ratio=ratio, perturbation_rate_multiple=rate_multiple,
             )
     except ShapeError as exc:
-        raise ConfigError(f"scenario: {exc}") from None
+        raise ConfigError(f"scenario.{exc}") from None
 
     d_diag = _read(data, "measurement.d_diag", ndim=1, size=2 * n_uavs)
     d_field = "measurement.d_diag" if d_diag is not None else "measurement.d_scale"
@@ -230,7 +232,7 @@ def config_from_mapping(data, run_overrides=None):
         else:
             array = ArrayConfig.at_carrier(m_ce, n_u, carrier, spacing=spacing)
     except ShapeError as exc:
-        raise ConfigError(f"array: {exc}") from None
+        raise ConfigError(f"array.{exc}") from None
 
     total_power = _positive(_read(data, "channel.total_power", 1.0), "channel.total_power")
     snr_ref_range = _positive(_read(data, "channel.snr_ref_range", 250.0),
@@ -267,7 +269,7 @@ def config_from_mapping(data, run_overrides=None):
     seed = _read(data, "run.seed", 0, int)
     if seed < 0:
         raise ConfigError(f"run.seed must be non-negative, got {seed}")
-    transient_cutoff = _read(data, "run.transient_cutoff", 50, int)
+    transient_cutoff = _read(data, "run.transient_cutoff", DEFAULT_TRANSIENT_CUTOFF, int)
     if transient_cutoff < 0:
         raise ConfigError("run.transient_cutoff must be non-negative")
 
@@ -329,6 +331,18 @@ POSITION_HEADROOM = 1e150
 # reference fleet at horizons 2000 and 40000), so the bound keeps a run near
 # 1 GiB and rejects a horizon that could not be allocated before anything is.
 MAX_ROLLOUT_PAIRS = 1 << 22
+# The next three bound what one link step or pattern file allocates, so each
+# keeps its array near 700 MiB; bytes per entry measured as above (max RSS of
+# the reference fleet at horizon 6, two sizes 8x apart).
+# array.m_ce * scenario.n_uavs steering entries of one link step: ~185 B each
+# in compare-baseline, 137 B in simulate (m_ce 2^16 and 2^19).
+MAX_STEERING_ENTRIES = 1 << 22
+# channel.noise_draws * scenario.n_uavs draws of one compare-baseline step:
+# ~88 B each (2^16 and 2^19 draws).
+MAX_DRAW_ENTRIES = 1 << 23
+# run.pattern_points * scenario.n_uavs rows of one pattern file: ~45 B each
+# in simulate (2^16 and 2^19 points).
+MAX_PATTERN_ROWS = 1 << 24
 # The link steers at each UAV's offset positions - center, taken in float64,
 # which resolves an orbit of radius R to about |center| 2^-52 / R. The smallest
 # radius must be at least CENTER_PRECISION * max|center|, so every offset keeps
@@ -336,11 +350,21 @@ MAX_ROLLOUT_PAIRS = 1 << 22
 CENTER_PRECISION = 2.0 ** -26
 
 
+def require_at_most(bound, counted, *fields):
+    """Reject a config whose ``fields``, (name, value) pairs, multiply to more
+    than ``bound`` ``counted``, naming each field with its value."""
+    product = math.prod(value for _, value in fields)
+    if product > bound:
+        named = " and ".join(f"{name} {value}" for name, value in fields)
+        raise ConfigError(f"{named} give {product} {counted}, above the {bound} allowed")
+
+
 def require_link_config(cfg):
     """Zero-forcing needs one antenna per served UAV, the time column, the
     blockage windows and the echo hold run on one clock, the rollout holds at
-    most MAX_ROLLOUT_PAIRS (step, UAV) pairs, the positions stay below
-    POSITION_HEADROOM and the radii resolve against the center
+    most MAX_ROLLOUT_PAIRS (step, UAV) pairs and one step's steering at most
+    MAX_STEERING_ENTRIES entries, the positions stay below POSITION_HEADROOM,
+    and the radii reach MIN_RANGE and resolve against the center
     (CENTER_PRECISION). The link subcommands call this before they allocate
     anything; design and sweep-dt build neither link nor positions, so more
     UAVs than antennas, per-UAV dt, long horizons and far-flung orbits stay
@@ -355,11 +379,10 @@ def require_link_config(cfg):
             f"array.m_ce={m_ce} must be at least scenario.n_uavs={n_uavs}: "
             f"zero-forcing needs one antenna per served UAV"
         )
-    if cfg.horizon * n_uavs > MAX_ROLLOUT_PAIRS:
-        raise ConfigError(
-            f"run.horizon {cfg.horizon} and scenario.n_uavs {n_uavs} give "
-            f"{cfg.horizon * n_uavs} (step, UAV) pairs, above the "
-            f"{MAX_ROLLOUT_PAIRS} one link run may hold")
+    require_at_most(MAX_ROLLOUT_PAIRS, "(step, UAV) pairs in one link run",
+                    ("run.horizon", cfg.horizon), ("scenario.n_uavs", n_uavs))
+    require_at_most(MAX_STEERING_ENTRIES, "steering entries in one link step",
+                    ("array.m_ce", m_ce), ("scenario.n_uavs", n_uavs))
     sc, radius, omega = cfg.scenario, np.max(cfg.scenario.radii), abs(cfg.scenario.omega)
     with np.errstate(over="ignore"):  # finite non-negative factors: inf, never nan
         step = omega * dt[0] + omega * sc.perturbation_ratio
@@ -370,6 +393,9 @@ def require_link_config(cfg):
             f"scenario.omega {sc.omega:g}, scenario.dt {dt[0]:g}, scenario.perturbation_ratio "
             f"{sc.perturbation_ratio:g} and run.horizon {cfg.horizon} let positions reach "
             f"{reach:.3g} m, not below {POSITION_HEADROOM:g} m")
+    if not np.min(sc.radii) >= MIN_RANGE:
+        raise ConfigError(f"scenario.radii down to {np.min(sc.radii):g} m start a UAV within "
+                          f"{MIN_RANGE:g} m of the center, where it has no azimuth")
     far = np.max(np.abs(sc.center))
     if not np.min(sc.radii) >= CENTER_PRECISION * far:
         raise ConfigError(
@@ -381,20 +407,16 @@ def require_link_config(cfg):
 
 # libyaml parses a large config about ten times faster than the pure-Python
 # parser and builds the same mapping (both use SafeConstructor and the same
-# resolver), but words some errors differently.
+# resolver); it words some errors differently, so the problem text of an
+# invalid file follows the loader, while its line and column do not.
 _FAST_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 def _load_yaml(path):
-    """The YAML file at ``path`` as yaml.safe_load reads it. On an error of
-    the fast loader the file is read again by the pure-Python loader, so the
-    error raised, its message, line and column are those of yaml.safe_load."""
+    """The YAML file at ``path`` as yaml.safe_load reads it, parsed once by
+    _FAST_LOADER, whose wording a YAMLError keeps."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return yaml.load(fh.read(), Loader=_FAST_LOADER)
-        except yaml.YAMLError:
-            fh.seek(0)
-            return yaml.safe_load(fh)
+        return yaml.load(fh.read(), Loader=_FAST_LOADER)
 
 
 def parse_config(path=None, run_overrides=None):

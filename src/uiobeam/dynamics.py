@@ -51,15 +51,14 @@ class UavScenario:
         object.__setattr__(self, "dt", np.atleast_1d(np.asarray(self.dt, float)))
         n = self.radii.size
         if n < 1:
-            raise ShapeError("scenario needs at least one UAV")
-        if self.phases.size != n or self.dt.size != n:
-            raise ShapeError(
-                f"radii/phases/dt lengths disagree: {n}/{self.phases.size}/{self.dt.size}"
-            )
+            raise ShapeError("radii needs at least one entry")
+        for name, size in (("phases", self.phases.size), ("dt", self.dt.size)):
+            if size != n:
+                raise ShapeError(f"{name} needs {n} entries, one per radius, got {size}")
         if not np.all(self.radii > 0):
-            raise ShapeError("all radii must be positive")
+            raise ShapeError("radii must be positive")
         if not np.all(self.dt > 0):
-            raise ShapeError("all measurement intervals dt must be positive")
+            raise ShapeError("dt must be positive")
         if self.perturbation_ratio < 0:
             raise ShapeError("perturbation_ratio must be non-negative")
 

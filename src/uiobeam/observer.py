@@ -126,8 +126,9 @@ def track(scenario, model, gains, horizon, gamma=np.nan, init="measurement",
         xhat[0] = 0.0
     else:
         raise ShapeError(f"unknown observer init {init!r}")
+    q, l = gains.q, gains.l  # the steps of predict, with Q derived once
     for k in range(horizon):
-        xhat[k + 1] = predict(xhat[k], gains, ys[k])
+        xhat[k + 1] = q * xhat[k] + l * ys[k]
     if not np.all(np.isfinite(xhat)):
         raise ShapeError("observer state contains non-finite entries")
     what = estimate_input(input_pinv(scenario.b_t_diag), xhat[1:], xhat[:-1], ys)

@@ -42,7 +42,9 @@ import numpy as np
 
 from . import beamforming as bf
 from . import observer as obs
-from .config import config_hash, require_link_config
+from .config import (
+    MAX_DRAW_ENTRIES, MAX_PATTERN_ROWS, config_hash, require_at_most, require_link_config,
+)
 from .design import LmiProblem, certify_level, critical_dt, design_level
 from .design import design as solve_design
 from .errors import ConfigError, NumericalError, ShapeError
@@ -339,6 +341,9 @@ def run_simulate(cfg, out_dir):
     steps whose precoder fell back to the ridge (``zf_fallback_steps``).
     """
     require_link_config(cfg)
+    require_at_most(MAX_PATTERN_ROWS, "rows in one pattern file",
+                    ("run.pattern_points", cfg.pattern_points),
+                    ("scenario.n_uavs", cfg.scenario.n_uavs))
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -426,8 +431,11 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
     to the ridge (``zf_fallback_steps``).
     """
     if not cfg.windows:
-        raise ConfigError("compare-baseline needs at least one blockage window")
+        raise ConfigError("blockage.windows is empty: compare-baseline needs at least one window")
     require_link_config(cfg)
+    require_at_most(MAX_DRAW_ENTRIES, "noise draws in one link step",
+                    ("channel.noise_draws", cfg.noise_draws),
+                    ("scenario.n_uavs", cfg.scenario.n_uavs))
     t0 = time.perf_counter()
     dt0 = float(cfg.scenario.dt[0])
     blocked, last_clear = echo_blockage(cfg.windows, dt0, cfg.horizon)

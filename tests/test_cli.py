@@ -8,6 +8,7 @@ import threading
 
 import numpy as np
 import pytest
+import yaml
 
 from uiobeam import beamforming
 from uiobeam.cli import main
@@ -16,6 +17,7 @@ from uiobeam.errors import ConfigError, NumericalError, ShapeError
 from uiobeam.simulate import echo_blockage, run_compare, run_design, run_simulate, write_csv
 
 # the package re-exports the function design(), which shadows the module name
+config_module = importlib.import_module("uiobeam.config")
 design_module = importlib.import_module("uiobeam.design")
 observer_module = importlib.import_module("uiobeam.observer")
 simulate_module = importlib.import_module("uiobeam.simulate")
@@ -66,11 +68,45 @@ def test_unknown_key_exit_code(tmp_path):
     assert main(["design", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
 
 
-def test_malformed_yaml_exits_1_naming_file_line_and_column(tmp_path, capsys):
-    cfg = write_yaml(tmp_path, "observer:\n  mu_max: [0.25\n")
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+def test_malformed_yaml_exits_1_naming_file_line_and_column(tmp_path, capsys, monkeypatch,
+                                                           loader):
+    # libyaml and the pure-Python parser word the problem differently; the
+    # file is read once, by the configured loader, whose wording reaches the
+    # user together with the file, line and column
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML is built without libyaml")
+    text = "observer:\n  mu_max: [0.25\n"
+    with pytest.raises(yaml.YAMLError) as excinfo:
+        yaml.load(text, Loader=getattr(yaml, loader))
+    monkeypatch.setattr(config_module, "_FAST_LOADER", getattr(yaml, loader))
+    cfg = write_yaml(tmp_path, text)
+    assert main(["design", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: invalid YAML at line 3, column 1: {excinfo.value.problem}\n")
+
+
+@pytest.mark.parametrize("field, text", [
+    ("array.m_ce", "array: {m_ce: 0}"),
+    ("array.n_u", "array: {n_u: 0}"),
+    ("array.n_u", "array: {n_u: 65}"),
+    ("array.wavelength", "array: {wavelength: -1}"),
+    ("array.spacing", "array: {spacing: -0.1}"),
+    ("scenario.radii", "scenario: {radii: []}"),
+    ("scenario.radii", "scenario: {radii: [1, -2]}"),
+    ("scenario.perturbation_ratio", "scenario: {perturbation_ratio: -1}"),
+    ("scenario.dt", "scenario: {dt: 0}"),
+], ids=["m_ce-0", "n_u-0", "n_u-65", "wavelength", "spacing", "radii-empty", "radii-negative",
+        "perturbation_ratio", "dt"])
+def test_rules_of_the_scenario_and_array_classes_exit_1_naming_the_field(tmp_path, capsys,
+                                                                         field, text):
+    # UavScenario and ArrayConfig state these rules once; each rejection
+    # reaches the user as "section.field ...", never as "array: antenna
+    # counts must be positive" or "scenario: scenario needs at least one UAV"
+    cfg = write_yaml(tmp_path, text + "\n")
     assert main(["design", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {cfg}: invalid YAML at line 3, column 1: ")
+    assert err.startswith(f"error: {field} ")
     assert "Traceback" not in err
 
 
@@ -860,6 +896,69 @@ def test_a_center_that_swamps_the_radii_fails_validation_for_link_subcommands(
         "run": {"horizon": 6},
     }))
     assert main(["compare-baseline", "--config", cfg, "--out", str(tmp_path / "near")]) == 0
+
+
+@pytest.mark.parametrize("mapping, subcommand, starts, runs", [
+    ({"array": {"m_ce": 10**11}}, "simulate",
+     "array.m_ce 100000000000 and scenario.n_uavs 4 ", ()),
+    ({"array": {"m_ce": 10**11}}, "compare-baseline", "array.m_ce 100000000000 ", ()),
+    ({"array": {"m_ce": 10**40}}, "simulate", f"array.m_ce {10**40} and scenario.n_uavs 4 ", ()),
+    ({"run": {"pattern_points": 10**11}}, "simulate",
+     "run.pattern_points 100000000000 and scenario.n_uavs 4 ", ("compare-baseline",)),
+    ({"channel": {"noise_draws": 10**11}}, "compare-baseline",
+     "channel.noise_draws 100000000000 and scenario.n_uavs 4 ", ("simulate",)),
+], ids=["m_ce-simulate", "m_ce-compare", "m_ce-1e40", "pattern_points", "noise_draws"])
+def test_an_array_too_large_to_allocate_fails_validation_before_anything_is_written(
+    tmp_path, capsys, mapping, subcommand, starts, runs
+):
+    # one step's steering (5.82 TiB at m_ce 1e11), a pattern grid of 1e11
+    # points and 1e11 noise draws per step escaped as numpy memory errors,
+    # after the tracking CSVs were written; the subcommand that would
+    # allocate the array now rejects it first, and those that allocate no
+    # such array (design, sweep-dt and ``runs``) still run
+    cfg = write_yaml(tmp_path, json.dumps({**mapping, "blockage": {"windows": [[0.3, 0.6]]}}))
+    out = tmp_path / subcommand
+    assert main([subcommand, "--config", cfg, "--horizon", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {starts}") and "allowed" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    for sub in ("design", "sweep-dt", *runs):
+        assert main([sub, "--config", cfg, "--horizon", "4", "--out", str(tmp_path / sub)]) == 0
+
+
+def test_a_radius_below_the_azimuth_floor_fails_validation_for_link_subcommands(
+    tmp_path, capsys
+):
+    # a UAV that starts within beamforming.MIN_RANGE of the center has no
+    # azimuth: simulate exited 1 with "UAV coincides with the central UAV",
+    # naming no field, after creating its design directory
+    cfg = write_yaml(tmp_path, json.dumps({
+        "scenario": {"radii": 1.0e-300},
+        "blockage": {"windows": [[0.0, 0.15]]},
+        "run": {"horizon": 1},
+    }))
+    link_validation_exits(tmp_path, capsys, cfg, "scenario.radii down to 1e-300 m ",
+                          "1e-12 m of the center")
+
+
+def test_explicit_even_phases_give_the_default_run(tmp_path):
+    # phases 2 pi i / N are evenly_phased's, so the explicit-phases branch of
+    # config_from_mapping builds the default scenario: the same config hash
+    # and the same simulate bytes; a list of the wrong length names the field
+    phases = (2.0 * np.pi * np.arange(4) / 4).tolist()
+    outs = []
+    for name, mapping in (("default", {}), ("explicit", {"scenario": {"phases": phases}})):
+        cfg = write_yaml(tmp_path, json.dumps(mapping), name=f"{name}.yaml")
+        outs.append(tmp_path / name)
+        assert main(["simulate", "--config", cfg, "--horizon", "6", "--out", str(outs[-1])]) == 0
+    default, explicit = (json.loads((out / "manifest.json").read_text()) for out in outs)
+    assert default["config_hash"] == explicit["config_hash"]
+    assert default["files"] == explicit["files"]
+    for name in [*default["files"], "design_records.json"]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    with pytest.raises(ConfigError, match=r"^scenario\.phases needs 4 entries, got 3$"):
+        config_from_mapping({"scenario": {"phases": phases[:3]}})
 
 
 def test_a_blockage_window_that_holds_no_step_fails_validation(tmp_path, capsys):

@@ -168,9 +168,17 @@ def test_measurement_timeline_shapes():
 
 
 def test_scenario_validation():
-    with pytest.raises(ShapeError):
+    # the config prefixes "scenario." to each message, so each starts with
+    # the field it concerns
+    with pytest.raises(ShapeError, match="^dt must be positive"):
         UavScenario(radii=[100.0], omega=0.5, phases=[0.0], center=[0, 0], dt=[-0.1])
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="^radii must be positive"):
         UavScenario(radii=[-1.0], omega=0.5, phases=[0.0], center=[0, 0], dt=[0.1])
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="^phases needs 2 entries, one per radius, got 1"):
         UavScenario(radii=[100.0, 200.0], omega=0.5, phases=[0.0], center=[0, 0], dt=[0.1, 0.1])
+    with pytest.raises(ShapeError, match="^dt needs 1 entries, one per radius, got 2"):
+        UavScenario(radii=[100.0], omega=0.5, phases=[0.0], center=[0, 0], dt=[0.1, 0.1])
+    with pytest.raises(ShapeError, match="^radii needs at least one entry"):
+        UavScenario(radii=[], omega=0.5, phases=[], center=[0, 0], dt=[])
+    with pytest.raises(ShapeError, match="^perturbation_ratio must be non-negative"):
+        single_uav(perturbation_ratio=-1.0)

@@ -263,3 +263,18 @@ def test_vector_forms_equal_the_dense_products(radii, dt, diagonals, init):
         np.testing.assert_array_equal(
             xhat[k + 1], np.diag(gains.q) @ xhat[k] + np.diag(gains.l) @ run["Y"][k])
     np.testing.assert_array_equal(run["Z"], run["E"] @ np.diag(h).T)
+
+
+@pytest.mark.parametrize("init", ["measurement", "zero"])
+@pytest.mark.parametrize("l", [[0.39] * 8, [-3.9998, 0.3, 1.7, -0.5, 0.0, 1.0, -1.25, 0.9]],
+                         ids=["reference", "negative"])
+def test_track_runs_the_steps_of_predict_bit_for_bit(init, l):
+    # track derives Q once per call; each step must keep the bits of predict
+    scn = UavScenario.evenly_phased([100.0, 150.0, 200.0, 250.0], 0.5, 0.15)
+    model = MeasurementModel.scaled_identity(4, 0.5)
+    gains = ObserverGains.from_l(l)
+    run = track(scn, model, gains, 40, init=init)
+    xhat = run["XHAT"][0]
+    for k in range(40):
+        xhat = predict(xhat, gains, run["Y"][k])
+        np.testing.assert_array_equal(run["XHAT"][k + 1], xhat)
