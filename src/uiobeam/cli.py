@@ -1,30 +1,33 @@
 """Command-line harness: design | simulate | sweep-dt | compare-baseline.
 
-Exit codes: 0 success, 1 validation error, 2 infeasibility, 3 I/O error,
-4 non-finite output (nothing written for that file).
+The CLI parses the arguments and the config, calls the subcommand's function
+in `uiobeam.simulate`, which checks the config and writes every output file,
+and prints its result. Exit codes, mapped in one table (`_EXIT_CODES`):
+0 success, 1 validation error (any other package error), 2 infeasibility
+(`InfeasibleError`, `BracketError`), 3 I/O error (`OSError`), 4 non-finite
+output (`NumericalError`; nothing written for that file). A failure prints
+one `error: ...` line to stderr.
 """
 
 import argparse
 import sys
 
 from .config import parse_config
-from .errors import (
-    BracketError,
-    ConfigError,
-    InfeasibleError,
-    NumericalError,
-    ShapeError,
-    UiobeamError,
-)
-from .simulate import (
-    mu_label, run_compare, run_design, run_simulate, run_sweep_dt, write_json, write_manifest,
-)
+from .errors import BracketError, InfeasibleError, NumericalError, UiobeamError
+from .simulate import mu_label, run_compare, run_simulate, run_sweep_dt, write_design
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
+# The exit code of a failure: the first entry whose classes match it.
+_EXIT_CODES = (
+    ((InfeasibleError, BracketError), EXIT_INFEASIBLE),
+    (NumericalError, EXIT_NUMERICAL),
+    (OSError, EXIT_IO),
+    (UiobeamError, EXIT_VALIDATION),
+)
 
 
 def _build_parser():
@@ -61,22 +64,12 @@ def _load_config(args):
 
 
 def _cmd_design(cfg, out):
-    import time
-    from pathlib import Path
-
-    t0 = time.perf_counter()
-    records, _ = run_design(cfg)
-    for rec in records:
+    for rec in write_design(cfg, out):
         print(
             f"mu_max={mu_label(rec['mu_max'])}: gamma={rec['gamma']:.6g} "
             f"L_diag[0]={rec['L_diag'][0]:.6g} Q_diag[0]={rec['Q_diag'][0]:.6g} "
             f"certified={rec['certified']}"
         )
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "design_records.json", records)
-    write_manifest(out, cfg, {"design_records.json": len(records)},
-                   time.perf_counter() - t0)
     return EXIT_OK
 
 
@@ -118,21 +111,9 @@ def main(argv=None):
             "compare-baseline": _cmd_compare,
         }[args.command]
         return handler(cfg, args.out)
-    except (InfeasibleError, BracketError) as exc:
+    except (UiobeamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (ConfigError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except UiobeamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

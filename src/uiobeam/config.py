@@ -8,6 +8,10 @@ that parser's wording. Every rejection starts with the ``section.field`` it
 concerns: the parser checks types, shapes and the rules no class owns, and
 the errors of `UavScenario` and `ArrayConfig`, which state their own rules
 and defaults, gain the section prefix here.
+
+Each link subcommand's own rules (the link rules and the size bounds of the
+arrays it allocates) are one check here, `require_simulate_config` or
+`require_compare_config`, which it calls before it allocates or writes.
 """
 
 import dataclasses
@@ -295,13 +299,12 @@ def config_from_mapping(data, run_overrides=None):
             )
         windows.append((t0, t1))
 
-    snapshots = _read(data, "run.pattern_snapshots", kind=int, ndim=1)
-    if snapshots is None:
-        snapshots = tuple(sorted({0, horizon // 2, horizon - 1}))
-    else:
-        snapshots = tuple(snapshots)
-        if any(not 0 <= s < horizon for s in snapshots):
-            raise ConfigError("run.pattern_snapshots must lie within [0, horizon)")
+    snapshots = _read(data, "run.pattern_snapshots", [0, horizon // 2, horizon - 1],
+                      kind=int, ndim=1)
+    if any(not 0 <= s < horizon for s in snapshots):
+        raise ConfigError("run.pattern_snapshots must lie within [0, horizon)")
+    # one pattern file per distinct step, in step order
+    snapshots = tuple(sorted(set(snapshots)))
     pattern_points = _positive(_read(data, "run.pattern_points", 721, int), "run.pattern_points")
     sweep_dt_low = _read(data, "run.sweep_dt_low", float(dt[0]))
     sweep_dt_high = _read(data, "run.sweep_dt_high", 2.0)
@@ -340,8 +343,9 @@ MAX_STEERING_ENTRIES = 1 << 22
 # channel.noise_draws * scenario.n_uavs draws of one compare-baseline step:
 # ~88 B each (2^16 and 2^19 draws).
 MAX_DRAW_ENTRIES = 1 << 23
-# run.pattern_points * scenario.n_uavs rows of one pattern file: ~45 B each
-# in simulate (2^16 and 2^19 points).
+# run.pattern_points * scenario.n_uavs * len(run.pattern_snapshots) rows of
+# one simulate run's pattern files, which beam_pattern holds at once: ~45 B
+# each (2^16 and 2^19 points).
 MAX_PATTERN_ROWS = 1 << 24
 # The link steers at each UAV's offset positions - center, taken in float64,
 # which resolves an orbit of radius R to about |center| 2^-52 / R. The smallest
@@ -359,13 +363,34 @@ def require_at_most(bound, counted, *fields):
         raise ConfigError(f"{named} give {product} {counted}, above the {bound} allowed")
 
 
-def require_link_config(cfg):
+def require_simulate_config(cfg):
+    """The acceptance rules of simulate: the link rules and at most
+    MAX_PATTERN_ROWS rows over the pattern files of the run."""
+    _require_link_config(cfg)
+    require_at_most(MAX_PATTERN_ROWS, "rows in the pattern files of one run",
+                    ("run.pattern_points", cfg.pattern_points),
+                    ("scenario.n_uavs", cfg.scenario.n_uavs),
+                    ("run.pattern_snapshots", len(cfg.pattern_snapshots)))
+
+
+def require_compare_config(cfg):
+    """The acceptance rules of compare-baseline: a blockage window, the link
+    rules and at most MAX_DRAW_ENTRIES noise draws in one link step."""
+    if not cfg.windows:
+        raise ConfigError("blockage.windows is empty: compare-baseline needs at least one window")
+    _require_link_config(cfg)
+    require_at_most(MAX_DRAW_ENTRIES, "noise draws in one link step",
+                    ("channel.noise_draws", cfg.noise_draws),
+                    ("scenario.n_uavs", cfg.scenario.n_uavs))
+
+
+def _require_link_config(cfg):
     """Zero-forcing needs one antenna per served UAV, the time column, the
     blockage windows and the echo hold run on one clock, the rollout holds at
     most MAX_ROLLOUT_PAIRS (step, UAV) pairs and one step's steering at most
     MAX_STEERING_ENTRIES entries, the positions stay below POSITION_HEADROOM,
     and the radii reach MIN_RANGE and resolve against the center
-    (CENTER_PRECISION). The link subcommands call this before they allocate
+    (CENTER_PRECISION). Both link subcommands check this before they allocate
     anything; design and sweep-dt build neither link nor positions, so more
     UAVs than antennas, per-UAV dt, long horizons and far-flung orbits stay
     valid for them."""

@@ -1,5 +1,8 @@
 """Experiment orchestration and data emission for the CLI subcommands.
 
+Each subcommand is one function here (`write_design`, `run_simulate`,
+`run_sweep_dt`, `run_compare`) that writes every output file of its run.
+
 Every CSV body is byte-stable for a fixed config + seed: floats are written
 with 17 significant digits, rows in a fixed order, no timestamps. Wall-clock
 lives only in the manifest, together with the steps whose zero-forcing
@@ -42,9 +45,7 @@ import numpy as np
 
 from . import beamforming as bf
 from . import observer as obs
-from .config import (
-    MAX_DRAW_ENTRIES, MAX_PATTERN_ROWS, config_hash, require_at_most, require_link_config,
-)
+from .config import config_hash, require_compare_config, require_simulate_config
 from .design import LmiProblem, certify_level, critical_dt, design_level
 from .design import design as solve_design
 from .errors import ConfigError, NumericalError, ShapeError
@@ -172,6 +173,19 @@ def run_design(cfg):
             "certified": bool(solution.certified),
         })
     return records, designs
+
+
+def write_design(cfg, out_dir):
+    """design_records.json and the manifest of run_design's records, written
+    once every design is found; returns the records."""
+    t0 = time.perf_counter()
+    records, _ = run_design(cfg)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(out_dir / "design_records.json", records)
+    write_manifest(out_dir, cfg, {"design_records.json": len(records)},
+                   time.perf_counter() - t0)
+    return records
 
 
 def _predicted_angles(cfg, xhat):
@@ -340,10 +354,7 @@ def run_simulate(cfg, out_dir):
     other bounds at that level. The manifest lists, per design directory, the
     steps whose precoder fell back to the ridge (``zf_fallback_steps``).
     """
-    require_link_config(cfg)
-    require_at_most(MAX_PATTERN_ROWS, "rows in one pattern file",
-                    ("run.pattern_points", cfg.pattern_points),
-                    ("scenario.n_uavs", cfg.scenario.n_uavs))
+    require_simulate_config(cfg)
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -430,12 +441,7 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
     check. The manifest lists, per mode, the steps whose precoder fell back
     to the ridge (``zf_fallback_steps``).
     """
-    if not cfg.windows:
-        raise ConfigError("blockage.windows is empty: compare-baseline needs at least one window")
-    require_link_config(cfg)
-    require_at_most(MAX_DRAW_ENTRIES, "noise draws in one link step",
-                    ("channel.noise_draws", cfg.noise_draws),
-                    ("scenario.n_uavs", cfg.scenario.n_uavs))
+    require_compare_config(cfg)
     t0 = time.perf_counter()
     dt0 = float(cfg.scenario.dt[0])
     blocked, last_clear = echo_blockage(cfg.windows, dt0, cfg.horizon)

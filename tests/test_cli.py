@@ -3,6 +3,7 @@ blockage comparison, all on desk-scale horizons."""
 
 import concurrent.futures
 import importlib
+import inspect
 import json
 import threading
 
@@ -10,13 +11,14 @@ import numpy as np
 import pytest
 import yaml
 
-from uiobeam import beamforming
+from uiobeam import beamforming, errors
 from uiobeam.cli import main
-from uiobeam.config import config_from_mapping, parse_config
+from uiobeam.config import config_from_mapping, parse_config, require_simulate_config
 from uiobeam.errors import ConfigError, NumericalError, ShapeError
 from uiobeam.simulate import echo_blockage, run_compare, run_design, run_simulate, write_csv
 
 # the package re-exports the function design(), which shadows the module name
+cli_module = importlib.import_module("uiobeam.cli")
 config_module = importlib.import_module("uiobeam.config")
 design_module = importlib.import_module("uiobeam.design")
 observer_module = importlib.import_module("uiobeam.observer")
@@ -124,6 +126,51 @@ def test_out_collides_with_file_exit_code(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
     assert main(["design", "--config", cfg, "--out", str(blocker)]) == 3
+
+
+def test_design_writes_before_it_prints(tmp_path, capsys):
+    # the records are written first, so an --out that names a file fails
+    # before any record is printed
+    blocker = tmp_path / "blocked"
+    blocker.write_text("a file, not a directory")
+    assert main(["design", "--out", str(blocker)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# The documented exit code of every exception class of uiobeam.errors, and of
+# OSError; a new class must be added here with its code.
+EXIT_CODES = {
+    errors.UiobeamError: 1,
+    errors.ShapeError: 1,
+    errors.SingularMatrixError: 1,
+    errors.InfeasibleError: 2,
+    errors.BracketError: 2,
+    errors.ConditioningError: 1,
+    errors.DegenerateGeometryError: 1,
+    errors.ConfigError: 1,
+    errors.NumericalError: 4,
+    OSError: 3,
+}
+
+
+def test_the_exit_code_table_covers_every_package_error():
+    classes = {cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if cls.__module__ == errors.__name__}
+    assert classes == set(EXIT_CODES) - {OSError}
+
+
+@pytest.mark.parametrize("exc_type", list(EXIT_CODES), ids=lambda cls: cls.__name__)
+def test_every_error_reaches_its_exit_code_as_one_line(tmp_path, capsys, monkeypatch, exc_type):
+    def failing(cfg, out_dir):
+        raise exc_type("runner failed")
+
+    monkeypatch.setattr(cli_module, "run_sweep_dt", failing)
+    assert main(["sweep-dt", "--out", str(tmp_path / "out")]) == EXIT_CODES[exc_type]
+    captured = capsys.readouterr()
+    assert captured.err == "error: runner failed\n"
+    assert captured.out == ""
 
 
 def simulate_config(tmp_path, horizon=60, extra=""):
@@ -999,3 +1046,31 @@ def test_finite_gate_of_the_writers(tmp_path):
         simulate_module.write_json(tmp_path / "t.json", {"ok": 1.0, "se": [0.0, np.inf]})
     assert not (tmp_path / "t.json").exists()
 
+
+def test_repeated_pattern_snapshots_give_one_file_per_step(tmp_path):
+    # a repeated step is computed and written once; the steps come sorted
+    assert config_from_mapping({"run": {"horizon": 10, "pattern_snapshots": [7, 0, 7, 3]}}
+                               ).pattern_snapshots == (0, 3, 7)
+    cfg = simulate_config(tmp_path, horizon=4, extra="  pattern_snapshots: [%s]\n"
+                          % ", ".join(["0"] * 16))
+    assert parse_config(cfg).pattern_snapshots == (0,)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert [name for name in files if "pattern_k" in name] == ["design_mu0.05/pattern_k0.csv"]
+
+
+def test_pattern_rows_over_all_snapshot_files_fail_validation(tmp_path, capsys):
+    # each of two files would hold 2^22 points x 4 UAVs = 2^24 rows, the
+    # bound, and simulate holds both at once; one distinct step passes
+    mapping = {"run": {"horizon": 4, "pattern_points": 1 << 22, "pattern_snapshots": [0, 1]}}
+    cfg = write_yaml(tmp_path, json.dumps(mapping))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: run.pattern_points 4194304 and scenario.n_uavs 4 and "
+                          "run.pattern_snapshots 2 give 33554432 ")
+    assert "Traceback" not in err
+    assert not out.exists()
+    mapping["run"]["pattern_snapshots"] = [1, 1]
+    require_simulate_config(config_from_mapping(mapping))
