@@ -295,14 +295,12 @@ class ChannelRealization:
             raise ShapeError("noise power must be non-negative")
 
     @classmethod
-    def line_of_sight(cls, cfg, positions, center, sigma2, phases=None, a=None):
-        """Free-space coefficient h_i = (lambda / (4 pi r_i)) e^{j phi_i} at
-        the positions (..., N, 2) (a flat vector holds stacked (x, y) pairs):
-        phi is the propagation phase -2 pi r / lambda (phase_mode 'range')
-        unless the caller gives the ``phases`` it drew with ``random_phases``
-        (phase_mode 'random'). ``a`` is the transmit steering at the true
-        azimuths when the caller has built it (from ``azimuths`` of the same
-        positions)."""
+    def line_of_sight(cls, cfg, positions, center, sigma2, a=None):
+        """Free-space coefficient h_i = (lambda / (4 pi r_i)) e^{-j 2 pi r_i /
+        lambda}, with the propagation phase of its range, at the positions
+        (..., N, 2) (a flat vector holds stacked (x, y) pairs). ``a`` is the
+        transmit steering at the true azimuths when the caller has built it
+        (from ``azimuths`` of the same positions)."""
         positions = np.asarray(positions, float)
         if positions.ndim < 2:
             positions = positions.reshape(-1, 2)
@@ -311,8 +309,7 @@ class ChannelRealization:
         if np.any(ranges < MIN_RANGE):
             raise DegenerateGeometryError("UAV coincides with the central UAV")
         theta = azimuths(deltas)
-        if phases is None:
-            phases = -2.0 * np.pi * ranges / cfg.wavelength
+        phases = -2.0 * np.pi * ranges / cfg.wavelength
         h = (cfg.wavelength / (4.0 * np.pi * ranges)) * np.exp(1j * phases)
         return cls(h=h, sigma2=float(sigma2), theta=theta,
                    a=steering_matrix(cfg, theta) if a is None else a)
@@ -375,31 +372,19 @@ def link_report(cfg, chan, bf, power):
     return LinkReport(sinr=sinr, sinr_db=sinr_db, se=np.log2(1.0 + sinr), g=g)
 
 
-def random_phases(rng, size):
-    """Channel phases of phase_mode 'random': uniform on [0, 2 pi)."""
-    return rng.uniform(0.0, 2.0 * np.pi, size=size)
-
-
-def draw_link_steps(n_uavs, sigma2, rng, n_draws, steps, channel_phases=False):
-    """The random draws of ``steps`` consecutive link steps, made one step
-    after another in the order of a per-step loop: the step's channel phases
-    (with ``channel_phases``, as ``random_phases``), then the uniforms of its
-    symbols and the real and imaginary parts of its noise.
-
-    Returns (phases, symbols, noise): phases (steps, n_uavs), or None without
-    ``channel_phases``; unit-modulus symbols and post-combining noise samples
+def draw_link_steps(n_uavs, sigma2, rng, n_draws, steps):
+    """The random draws of ``steps`` consecutive link steps in the order of a
+    per-step loop (each step's symbol uniforms, then the real and imaginary
+    parts of its noise): unit-modulus symbols and post-combining noise samples
     of variance sigma2, each (steps, n_draws, n_uavs)."""
-    phases = np.empty((steps, n_uavs)) if channel_phases else None
     uniforms, real, imag = (np.empty((steps, n_draws, n_uavs)) for _ in range(3))
     for k in range(steps):
-        if channel_phases:
-            phases[k] = random_phases(rng, n_uavs)
         uniforms[k] = rng.random((n_draws, n_uavs))
         real[k] = rng.standard_normal((n_draws, n_uavs))
         imag[k] = rng.standard_normal((n_draws, n_uavs))
     symbols = np.exp(2j * np.pi * uniforms)
     noise = np.sqrt(sigma2 / 2.0) * (real + 1j * imag)
-    return phases, symbols, noise
+    return symbols, noise
 
 
 def empirical_link_se(cfg, chan, bf, power, symbols, noise):

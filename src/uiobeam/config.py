@@ -37,10 +37,7 @@ _SCHEMA = {
     "measurement": {"d_scale", "d_diag"},
     "observer": {"alpha", "mu_max", "h_diag", "init"},
     "array": {"m_ce", "n_u", "carrier_hz", "wavelength", "spacing"},
-    "channel": {
-        "sigma2", "target_snr_db", "snr_ref_range", "total_power",
-        "phase_mode", "noise_draws",
-    },
+    "channel": {"sigma2", "target_snr_db", "snr_ref_range", "total_power", "noise_draws"},
     "blockage": {"windows"},
     "run": {
         "horizon", "seed", "transient_cutoff", "pattern_snapshots",
@@ -62,7 +59,6 @@ class RunConfig:
     array: ArrayConfig
     sigma2: float
     total_power: float
-    phase_mode: str
     noise_draws: int
     windows: tuple
     horizon: int
@@ -262,9 +258,6 @@ def config_from_mapping(data, run_overrides=None):
                               f"positive (or set channel.sigma2)")
     elif sigma2 < 0:
         raise ConfigError("channel.sigma2 must be non-negative")
-    phase_mode = _lookup(data, "channel.phase_mode", "range")
-    if phase_mode not in ("range", "random"):
-        raise ConfigError(f"channel.phase_mode must be 'range' or 'random', got {phase_mode!r}")
     noise_draws = _positive(_read(data, "channel.noise_draws", 64, int), "channel.noise_draws")
 
     horizon = _read(data, "run.horizon", 400, int)
@@ -317,10 +310,9 @@ def config_from_mapping(data, run_overrides=None):
     return RunConfig(
         scenario=scenario, model=model, alpha=alpha, mu_list=mu_list, h_diag=h_diag,
         observer_init=observer_init, array=array, sigma2=sigma2, total_power=total_power,
-        phase_mode=phase_mode, noise_draws=noise_draws, windows=tuple(windows),
-        horizon=horizon, seed=seed, transient_cutoff=transient_cutoff,
-        pattern_snapshots=snapshots, pattern_points=pattern_points,
-        sweep_dt_low=sweep_dt_low, sweep_dt_high=sweep_dt_high,
+        noise_draws=noise_draws, windows=tuple(windows), horizon=horizon, seed=seed,
+        transient_cutoff=transient_cutoff, pattern_snapshots=snapshots,
+        pattern_points=pattern_points, sweep_dt_low=sweep_dt_low, sweep_dt_high=sweep_dt_high,
     )
 
 
@@ -329,6 +321,10 @@ def config_from_mapping(data, run_overrides=None):
 # The link squares ranges and subtracts the center, which overflow or cancel
 # near 1e300 m, so the bound keeps the headroom of a square.
 POSITION_HEADROOM = 1e150
+# Bound on the free-space gain lambda / (4 pi R) at the smallest radius R. The
+# link squares each coefficient's gain, which overflows near 1e154 (a carrier_hz
+# of 1e-300 makes lambda inf), so the bound keeps the headroom of a square.
+GAIN_HEADROOM = 1e150
 # Bound on run.horizon * scenario.n_uavs, the (step, UAV) pairs of one link
 # run. simulate's peak grows by about 220 bytes per pair (max RSS of the
 # reference fleet at horizons 2000 and 40000), so the bound keeps a run near
@@ -390,9 +386,10 @@ def _require_link_config(cfg):
     most MAX_ROLLOUT_PAIRS (step, UAV) pairs and one step's steering at most
     MAX_STEERING_ENTRIES entries, the positions stay below POSITION_HEADROOM,
     and the radii reach MIN_RANGE and resolve against the center
-    (CENTER_PRECISION). Both link subcommands check this before they allocate
-    anything; design and sweep-dt build neither link nor positions, so more
-    UAVs than antennas, per-UAV dt, long horizons and far-flung orbits stay
+    (CENTER_PRECISION) and keep the free-space gain below GAIN_HEADROOM. Both
+    link subcommands check this before they allocate anything; design and
+    sweep-dt build neither link nor positions, so more UAVs than antennas,
+    per-UAV dt, long horizons, far-flung orbits and huge wavelengths stay
     valid for them."""
     dt = cfg.scenario.dt
     if np.any(dt != dt[0]):
@@ -418,16 +415,21 @@ def _require_link_config(cfg):
             f"scenario.omega {sc.omega:g}, scenario.dt {dt[0]:g}, scenario.perturbation_ratio "
             f"{sc.perturbation_ratio:g} and run.horizon {cfg.horizon} let positions reach "
             f"{reach:.3g} m, not below {POSITION_HEADROOM:g} m")
-    if not np.min(sc.radii) >= MIN_RANGE:
-        raise ConfigError(f"scenario.radii down to {np.min(sc.radii):g} m start a UAV within "
+    nearest, far = float(np.min(sc.radii)), np.max(np.abs(sc.center))
+    if not nearest >= MIN_RANGE:
+        raise ConfigError(f"scenario.radii down to {nearest:g} m start a UAV within "
                           f"{MIN_RANGE:g} m of the center, where it has no azimuth")
-    far = np.max(np.abs(sc.center))
-    if not np.min(sc.radii) >= CENTER_PRECISION * far:
+    if not nearest >= CENTER_PRECISION * far:
         raise ConfigError(
             f"scenario.center {sc.center.tolist()} is too far out for scenario.radii "
-            f"down to {np.min(sc.radii):g}: an offset from the center keeps 26 bits "
+            f"down to {nearest:g}: an offset from the center keeps 26 bits "
             f"only for radii of at least {CENTER_PRECISION:g} * {far:g} = "
             f"{CENTER_PRECISION * far:.3g} m")
+    gain = cfg.array.wavelength / (4.0 * np.pi * nearest)  # Python floats: inf, no warning
+    if not gain < GAIN_HEADROOM:
+        raise ConfigError(f"array.carrier_hz or array.wavelength give a wavelength of "
+                          f"{cfg.array.wavelength:g} m and a free-space gain of {gain:.3g} at "
+                          f"scenario.radii down to {nearest:g} m, not below {GAIN_HEADROOM:g}")
 
 
 # libyaml parses a large config about ten times faster than the pure-Python

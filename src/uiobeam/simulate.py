@@ -23,16 +23,17 @@ hold a block at a time: the pattern grid is steered in row blocks
 CSV_BLOCK_ROWS rows at a time.
 
 Both links, `link_timeseries` (analytic SINR) and `run_compare` (empirical
-SE), run on one engine, `_link_chunks`, each handing it a ``draw`` (a chunk's
-random draws) and a ``step`` (the chunk's evaluation). The engine runs over
-chunks of max(1, LINK_CHUNK_ENTRIES // (max(M_CE, noise_draws) * N)) steps
-on (step, ...) stacks; the beamforming functions give every step of a stack
-the bits of its own 2-D call, so the chunk size changes no output byte. The
-draws are made one step after another in the order of a per-step loop, and
-the M_CE-row steering stacks come from one `beamforming.steering_ahead`
-stream, ordered [true chunk, steered chunk], so the next chunk's stacks can
-be filled on its helper thread while the current chunk runs; the size of one
-step's matrix alone decides whether the helper runs.
+SE), run on one engine, `_link_chunks`, each handing it a ``step`` (the
+chunk's evaluation). The engine runs over chunks of
+max(1, LINK_CHUNK_ENTRIES // (max(M_CE, noise_draws) * N)) steps on
+(step, ...) stacks; the beamforming functions give every step of a stack the
+bits of its own 2-D call, so the chunk size changes no output byte. The
+channel has no random part, so only `run_compare` draws: its step draws the
+chunk's symbols and noise in the order of a per-step loop. The M_CE-row
+steering stacks come from one `beamforming.steering_ahead` stream, ordered
+[true chunk, steered chunk], so the next chunk's stacks can be filled on its
+helper thread while the current chunk runs; the size of one step's matrix
+alone decides whether the helper runs.
 """
 
 import json
@@ -202,13 +203,11 @@ def _true_angles(cfg, run):
     return bf.azimuths(run["X"][:cfg.horizon].reshape(cfg.horizon, -1, 2) - cfg.scenario.center)
 
 
-def _link_chunks(cfg, run, angles, draw, step):
+def _link_chunks(cfg, run, angles, step):
     """The link engine: the tracking run in chunks of
     max(1, LINK_CHUNK_ENTRIES // (max(M_CE, noise_draws) * N)) steps, beams
-    steered at ``angles`` (step, UAV). Chunk k0..k1-1 takes
-    ``draws = draw(k1 - k0)`` (draws[0]: the random channel phases, or None
-    for the propagation phase) and ends in ``step(k0, k1, draws, chan,
-    beams, power)``, with its channel, precoder and equal power split."""
+    steered at ``angles`` (step, UAV). Chunk k0..k1-1 ends in ``step(k0, k1,
+    chan, beams, power)``, with its channel, precoder and equal power split."""
     size = cfg.scenario.n_uavs * max(cfg.array.m_ce, cfg.noise_draws)
     steps = max(1, LINK_CHUNK_ENTRIES // size)
     chunks = [(k0, min(k0 + steps, cfg.horizon)) for k0 in range(0, cfg.horizon, steps)]
@@ -217,15 +216,12 @@ def _link_chunks(cfg, run, angles, draw, step):
     sets = [s for k0, k1 in chunks for s in (theta[k0:k1], angles[k0:k1])]
     with closing(bf.steering_ahead(cfg.array, sets)) as steering:
         for k0, k1 in chunks:
-            draws = draw(k1 - k0)
             chan = bf.ChannelRealization.line_of_sight(
-                cfg.array, x[k0:k1], cfg.scenario.center, cfg.sigma2,
-                phases=draws[0], a=next(steering),
-            )
+                cfg.array, x[k0:k1], cfg.scenario.center, cfg.sigma2, a=next(steering))
             beams = bf.safe_beamformer(cfg.array, angles[k0:k1], a=next(steering))
-            step(k0, k1, draws, chan, beams, bf.equal_power_allocation(beams, cfg.total_power))
-            # hold no chunk while the next one is drawn and built
-            del draws, chan, beams
+            step(k0, k1, chan, beams, bf.equal_power_allocation(beams, cfg.total_power))
+            # hold no chunk while the next one is built
+            del chan, beams
 
 
 def echo_blockage(windows, dt, horizon):
@@ -259,16 +255,12 @@ def link_timeseries(cfg, run, angles):
     cfg.pattern_snapshots, in that order.
     """
     n = cfg.scenario.n_uavs
-    rng = np.random.default_rng(cfg.seed)
     sinr_db = np.empty((cfg.horizon, n))
     se = np.empty((cfg.horizon, n))
     ridge = np.empty(cfg.horizon)
     kept = {}
 
-    def draw(steps):
-        return (bf.random_phases(rng, (steps, n)) if cfg.phase_mode == "random" else None,)
-
-    def step(k0, k1, draws, chan, beams, power):
+    def step(k0, k1, chan, beams, power):
         report = bf.link_report(cfg.array, chan, beams, power)
         sinr_db[k0:k1] = report.sinr_db
         se[k0:k1] = report.se
@@ -277,7 +269,7 @@ def link_timeseries(cfg, run, angles):
             if k0 <= k < k1:
                 kept[k] = beams.f[k - k0]
 
-    _link_chunks(cfg, run, angles, draw, step)
+    _link_chunks(cfg, run, angles, step)
     return sinr_db, se, ridge, [kept[k] for k in cfg.pattern_snapshots]
 
 
@@ -460,13 +452,9 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
     fallback_steps = {"uio": [], "echo_baseline": []}
     held = None  # the last echo precoder built, as _echo_precoders holds it
 
-    def draw(steps):
-        return bf.draw_link_steps(n, cfg.sigma2, rng, cfg.noise_draws, steps,
-                                  channel_phases=cfg.phase_mode == "random")
-
-    def step(k0, k1, draws, chan, uio, uio_power):
+    def step(k0, k1, chan, uio, uio_power):
         nonlocal held
-        _, symbols, noise = draws
+        symbols, noise = bf.draw_link_steps(n, cfg.sigma2, rng, cfg.noise_draws, k1 - k0)
         echo, echo_power, held = _echo_precoders(cfg, chan, k0, last_clear[k0:k1], held)
         for mode, se, beams, power in (("uio", se_uio, uio, uio_power),
                                        ("echo_baseline", se_echo, echo, echo_power)):
@@ -474,7 +462,7 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
                 cfg.array, chan, beams, power, symbols, noise), axis=-1)
             fallback_steps[mode].extend((k0 + np.flatnonzero(beams.ridge > 0.0)).tolist())
 
-    _link_chunks(cfg, run, predicted, draw, step)
+    _link_chunks(cfg, run, predicted, step)
     steps = np.arange(cfg.horizon)
     files = {
         "se_compare.csv": write_csv(

@@ -555,7 +555,7 @@ def test_se_monotone_in_steering_error():
 def test_empirical_se_reproducible_and_near_analytic():
     chan, bf, power = reference_link(stale=0.01)
     rng = np.random.default_rng(7)
-    _, (symbols,), (noise,) = draw_link_steps(4, chan.sigma2, rng, 20_000, 1)
+    (symbols,), (noise,) = draw_link_steps(4, chan.sigma2, rng, 20_000, 1)
     se_a = empirical_link_se(CFG, chan, bf, power, symbols, noise)
     se_b = empirical_link_se(CFG, chan, bf, power, symbols, noise)
     np.testing.assert_array_equal(se_a, se_b)
@@ -715,7 +715,7 @@ def test_stacked_link_equals_per_step_calls_bit_for_bit(
     beams = safe_beamformer(cfg, angles, a=a)
     power = equal_power_allocation(beams, 1.0)
     report = link_report(cfg, chan, beams, power)
-    _, symbols, noise = beamforming.draw_link_steps(n, sigma2, rng, 8, steps)
+    symbols, noise = beamforming.draw_link_steps(n, sigma2, rng, 8, steps)
     se = empirical_link_se(cfg, chan, beams, power, symbols, noise)
     assert beams.ridge.shape == (steps,)
     if singular >= 0:
@@ -736,15 +736,13 @@ def test_stacked_link_equals_per_step_calls_bit_for_bit(
 
 
 def test_link_step_draws_follow_the_per_step_order():
-    # phases, symbol uniforms and the two noise parts, one step after another
+    # symbol uniforms and the two noise parts, one step after another
     n, sigma2, draws = 3, 0.5, 5
-    stacked = beamforming.draw_link_steps(n, sigma2, np.random.default_rng(4), draws, 4,
-                                          channel_phases=True)
+    stacked = beamforming.draw_link_steps(n, sigma2, np.random.default_rng(4), draws, 4)
     rng = np.random.default_rng(4)
     for k in range(4):
-        assert_same_bits(stacked[0][k], beamforming.random_phases(rng, n))
         symbols = np.exp(2j * np.pi * rng.random((draws, n)))
         noise = np.sqrt(sigma2 / 2.0) * (
             rng.standard_normal((draws, n)) + 1j * rng.standard_normal((draws, n)))
-        assert_same_bits(stacked[1][k], symbols)
-        assert_same_bits(stacked[2][k], noise)
+        assert_same_bits(stacked[0][k], symbols)
+        assert_same_bits(stacked[1][k], noise)

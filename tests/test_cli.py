@@ -218,6 +218,21 @@ def test_simulate_seed_and_horizon_flags(tmp_path):
     assert patterns == [f"design_mu0.05/pattern_k{k}.csv" for k in (0, 20, 39)]
 
 
+def test_simulate_outputs_do_not_depend_on_the_seed(tmp_path):
+    # the channel carries the propagation phase of each range and simulate
+    # draws no random number, so two seeds write the same bytes on the
+    # 40-step golden config; only the manifest records the seed
+    cfg = write_yaml(tmp_path, "blockage:\n  windows: [[2.0, 4.0]]\nrun:\n  horizon: 40\n")
+    outputs = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"seed{seed}"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", seed]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == int(seed)
+        outputs.append(output_bytes(out))
+    assert len(outputs[0]) == 1 + 3 * 6
+    assert outputs[0] == outputs[1]
+
+
 def test_simulate_byte_identical_reruns(tmp_path):
     cfg = simulate_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -746,23 +761,21 @@ CHUNK_EDGE_CONFIG = {
 }
 
 
-@pytest.mark.parametrize("phase_mode", ["range", "random"])
-def test_link_outputs_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, phase_mode):
-    cfg = config_from_mapping({**CHUNK_EDGE_CONFIG, "channel": {"phase_mode": phase_mode}})
+def test_link_outputs_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    cfg = config_from_mapping(CHUNK_EDGE_CONFIG)
     _, last_clear = echo_blockage(cfg.windows, 0.15, cfg.horizon)
     assert last_clear[16] == 9 and last_clear[32] == 32
-    path = write_yaml(tmp_path, json.dumps(
-        {**CHUNK_EDGE_CONFIG, "channel": {"phase_mode": phase_mode}}))
+    path = write_yaml(tmp_path, json.dumps(CHUNK_EDGE_CONFIG))
     # the first step of every chunk the engine hands to a link's step
     starts = []
     engine = simulate_module._link_chunks
 
-    def recorded(cfg, run, angles, draw, step):
+    def recorded(cfg, run, angles, step):
         def recorded_step(k0, *args):
             starts.append(k0)
             step(k0, *args)
 
-        engine(cfg, run, angles, draw, recorded_step)
+        engine(cfg, run, angles, recorded_step)
 
     monkeypatch.setattr(simulate_module, "_link_chunks", recorded)
     outputs = []
@@ -922,6 +935,30 @@ def test_a_horizon_too_long_to_roll_out_fails_validation_for_link_subcommands(
     }))
     link_validation_exits(tmp_path, capsys, cfg, f"run.horizon {horizon} ",
                           "scenario.n_uavs 4", "(step, UAV) pairs")
+
+
+@pytest.mark.parametrize("array, wavelength", [
+    ({"carrier_hz": 1.0e-300}, "inf"),
+    ({"wavelength": 1.0e300}, "1e+300"),
+], ids=["carrier_hz", "wavelength"])
+def test_a_wavelength_beyond_the_gain_headroom_fails_validation_for_link_subcommands(
+    tmp_path, capsys, array, wavelength
+):
+    # with channel.sigma2 set no derived noise power checks the wavelength:
+    # a carrier of 1e-300 Hz (lambda inf) and a wavelength of 1e300 m made
+    # every link gain nan, exit 4 after the tracking CSVs were written; the
+    # link subcommands now reject the free-space gain, while design and
+    # sweep-dt never read the wavelength
+    cfg = write_yaml(tmp_path, json.dumps({
+        "array": array,
+        "channel": {"sigma2": 1.0e-9},
+        "blockage": {"windows": [[0.3, 0.6]]},
+        "run": {"horizon": 6},
+    }))
+    link_validation_exits(
+        tmp_path, capsys, cfg,
+        f"array.carrier_hz or array.wavelength give a wavelength of {wavelength} m ",
+        "scenario.radii down to 100 m", "not below 1e+150")
 
 
 def test_a_center_that_swamps_the_radii_fails_validation_for_link_subcommands(

@@ -54,7 +54,6 @@ VALID = {
     "channel.target_snr_db": [-5.0, 40.0],
     "channel.snr_ref_range": [50.0],
     "channel.total_power": [4.0],
-    "channel.phase_mode": ["random", "chaotic"],
     "channel.noise_draws": [1, 8],
     "blockage.windows": [[[0.15, 0.45], [0.5, 0.6]], [[0.01, 0.02]], [[0.3, 0.2]]],
     "run.seed": [7],
@@ -117,9 +116,10 @@ def _run(sub, cfg, out):
 
 
 # The explicit examples are the cases found so far: each oversized array
-# escaped as a numpy error after files were written, while a radius below
+# escaped as a numpy error after files were written, a radius below
 # beamforming.MIN_RANGE and a compare-baseline without windows exited 1
-# naming no field.
+# naming no field, and with channel.sigma2 set a carrier of 1e-300 Hz or a
+# wavelength of 1e300 m made the link nan (exit 4) after files were written.
 OVERSIZED = {"blockage": {"windows": [[0.3, 0.6]]}, "run": {"horizon": 4}}
 
 
@@ -131,6 +131,8 @@ OVERSIZED = {"blockage": {"windows": [[0.3, 0.6]]}, "run": {"horizon": 4}}
 @example({**OVERSIZED, "run": {"horizon": 4, "pattern_points": 10**11}})
 @example({**OVERSIZED, "channel": {"noise_draws": 10**11}})
 @example({**OVERSIZED, "scenario": {"radii": 1e-300}})
+@example({**OVERSIZED, "channel": {"sigma2": 1e-9}, "array": {"carrier_hz": 1e-300}})
+@example({**OVERSIZED, "channel": {"sigma2": 1e-9}, "array": {"wavelength": 1e300}})
 @example({"run": {"horizon": 4}})
 def test_every_drawn_config_runs_or_fails_naming_a_field(mapping):
     with tempfile.TemporaryDirectory() as tmp:
