@@ -1,20 +1,21 @@
 """Command-line harness: design | simulate | sweep-dt | compare-baseline.
 
-The CLI parses the arguments and the config, calls the subcommand's function
-in `uiobeam.simulate`, which checks the config and writes every output file,
-and prints its result. Exit codes, mapped in one table (`_EXIT_CODES`):
-0 success, 1 validation error (any other package error), 2 infeasibility
-(`InfeasibleError`, `BracketError`), 3 I/O error (`OSError`), 4 non-finite
-output (`NumericalError`; nothing written for that file). A failure prints
-one `error: ...` line to stderr.
+Each subcommand takes `--config` and `--out` only: the config file sets the
+whole run, seed and horizon included. The CLI parses it, calls the
+subcommand's function in `uiobeam.simulate`, which checks the config and
+writes every output file, and prints its result. Exit codes, mapped in one
+table (`_EXIT_CODES`): 0 success, 1 validation error (any other package
+error), 2 infeasibility (`InfeasibleError`, `BracketError`), 3 I/O error
+(`OSError`), 4 non-finite output (`NumericalError`; nothing written for that
+file). A failure prints one `error: ...` line to stderr.
 """
 
 import argparse
 import sys
 
-from .config import parse_config
+from .config import mu_label, parse_config
 from .errors import BracketError, InfeasibleError, NumericalError, UiobeamError
-from .simulate import mu_label, run_compare, run_simulate, run_sweep_dt, write_design
+from .simulate import run_compare, run_simulate, run_sweep_dt, write_design
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -48,19 +49,7 @@ def _build_parser():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="YAML config path (omit for defaults)")
         cmd.add_argument("--out", default="out", help="output directory (default: out)")
-        cmd.add_argument("--seed", type=int, help="override run.seed")
-        cmd.add_argument("--horizon", type=int, help="override run.horizon")
     return parser
-
-
-def _load_config(args):
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.horizon is not None:
-        # the snapshot default follows the horizon, so a new horizon resets it
-        overrides.update(horizon=args.horizon, pattern_snapshots=None)
-    return parse_config(args.config, overrides)
 
 
 def _cmd_design(cfg, out):
@@ -103,7 +92,7 @@ def _cmd_compare(cfg, out):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
+        cfg = parse_config(args.config)
         handler = {
             "design": _cmd_design,
             "simulate": _cmd_simulate,

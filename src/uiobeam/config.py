@@ -1,6 +1,7 @@
 """Run configuration: YAML with nested sections, strict key checking, and
 defaults set to the reference four-UAV scenario (radii 100/150/200/250 m,
 omega 0.5 rad/s, dT 0.15 s, D = 0.5 I, alpha 0.5, 64x4 antennas at 30 GHz).
+Each setting has one key, and the file alone sets the run.
 
 A file is parsed once, by libyaml when PyYAML has it and by the pure-Python
 parser otherwise; an invalid file's error names the file, line and column in
@@ -36,7 +37,7 @@ _SCHEMA = {
     },
     "measurement": {"d_scale", "d_diag"},
     "observer": {"alpha", "mu_max", "h_diag", "init"},
-    "array": {"m_ce", "n_u", "carrier_hz", "wavelength", "spacing"},
+    "array": {"m_ce", "n_u", "carrier_hz", "spacing"},
     "channel": {"sigma2", "target_snr_db", "snr_ref_range", "total_power", "noise_draws"},
     "blockage": {"windows"},
     "run": {
@@ -151,16 +152,13 @@ def _positive(value, name):
     return value
 
 
-def config_from_mapping(data, run_overrides=None):
-    """Validate a parsed mapping and resolve every default; the keys of
-    ``run_overrides`` replace those of the ``run`` section first."""
+def config_from_mapping(data):
+    """Validate a parsed mapping and resolve every default."""
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("top-level configuration must be a mapping")
     _check_unknown_keys(data)
-    if run_overrides:
-        data = {**data, "run": {**(data.get("run") or {}), **run_overrides}}
 
     radii = _read(data, "scenario.radii", [100.0, 150.0, 200.0, 250.0], ndim=None)
     n_uavs = _read(data, "scenario.n_uavs", radii.size, int)
@@ -224,13 +222,9 @@ def config_from_mapping(data, run_overrides=None):
     m_ce = _read(data, "array.m_ce", 64, int)
     n_u = _read(data, "array.n_u", 4, int)
     carrier = _positive(_read(data, "array.carrier_hz", 30.0e9), "array.carrier_hz")
-    wavelength = _read(data, "array.wavelength")
     spacing = _read(data, "array.spacing")
     try:
-        if wavelength is not None:
-            array = ArrayConfig(m_ce=m_ce, n_u=n_u, wavelength=wavelength, spacing=spacing)
-        else:
-            array = ArrayConfig.at_carrier(m_ce, n_u, carrier, spacing=spacing)
+        array = ArrayConfig.at_carrier(m_ce, n_u, carrier, spacing=spacing)
     except ShapeError as exc:
         raise ConfigError(f"array.{exc}") from None
 
@@ -246,9 +240,8 @@ def config_from_mapping(data, run_overrides=None):
         except (OverflowError, ZeroDivisionError):
             sigma2 = 0.0
         if not (np.isfinite(sigma2) and sigma2 > 0):
-            wave = (("array.wavelength", wavelength, " m") if wavelength is not None
-                    else ("array.carrier_hz", carrier, " Hz"))
-            inputs = [("channel.target_snr_db", target_snr_db, " dB"), wave,
+            inputs = [("channel.target_snr_db", target_snr_db, " dB"),
+                      ("array.carrier_hz", carrier, " Hz"),
                       ("channel.snr_ref_range", snr_ref_range, " m"),
                       ("channel.total_power", total_power, "")]
             # the fields the file sets come first: one of them is the cause
@@ -321,10 +314,12 @@ def config_from_mapping(data, run_overrides=None):
 # The link squares ranges and subtracts the center, which overflow or cancel
 # near 1e300 m, so the bound keeps the headroom of a square.
 POSITION_HEADROOM = 1e150
-# Bound on the free-space gain lambda / (4 pi R) at the smallest radius R. The
-# link squares each coefficient's gain, which overflows near 1e154 (a carrier_hz
-# of 1e-300 makes lambda inf), so the bound keeps the headroom of a square.
-GAIN_HEADROOM = 1e150
+# Bound on the received power total_power * gain^2, gain being the free-space
+# gain lambda / (4 pi R) at the smallest radius R. The link squares
+# coefficients of size sqrt(total_power) * gain, which overflows near 1e308 (a
+# carrier_hz of 1e-300 makes lambda inf), so the bound keeps the headroom of a
+# gain below 1e150 at unit power.
+POWER_HEADROOM = 1e300
 # Bound on run.horizon * scenario.n_uavs, the (step, UAV) pairs of one link
 # run. simulate's peak grows by about 220 bytes per pair (max RSS of the
 # reference fleet at horizons 2000 and 40000), so the bound keeps a run near
@@ -359,9 +354,23 @@ def require_at_most(bound, counted, *fields):
         raise ConfigError(f"{named} give {product} {counted}, above the {bound} allowed")
 
 
+def mu_label(mu):
+    """The label of a mu bound in output names (``design_mu<label>``) and
+    printed results: six significant digits."""
+    return format(float(mu), "g")
+
+
 def require_simulate_config(cfg):
-    """The acceptance rules of simulate: the link rules and at most
-    MAX_PATTERN_ROWS rows over the pattern files of the run."""
+    """The acceptance rules of simulate: one design directory per mu bound,
+    the link rules and at most MAX_PATTERN_ROWS rows over the pattern files of
+    the run."""
+    labels = {}
+    for mu in cfg.mu_list:
+        label = mu_label(mu)
+        if labels.setdefault(label, mu) != mu:
+            raise ConfigError(f"observer.mu_max entries {labels[label]!r} and {mu!r} share the "
+                              f"label {label}, so simulate would write both designs to "
+                              f"design_mu{label}")
     _require_link_config(cfg)
     require_at_most(MAX_PATTERN_ROWS, "rows in the pattern files of one run",
                     ("run.pattern_points", cfg.pattern_points),
@@ -386,11 +395,11 @@ def _require_link_config(cfg):
     most MAX_ROLLOUT_PAIRS (step, UAV) pairs and one step's steering at most
     MAX_STEERING_ENTRIES entries, the positions stay below POSITION_HEADROOM,
     and the radii reach MIN_RANGE and resolve against the center
-    (CENTER_PRECISION) and keep the free-space gain below GAIN_HEADROOM. Both
+    (CENTER_PRECISION) and keep the received power below POWER_HEADROOM. Both
     link subcommands check this before they allocate anything; design and
     sweep-dt build neither link nor positions, so more UAVs than antennas,
-    per-UAV dt, long horizons, far-flung orbits and huge wavelengths stay
-    valid for them."""
+    per-UAV dt, long horizons, far-flung orbits and huge wavelengths or powers
+    stay valid for them."""
     dt = cfg.scenario.dt
     if np.any(dt != dt[0]):
         raise ConfigError(f"scenario.dt must be one interval for simulate and "
@@ -425,11 +434,16 @@ def _require_link_config(cfg):
             f"down to {nearest:g}: an offset from the center keeps 26 bits "
             f"only for radii of at least {CENTER_PRECISION:g} * {far:g} = "
             f"{CENTER_PRECISION * far:.3g} m")
-    gain = cfg.array.wavelength / (4.0 * np.pi * nearest)  # Python floats: inf, no warning
-    if not gain < GAIN_HEADROOM:
-        raise ConfigError(f"array.carrier_hz or array.wavelength give a wavelength of "
-                          f"{cfg.array.wavelength:g} m and a free-space gain of {gain:.3g} at "
-                          f"scenario.radii down to {nearest:g} m, not below {GAIN_HEADROOM:g}")
+    geometry = cfg.array
+    # Python floats, positive: inf, never nan, and no warning
+    gain = geometry.wavelength / (4.0 * np.pi * nearest)
+    power = cfg.total_power * gain * gain
+    if not power < POWER_HEADROOM:
+        raise ConfigError(
+            f"channel.total_power {cfg.total_power:g}, array.carrier_hz (a wavelength of "
+            f"{geometry.wavelength:g} m) and scenario.radii down to {nearest:g} m give a "
+            f"free-space gain of {gain:.3g} and a received power of {power:.3g}, not below "
+            f"{POWER_HEADROOM:g}")
 
 
 # libyaml parses a large config about ten times faster than the pure-Python
@@ -446,11 +460,10 @@ def _load_yaml(path):
         return yaml.load(fh.read(), Loader=_FAST_LOADER)
 
 
-def parse_config(path=None, run_overrides=None):
+def parse_config(path=None):
     """Load a YAML config file (None or empty file means all defaults) and
-    validate it with ``run_overrides`` applied to its ``run`` section. A file
-    that is not UTF-8 or not YAML raises a ConfigError naming the file and,
-    for YAML, the line and column."""
+    validate it. A file that is not UTF-8 or not YAML raises a ConfigError
+    naming the file and, for YAML, the line and column."""
     data = {}
     if path is not None:
         try:
@@ -463,7 +476,7 @@ def parse_config(path=None, run_overrides=None):
             where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
             problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
             raise ConfigError(f"{path}: invalid YAML{where}: {problem}") from None
-    return config_from_mapping(data, run_overrides)
+    return config_from_mapping(data)
 
 
 def config_hash(cfg):

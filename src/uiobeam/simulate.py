@@ -46,7 +46,7 @@ import numpy as np
 
 from . import beamforming as bf
 from . import observer as obs
-from .config import config_hash, require_compare_config, require_simulate_config
+from .config import config_hash, mu_label, require_compare_config, require_simulate_config
 from .design import LmiProblem, certify_level, critical_dt, design_level
 from .design import design as solve_design
 from .errors import ConfigError, NumericalError, ShapeError
@@ -130,10 +130,6 @@ def write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def mu_label(mu):
-    return format(float(mu), "g")
 
 
 def design_problem(cfg, mu_max):

@@ -66,6 +66,9 @@ def test_array_config_invariants():
     assert CFG.spacing == pytest.approx(CFG.wavelength / 2.0)
     with pytest.raises(ShapeError):
         ArrayConfig(m_ce=4, n_u=8, wavelength=0.01)
+    for wavelength in (0.0, -1.0, float("nan")):
+        with pytest.raises(ShapeError, match="^wavelength must be positive"):
+            ArrayConfig(m_ce=4, n_u=4, wavelength=wavelength)
 
 
 def test_steering_broadside_is_all_ones():

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ def test_malformed_yaml_exits_1_naming_file_line_and_column(tmp_path, capsys, mo
     ("array.m_ce", "array: {m_ce: 0}"),
     ("array.n_u", "array: {n_u: 0}"),
     ("array.n_u", "array: {n_u: 65}"),
-    ("array.wavelength", "array: {wavelength: -1}"),
+    ("array.carrier_hz", "array: {carrier_hz: -299792458.0}"),
     ("array.spacing", "array: {spacing: -0.1}"),
     ("scenario.radii", "scenario: {radii: []}"),
     ("scenario.radii", "scenario: {radii: [1, -2]}"),
@@ -203,31 +204,17 @@ def test_simulate_outputs_and_row_counts(tmp_path):
         assert count == len(read_csv(out / name)[1])
 
 
-def test_simulate_seed_and_horizon_flags(tmp_path):
-    out = tmp_path / "out"
-    cfg = simulate_config(tmp_path, extra="  pattern_snapshots: [5]\n")
-    code = main([
-        "simulate", "--config", cfg, "--out", str(out), "--seed", "9", "--horizon", "40",
-    ])
-    assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed"] == 9
-    assert len(read_csv(out / "design_mu0.05" / "trajectories.csv")[1]) == 40 * 4
-    # --horizon resets the snapshots to the default of the new horizon
-    patterns = sorted(name for name in manifest["files"] if "pattern_k" in name)
-    assert patterns == [f"design_mu0.05/pattern_k{k}.csv" for k in (0, 20, 39)]
-
-
 def test_simulate_outputs_do_not_depend_on_the_seed(tmp_path):
     # the channel carries the propagation phase of each range and simulate
     # draws no random number, so two seeds write the same bytes on the
     # 40-step golden config; only the manifest records the seed
-    cfg = write_yaml(tmp_path, "blockage:\n  windows: [[2.0, 4.0]]\nrun:\n  horizon: 40\n")
     outputs = []
-    for seed in ("0", "7"):
+    for seed in (0, 7):
+        cfg = write_yaml(tmp_path, "blockage:\n  windows: [[2.0, 4.0]]\nrun:\n  horizon: 40\n"
+                         f"  seed: {seed}\n", name=f"seed{seed}.yaml")
         out = tmp_path / f"seed{seed}"
-        assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", seed]) == 0
-        assert json.loads((out / "manifest.json").read_text())["seed"] == int(seed)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == seed
         outputs.append(output_bytes(out))
     assert len(outputs[0]) == 1 + 3 * 6
     assert outputs[0] == outputs[1]
@@ -329,37 +316,23 @@ def test_infeasible_design_names_the_binding_coordinate(tmp_path, capsys):
     assert "coordinate 2 (UAV 1) needs mu >= 0.115" in capsys.readouterr().err
 
 
-def test_seed_flag_keeps_the_config_hash_of_the_same_seed_in_yaml(tmp_path):
-    base = "observer:\n  mu_max: [0.05]\n"
-    # (YAML for the flag run, flags, YAML giving the same values)
-    cases = (
-        ("run:\n  horizon: 20\n", ["--seed", "3"], "run:\n  horizon: 20\n  seed: 3\n"),
-        ("", ["--horizon", "40"], "run:\n  horizon: 40\n"),
-        # the carrier sets the wavelength, which the flag run must not re-derive
-        ("array:\n  carrier_hz: 28.0e9\nrun:\n  horizon: 20\n", ["--seed", "3"],
-         "array:\n  carrier_hz: 28.0e9\nrun:\n  horizon: 20\n  seed: 3\n"),
-    )
-    for idx, (flag_yaml, flags, same_yaml) in enumerate(cases):
-        flag_out, yaml_out = tmp_path / f"flag{idx}", tmp_path / f"yaml{idx}"
-        flag_cfg = write_yaml(tmp_path, base + flag_yaml, f"flag{idx}.yaml")
-        yaml_cfg = write_yaml(tmp_path, base + same_yaml, f"yaml{idx}.yaml")
-        assert main(["simulate", "--config", flag_cfg, "--out", str(flag_out), *flags]) == 0
-        assert main(["simulate", "--config", yaml_cfg, "--out", str(yaml_out)]) == 0
-        manifests = [json.loads((out / "manifest.json").read_text())
-                     for out in (flag_out, yaml_out)]
-        assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
-        assert manifests[0]["files"] == manifests[1]["files"]
-        for name in manifests[0]["files"]:
-            assert (flag_out / name).read_bytes() == (yaml_out / name).read_bytes()
+@pytest.mark.parametrize("flag", ["--seed", "--horizon"])
+def test_the_parser_rejects_a_run_setting_as_a_flag(capsys, flag):
+    # the config file alone sets the run: every subcommand takes --config and
+    # --out only, so no flag can make a run differ from what its file says
+    for sub in ("design", "simulate", "sweep-dt", "compare-baseline"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([sub, flag, "3"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
 def test_negative_seed_exits_1_naming_the_field(tmp_path, capsys):
     cfg = write_yaml(tmp_path, "run:\n  seed: -1\n")
-    for argv in (["--config", cfg], ["--seed", "-1"]):
-        assert main(["simulate", *argv, "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: run.seed must be non-negative")
-        assert "Traceback" not in err
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: run.seed must be non-negative")
+    assert "Traceback" not in err
 
 
 def test_malformed_values_exit_1_naming_the_field(tmp_path, capsys):
@@ -817,7 +790,7 @@ def test_run_design_searches_one_certificate_per_distinct_level(monkeypatch):
 
 
 @pytest.mark.parametrize("field, text", [
-    ("array.wavelength 1e-300 m", "array:\n  wavelength: 1.0e-300\n"),
+    ("array.carrier_hz 1e+308 Hz", "array:\n  carrier_hz: 1.0e308\n"),
     ("channel.snr_ref_range 1e-300 m", "channel:\n  snr_ref_range: 1.0e-300\n"),
 ])
 def test_noise_power_error_names_every_input_it_comes_from(tmp_path, capsys, field, text):
@@ -937,28 +910,55 @@ def test_a_horizon_too_long_to_roll_out_fails_validation_for_link_subcommands(
                           "scenario.n_uavs 4", "(step, UAV) pairs")
 
 
-@pytest.mark.parametrize("array, wavelength", [
-    ({"carrier_hz": 1.0e-300}, "inf"),
-    ({"wavelength": 1.0e300}, "1e+300"),
-], ids=["carrier_hz", "wavelength"])
+@pytest.mark.parametrize("mapping, starts", [
+    ({"array": {"carrier_hz": 1.0e-300}},
+     "channel.total_power 1, array.carrier_hz (a wavelength of inf m) "),
+    ({"array": {"carrier_hz": 299792458.0 / 1.0e300}},
+     "channel.total_power 1, array.carrier_hz (a wavelength of 1e+300 m) "),
+    ({"array": {"carrier_hz": 0.0299792458}, "channel": {"total_power": 1.0e300}},
+     "channel.total_power 1e+300, array.carrier_hz (a wavelength of 1e+10 m) "),
+    ({"array": {"carrier_hz": 2.5112e-145}, "channel": {"total_power": 1.0e10}},
+     "channel.total_power 1e+10, array.carrier_hz (a wavelength of 1.19382e+153 m) "),
+], ids=["carrier_hz", "wavelength", "power", "gain"])
 def test_a_wavelength_beyond_the_gain_headroom_fails_validation_for_link_subcommands(
-    tmp_path, capsys, array, wavelength
+    tmp_path, capsys, mapping, starts
 ):
     # with channel.sigma2 set no derived noise power checks the wavelength:
-    # a carrier of 1e-300 Hz (lambda inf) and a wavelength of 1e300 m made
-    # every link gain nan, exit 4 after the tracking CSVs were written; the
-    # link subcommands now reject the free-space gain, while design and
-    # sweep-dt never read the wavelength
+    # a carrier of 1e-300 Hz (lambda inf) and one giving lambda 1e300 m made
+    # every link gain nan, exit 4 after the tracking CSVs were written. The
+    # transmit power scales each coefficient by its square root, so a gain
+    # inside 1e150 overflowed too: a power of 1e300 at gain 8.0e6, and 1e10 at
+    # gain 9.50e149 in compare-baseline. The link subcommands now reject the
+    # received power, while design and sweep-dt never read the wavelength
+    channel = {"sigma2": 1.0e-9, **mapping.get("channel", {})}
     cfg = write_yaml(tmp_path, json.dumps({
-        "array": array,
-        "channel": {"sigma2": 1.0e-9},
+        **mapping, "channel": channel,
         "blockage": {"windows": [[0.3, 0.6]]},
         "run": {"horizon": 6},
     }))
-    link_validation_exits(
-        tmp_path, capsys, cfg,
-        f"array.carrier_hz or array.wavelength give a wavelength of {wavelength} m ",
-        "scenario.radii down to 100 m", "not below 1e+150")
+    link_validation_exits(tmp_path, capsys, cfg, starts, "scenario.radii down to 100 m",
+                          "received power of inf, not below 1e+300")
+
+
+def test_a_received_power_just_inside_the_headroom_runs_to_finite_outputs(tmp_path):
+    # power 1e10 at gain 9.49e144 receives 9.0e299, just below 1e300; both link
+    # subcommands run without a floating-point warning and write finite rows
+    gain = 9.49e144
+    cfg = write_yaml(tmp_path, json.dumps({
+        "channel": {"sigma2": 1.0e-9, "total_power": 1.0e10},
+        "array": {"carrier_hz": 299792458.0 / (gain * 4.0 * np.pi * 100.0)},
+        "blockage": {"windows": [[0.3, 0.6]]},
+        "run": {"horizon": 6},
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sub in ("simulate", "compare-baseline"):
+            assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+    csvs = list(tmp_path.rglob("*.csv"))
+    assert len(csvs) == 1 + 3 * 6
+    for path in csvs:
+        text = path.read_text()
+        assert text.count("\n") > 1 and "nan" not in text and "inf" not in text
 
 
 def test_a_center_that_swamps_the_radii_fails_validation_for_link_subcommands(
@@ -1000,15 +1000,46 @@ def test_an_array_too_large_to_allocate_fails_validation_before_anything_is_writ
     # after the tracking CSVs were written; the subcommand that would
     # allocate the array now rejects it first, and those that allocate no
     # such array (design, sweep-dt and ``runs``) still run
-    cfg = write_yaml(tmp_path, json.dumps({**mapping, "blockage": {"windows": [[0.3, 0.6]]}}))
+    cfg = write_yaml(tmp_path, json.dumps({**mapping, "blockage": {"windows": [[0.3, 0.6]]},
+                                           "run": {**mapping.get("run", {}), "horizon": 4}}))
     out = tmp_path / subcommand
-    assert main([subcommand, "--config", cfg, "--horizon", "4", "--out", str(out)]) == 1
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {starts}") and "allowed" in err
     assert "Traceback" not in err
     assert not out.exists()
     for sub in ("design", "sweep-dt", *runs):
-        assert main([sub, "--config", cfg, "--horizon", "4", "--out", str(tmp_path / sub)]) == 0
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+
+
+# two bounds that differ below six significant digits got one label: both
+# designs (mu* 0.115004289 and 0.115004344) wrote design_mu0.2/, the second
+# over the first, and simulate exited 0 with one directory in its manifest
+LABEL_COLLISION = {"scenario": {"radii": [100.0, 150.0]},
+                   "measurement": {"d_diag": [0.5, 0.5, 0.7, 0.7]},
+                   "observer": {"mu_max": [0.2000001, 0.2000002]}}
+
+
+def test_two_bounds_sharing_a_label_fail_validation_for_simulate(tmp_path, capsys):
+    cfg = write_yaml(tmp_path, json.dumps({
+        **LABEL_COLLISION, "blockage": {"windows": [[0.3, 0.6]]}, "run": {"horizon": 6},
+    }))
+    out = tmp_path / "simulate"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: observer.mu_max entries 0.2000001 and 0.2000002 share "
+                          "the label 0.2, ")
+    assert "Traceback" not in err
+    assert not out.exists()
+    # the other subcommands write no directory per bound
+    for sub in ("design", "sweep-dt", "compare-baseline"):
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+    # an exact duplicate is one design in one directory
+    cfg = write_yaml(tmp_path, json.dumps({"observer": {"mu_max": [0.05, 0.05]},
+                                           "run": {"horizon": 6}}), name="twice.yaml")
+    out = tmp_path / "twice"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["design_mu0.05"]
 
 
 def test_a_radius_below_the_azimuth_floor_fails_validation_for_link_subcommands(
@@ -1033,9 +1064,10 @@ def test_explicit_even_phases_give_the_default_run(tmp_path):
     phases = (2.0 * np.pi * np.arange(4) / 4).tolist()
     outs = []
     for name, mapping in (("default", {}), ("explicit", {"scenario": {"phases": phases}})):
-        cfg = write_yaml(tmp_path, json.dumps(mapping), name=f"{name}.yaml")
+        cfg = write_yaml(tmp_path, json.dumps({**mapping, "run": {"horizon": 6}}),
+                         name=f"{name}.yaml")
         outs.append(tmp_path / name)
-        assert main(["simulate", "--config", cfg, "--horizon", "6", "--out", str(outs[-1])]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(outs[-1])]) == 0
     default, explicit = (json.loads((out / "manifest.json").read_text()) for out in outs)
     assert default["config_hash"] == explicit["config_hash"]
     assert default["files"] == explicit["files"]

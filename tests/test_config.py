@@ -50,11 +50,13 @@ def test_negative_dt_rejected_with_field_name():
 
 def test_unknown_keys_listed():
     # channel.phase_mode is not a key: the channel's phase is always the
-    # propagation phase of its range
+    # propagation phase of its range; array.wavelength is not one either:
+    # array.carrier_hz alone sets the wavelength
     for mapping, keys in (
         ({"observerx": {}, "run": {"horzon": 10}, "array": {"bandwidth_hz": 50.0e6}},
          "array.bandwidth_hz, observerx, run.horzon"),
         ({"channel": {"phase_mode": "chaotic"}}, "channel.phase_mode"),
+        ({"array": {"wavelength": 0.01, "carrier_hz": 1.0e9}}, "array.wavelength"),
     ):
         with pytest.raises(ConfigError) as excinfo:
             config_from_mapping(mapping)
@@ -151,13 +153,6 @@ def test_non_finite_h_diag_rejected_with_field_name():
             config_from_mapping({"observer": {"h_diag": h_diag}})
 
 
-def test_carrier_not_hashed_when_wavelength_given():
-    a = config_from_mapping({"array": {"wavelength": 0.01}})
-    b = config_from_mapping({"array": {"wavelength": 0.01, "carrier_hz": 1.0e9}})
-    assert a.array == b.array
-    assert config_hash(a) == config_hash(b)
-
-
 NON_FINITE = {
     "scenario.radii": [100.0, float("inf"), 200.0, 250.0],
     "scenario.omega": float("nan"),
@@ -207,7 +202,8 @@ MALFORMED = {
                           {"scenario": {"perturbation_rate_multiple": float("inf")}}),
     "spacing-inf": ("array.spacing", {"array": {"spacing": float("inf")}}),
     "carrier-zero": ("array.carrier_hz", {"array": {"carrier_hz": 0}}),
-    "wavelength-inf": ("array.wavelength", {"array": {"wavelength": float("inf")}}),
+    # a subnormal carrier makes lambda inf; the noise power names the carrier
+    "wavelength-inf": ("array.carrier_hz", {"array": {"carrier_hz": 5.0e-324}}),
     "mu-inf": ("observer.mu_max", {"observer": {"mu_max": [float("inf")]}}),
     # finite values whose derived quantities overflowed after validation
     "snr-overflow": ("channel.target_snr_db", {"channel": {"target_snr_db": 5000}}),

@@ -48,7 +48,6 @@ VALID = {
     "array.m_ce": [16, 4],
     "array.n_u": [2, 8],
     "array.carrier_hz": [2.4e9],
-    "array.wavelength": [0.01],
     "array.spacing": [0.005, 0.02],
     "channel.sigma2": [1e-9],
     "channel.target_snr_db": [-5.0, 40.0],
@@ -118,8 +117,10 @@ def _run(sub, cfg, out):
 # The explicit examples are the cases found so far: each oversized array
 # escaped as a numpy error after files were written, a radius below
 # beamforming.MIN_RANGE and a compare-baseline without windows exited 1
-# naming no field, and with channel.sigma2 set a carrier of 1e-300 Hz or a
-# wavelength of 1e300 m made the link nan (exit 4) after files were written.
+# naming no field, with channel.sigma2 set a carrier of 1e-300 Hz or one
+# giving a wavelength of 1e300 m, a transmit power of 1e300 and a power of
+# 1e10 at a gain of 9.5e149 made the link nan (exit 4) after files were
+# written, and two mu bounds of one label wrote one design directory (exit 0).
 OVERSIZED = {"blockage": {"windows": [[0.3, 0.6]]}, "run": {"horizon": 4}}
 
 
@@ -132,7 +133,14 @@ OVERSIZED = {"blockage": {"windows": [[0.3, 0.6]]}, "run": {"horizon": 4}}
 @example({**OVERSIZED, "channel": {"noise_draws": 10**11}})
 @example({**OVERSIZED, "scenario": {"radii": 1e-300}})
 @example({**OVERSIZED, "channel": {"sigma2": 1e-9}, "array": {"carrier_hz": 1e-300}})
-@example({**OVERSIZED, "channel": {"sigma2": 1e-9}, "array": {"wavelength": 1e300}})
+@example({**OVERSIZED, "channel": {"sigma2": 1e-9}, "array": {"carrier_hz": 2.99792458e-292}})
+@example({**OVERSIZED, "channel": {"sigma2": 1e-9, "total_power": 1e300},
+          "array": {"carrier_hz": 0.0299792458}})
+@example({**OVERSIZED, "channel": {"sigma2": 1e-9, "total_power": 1e10},
+          "array": {"carrier_hz": 2.5112e-145}})
+@example({**OVERSIZED, "scenario": {"radii": [100.0, 150.0]},
+          "measurement": {"d_diag": [0.5, 0.5, 0.7, 0.7]},
+          "observer": {"mu_max": [0.2000001, 0.2000002]}})
 @example({"run": {"horizon": 4}})
 def test_every_drawn_config_runs_or_fails_naming_a_field(mapping):
     with tempfile.TemporaryDirectory() as tmp:
