@@ -326,10 +326,11 @@ POWER_HEADROOM = 1e300
 # 1 GiB and rejects a horizon that could not be allocated before anything is.
 MAX_ROLLOUT_PAIRS = 1 << 22
 # The next three bound what one link step or pattern file allocates, so each
-# keeps its array near 700 MiB; bytes per entry measured as above (max RSS of
-# the reference fleet at horizon 6, two sizes 8x apart).
-# array.m_ce * scenario.n_uavs steering entries of one link step: ~185 B each
-# in compare-baseline, 137 B in simulate (m_ce 2^16 and 2^19).
+# keeps its arrays within about 750 MiB (the steering within about 500 MiB);
+# bytes per entry measured as above (max RSS of the reference fleet at
+# horizon 6, two sizes 8x apart).
+# array.m_ce * scenario.n_uavs steering entries of one link step: ~120 B each
+# in compare-baseline, 118 B in simulate (m_ce 2^16 and 2^19).
 MAX_STEERING_ENTRIES = 1 << 22
 # channel.noise_draws * scenario.n_uavs draws of one compare-baseline step:
 # ~88 B each (2^16 and 2^19 draws).

@@ -16,7 +16,9 @@ pattern snapshots reuse the precoders of the link time series, the echo-fed
 precoder of `run_compare` is held while the echo stays blocked (also across
 chunk edges) and reuses the channel's steering, and each pattern grid point
 is steered once per distinct design level mu* (`run_simulate` runs each
-level once). No N_U-row steering is built: the link reads the receive
+level once). The echo path holds views of the channel steering, not copies
+(see `_echo_precoders`), and a chunk that starts on an unblocked step drops
+the echo hold before it builds. No N_U-row steering is built: the link reads the receive
 steering from the first N_U rows of the M_CE-row stacks. Both output stages
 hold a block at a time: the pattern grid is steered in row blocks
 (`beamforming.beam_pattern`) and `write_csv` converts and writes
@@ -396,21 +398,26 @@ def run_sweep_dt(cfg, out_dir):
 def _echo_precoders(cfg, chan, k0, sources, held):
     """The echo-fed precoders and powers of the chunk starting at step k0
     whose channel stack is ``chan``: step k steers with the true angles of
-    its last unblocked step sources[k - k0]. A precoder is built at each
-    step that is its own source, from that step's channel steering, and the
-    last one built is held into the next chunk. ``held`` and the returned
-    hold are (source steps, f, a, theta, ridge, power) stacks. Returns the
-    precoders and powers gathered per step, and what to hold."""
+    its last unblocked step sources[k - k0]. Precoders are built on a slice
+    (a view) of the channel steering, from the first to the last step that
+    is its own source (steps between them are built too, unused). ``held``
+    (None when the chunk starts on such a step) and the returned hold, the
+    last step of the pool, are (source steps, f, a, theta, ridge, power)
+    stacks. The pool is gathered per step only when its steps differ from
+    ``sources`` (never with one-step chunks); otherwise the precoders and
+    the hold are views of what was built. Returns the precoders and powers
+    of the chunk's steps, and what to hold."""
     fresh = np.flatnonzero(sources == k0 + np.arange(sources.size))
     pool = held
     if fresh.size:
-        beams = bf.safe_beamformer(cfg.array, chan.theta[fresh], a=chan.a[fresh])
-        built = (k0 + fresh, beams.f, beams.a, beams.theta, beams.ridge,
-                 bf.equal_power_allocation(beams, cfg.total_power))
-        # the held precoder is needed only while the chunk starts blocked
-        pool = built if sources[0] >= k0 else tuple(map(np.concatenate, zip(held, built)))
-    pick = np.searchsorted(pool[0], sources)
-    pool = tuple(v[pick] for v in pool)
+        span = slice(fresh[0], fresh[-1] + 1)
+        beams = bf.safe_beamformer(cfg.array, chan.theta[span], a=chan.a[span])
+        built = (k0 + np.arange(span.start, span.stop), beams.f, beams.a, beams.theta,
+                 beams.ridge, bf.equal_power_allocation(beams, cfg.total_power))
+        pool = built if held is None else tuple(map(np.concatenate, zip(held, built)))
+    if not np.array_equal(pool[0], sources):
+        pick = np.searchsorted(pool[0], sources)
+        pool = tuple(v[pick] for v in pool)
     _, f, a, theta, ridge, power = pool
     beams = bf.BeamformerMatrix(f=f, a=a, theta=theta, ridge=ridge)
     return beams, power, tuple(v[-1:] for v in pool)
@@ -451,6 +458,8 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
     def step(k0, k1, chan, uio, uio_power):
         nonlocal held
         symbols, noise = bf.draw_link_steps(n, cfg.sigma2, rng, cfg.noise_draws, k1 - k0)
+        if last_clear[k0] == k0:
+            held = None  # not needed: free it before the new build
         echo, echo_power, held = _echo_precoders(cfg, chan, k0, last_clear[k0:k1], held)
         for mode, se, beams, power in (("uio", se_uio, uio, uio_power),
                                        ("echo_baseline", se_echo, echo, echo_power)):

@@ -44,6 +44,7 @@ from uiobeam.errors import (
     ShapeError,
     SingularMatrixError,
 )
+from uiobeam.linalg import solve_hermitian
 from uiobeam.simulate import _predicted_angles, echo_blockage
 
 CFG = ArrayConfig.at_carrier(64, 4, 30.0e9)
@@ -357,6 +358,48 @@ def test_beam_pattern_steers_each_fleet_grid_point_once_in_blocks(steering_shape
     assert sum(shape[-1] for shape in steering_shapes) == FLEET_GRID.size
     for got, f in zip(patterns, fs):
         assert_same_bits(got, one_block_pattern(FLEET, f, FLEET_GRID))
+
+
+def test_a_precoder_allocates_one_steering_sized_stack(traced_peak):
+    # F is written into the buffer that held A*, so one (1, 1024, 16) step
+    # traces one stack above its inputs (the F it returns), not two
+    rng = np.random.default_rng(3)
+    thetas = np.sort(rng.uniform(-1.4, 1.4, (1, 16)))
+    a = steering_matrix(FLEET, thetas)
+    assert traced_peak(lambda: safe_beamformer(FLEET, thetas, a=a)) <= 1.25 * a.nbytes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m_ce=st.integers(1, 2048),
+    n=st.integers(1, 8),
+    steps=st.integers(1, 3),
+    load=st.sampled_from([0.0, FALLBACK_RIDGE]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one beam: row 0 of A* X (antenna 0, whose steering entries are all 1) has an
+# imaginary part of exactly zero, which conj(A conj(X)) writes with the other
+# sign
+@example(m_ce=1, n=1, steps=1, load=0.0, seed=0)
+@example(m_ce=2048, n=8, steps=3, load=FALLBACK_RIDGE, seed=1)
+def test_precoder_written_in_place_is_the_conjugate_product(m_ce, n, steps, load, seed):
+    cfg = ArrayConfig(m_ce=m_ce, n_u=1, wavelength=0.01)
+    thetas = np.random.default_rng(seed).uniform(-1.4, 1.4, (steps, n))
+    a = steering_matrix(cfg, thetas)
+    loads = np.full(steps, load)
+    gram = np.swapaxes(a, -1, -2) @ a.conj()
+    gram += (loads * m_ce)[..., None, None] * np.eye(n)
+    try:
+        x = solve_hermitian(gram, np.eye(n, dtype=complex))
+    except SingularMatrixError:
+        assume(False)
+    expected = a.conj() @ x
+    f = beamforming._precoder(cfg, thetas, a, loads).f
+    np.testing.assert_array_equal(f, expected)
+    # where the bits differ, both parts are zeros of opposite sign
+    got, want = f.view(float), expected.view(float)
+    differ = got.view(np.uint64) != want.view(np.uint64)
+    assert np.all(got[differ] == 0.0) and np.all(want[differ] == 0.0)
 
 
 def test_beam_pattern_memory_stays_within_a_block(traced_peak):

@@ -424,6 +424,26 @@ def test_compare_uses_only_the_first_mu_bound(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_compare_holds_few_steering_sized_stacks(tmp_path, traced_peak):
+    # 16 UAVs on 1024 antennas, one step per link chunk: a 1024 x 16 stack is
+    # 256 KiB. The echo precoder is built on a view of the channel steering,
+    # used without a per-step copy and its hold dropped before a clear step's
+    # build; each precoder writes F into the buffer of A*
+    rng = np.random.default_rng(16)
+    cfg = config_from_mapping({
+        "scenario": {"n_uavs": 16, "radii": rng.uniform(100.0, 250.0, 16).tolist(),
+                     "phases": rng.uniform(0.0, 2.0 * np.pi, 16).tolist()},
+        "observer": {"mu_max": [0.05]},
+        "array": {"m_ce": 1024},
+        "blockage": {"windows": [[0.9, 1.5]]},
+        "run": {"horizon": 16, "seed": 3},
+    })
+    stack = cfg.array.m_ce * cfg.scenario.n_uavs * 16
+    # a first run imports and caches what every later run shares
+    run_compare(cfg, tmp_path / "warm")
+    assert traced_peak(lambda: run_compare(cfg, tmp_path / "out")) <= 9 * stack
+
+
 def test_compare_builds_each_steering_matrix_once(tmp_path, steering_shapes):
     # per step one true-angle build (the channel's, shared by both modes) and
     # one prediction-fed precoder; the echo-fed precoder is rebuilt only at a

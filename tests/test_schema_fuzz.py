@@ -1,7 +1,9 @@
 """Schema fuzzer: configs drawn field by field from the config schema run
 through all four subcommands in-process. Every run exits 0, 1, 2 or 4 with no
 exception escaping the CLI; a validation error (exit 1) names the field it
-rejects; and a successful run (exit 0) writes only finite numbers."""
+rejects; a numerical error (exit 4) leaves no file behind; and a successful
+run (exit 0) writes only finite numbers, and for simulate one directory per
+design label, each holding one design, all listed in its manifest."""
 
 import contextlib
 import io
@@ -16,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from uiobeam.cli import main
-from uiobeam.config import _SCHEMA
+from uiobeam.config import _SCHEMA, mu_label
 
 SUBCOMMANDS = ("design", "simulate", "sweep-dt", "compare-baseline")
 NAMES = {f"{section}.{key}" for section, keys in _SCHEMA.items() for key in keys}
@@ -107,6 +109,19 @@ def _numbers_are_finite(out):
                 assert math.isfinite(value), f"{path}: {cell}"
 
 
+def _one_directory_per_design(out):
+    """simulate's ``out`` holds one directory per design label of its
+    design_records.json, records that share a label are one design, and its
+    manifest lists the fallback steps of exactly those directories."""
+    designs = {}
+    for record in json.loads((out / "design_records.json").read_text()):
+        label = f"design_mu{mu_label(record['mu_max'])}"
+        assert designs.setdefault(label, record) == record, (label, designs[label], record)
+    assert {path.name for path in out.iterdir() if path.is_dir()} == set(designs)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["zf_fallback_steps"]) == set(designs)
+
+
 def _run(sub, cfg, out):
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
@@ -152,5 +167,9 @@ def test_every_drawn_config_runs_or_fails_naming_a_field(mapping):
             assert code in (0, 1, 2, 4), (sub, code, err)
             if code == 1:
                 assert NAMES & {".".join(m) for m in FIELD_NAME.findall(err)}, (sub, err)
+            if code == 4:
+                assert not [path for path in out.rglob("*") if path.is_file()], (sub, err)
             if code == 0:
                 _numbers_are_finite(out)
+                if sub == "simulate":
+                    _one_directory_per_design(out)
