@@ -13,16 +13,17 @@ unit-norm combining b(theta^)/sqrt(N_U).
 Each steering matrix is built once per angle set, with M_CE rows: the
 channel carries the steering at its true angles, which every link
 evaluation of that snapshot reads (its first N_U rows, as the precoder's,
-are the receive steering), and each point of the pattern grid is steered
-once for all the precoders it is evaluated on, one row block at a time (see
-`beam_pattern`). A precoder is one loaded-Gram solve per stack:
-each step's Gram matrix A^T A* gains load*M_CE on its diagonal (load 0.0 is
-strict zero-forcing) and the whole stack reaches `solve_hermitian` in one
-call. F = A* X is written into the buffer that held A* as conj(A conj(X)),
-so a precoder allocates one M_CE x N stack, not two. That F has the bits of
-A* X, except that an exactly zero imaginary part may take the other sign,
-which no output shows: each written value is a magnitude, a power or a
-real part.
+are the receive steering; a link evaluation reads no other row of the
+precoder's, so a precoder cut to those rows gives the same bits), and each
+point of the pattern grid is steered once for all the precoders it is
+evaluated on, one row block at a time (see `beam_pattern`). A precoder is
+one loaded-Gram solve per stack: each step's Gram matrix A^T A* gains
+load*M_CE on its diagonal (load 0.0 is strict zero-forcing) and the whole
+stack reaches `solve_hermitian` in one call. F = A* X is written into the
+buffer that held A* as conj(A conj(X)), so a precoder allocates one
+M_CE x N stack, not two. That F has the bits of A* X, except that an
+exactly zero imaginary part may take the other sign, which no output shows:
+each written value is a magnitude, a power or a real part.
 
 Step stacks. The link functions take a leading step axis: angles of shape
 (..., N) give steering stacks (..., M_CE, N), a channel of positions
@@ -183,7 +184,8 @@ class BeamformerMatrix:
     estimates it was built from, and the diagonal loading (relative to
     M_CE) of its Gram matrix: 0.0 for a strict zero-forcing solve. For a
     stack of steps, f and a are (..., M_CE, N), theta (..., N) and ridge
-    (...,), one loading per step."""
+    (...,), one loading per step. The link reads only the first N_U rows of
+    a (the receive steering), so a holder may keep just those."""
 
     f: np.ndarray
     a: np.ndarray
@@ -342,7 +344,8 @@ def equal_power_allocation(bf, total_power):
 def _gain_matrix(cfg, chan, bf, power):
     """Post-combining link gains g_ij from stream j into UAV i's matched
     combiner b(theta^_i)/sqrt(N_U), (..., N, N) for a stack of steps; b is
-    the first N_U rows of the channel's and the precoder's steering."""
+    the first N_U rows of the channel's and the precoder's steering (the
+    precoder's may hold only those rows)."""
     power = np.asarray(power, float)
     if bf.f.shape[-1] != chan.h.shape[-1] or power.shape != chan.h.shape:
         raise ShapeError("beamformer/power dimensions inconsistent with the channel")

@@ -326,18 +326,19 @@ POWER_HEADROOM = 1e300
 # 1 GiB and rejects a horizon that could not be allocated before anything is.
 MAX_ROLLOUT_PAIRS = 1 << 22
 # The next three bound what one link step or pattern file allocates, so each
-# keeps its arrays within about 750 MiB (the steering within about 500 MiB);
+# keeps its arrays within about 750 MiB (the steering within about 350 MiB);
 # bytes per entry measured as above (max RSS of the reference fleet at
 # horizon 6, two sizes 8x apart).
-# array.m_ce * scenario.n_uavs steering entries of one link step: ~120 B each
-# in compare-baseline, 118 B in simulate (m_ce 2^16 and 2^19).
+# array.m_ce * scenario.n_uavs steering entries of one link step: ~88 B each
+# in compare-baseline, 87 B in simulate (m_ce 2^16 and 2^19).
 MAX_STEERING_ENTRIES = 1 << 22
 # channel.noise_draws * scenario.n_uavs draws of one compare-baseline step:
 # ~88 B each (2^16 and 2^19 draws).
 MAX_DRAW_ENTRIES = 1 << 23
 # run.pattern_points * scenario.n_uavs * len(run.pattern_snapshots) rows of
-# one simulate run's pattern files, which beam_pattern holds at once: ~45 B
-# each (2^16 and 2^19 points).
+# one simulate run's pattern files, of which beam_pattern holds one group of
+# snapshots at a time (all of them on small arrays): ~45 B each (2^16 and
+# 2^19 points).
 MAX_PATTERN_ROWS = 1 << 24
 # The link steers at each UAV's offset positions - center, taken in float64,
 # which resolves an orbit of radius R to about |center| 2^-52 / R. The smallest

@@ -11,17 +11,21 @@ precoder fell back to the ridge. Tables are built as whole columns over
 per-mode runs are independent; the orchestration here runs them
 sequentially.
 
-The link layer builds each precoder once per distinct steering input: the
-pattern snapshots reuse the precoders of the link time series, the echo-fed
-precoder of `run_compare` is held while the echo stays blocked (also across
-chunk edges) and reuses the channel's steering, and each pattern grid point
-is steered once per distinct design level mu* (`run_simulate` runs each
-level once). The echo path holds views of the channel steering, not copies
-(see `_echo_precoders`), and a chunk that starts on an unblocked step drops
-the echo hold before it builds. No N_U-row steering is built: the link reads the receive
-steering from the first N_U rows of the M_CE-row stacks. Both output stages
-hold a block at a time: the pattern grid is steered in row blocks
-(`beamforming.beam_pattern`) and `write_csv` converts and writes
+The link builds each precoder once per distinct steering input: the
+echo-fed precoder of `run_compare` is held while the echo stays blocked
+(also across chunk edges) and reuses the channel's steering, and a chunk
+that starts on an unblocked step drops the echo hold before it builds. No
+N_U-row steering is built: the link reads the receive steering from the
+first N_U rows of the M_CE-row stacks, and each precoder keeps a copy of
+those rows only, not the M_CE-row stack it was built on (`_receive_rows`),
+so neither a chunk's prediction-fed precoders nor the echo hold keep a
+steering stack alive. The link keeps no pattern snapshot: after it, the
+snapshot steps' precoders are built again in groups of at most
+PATTERN_GROUP_ENTRIES entries, so the memory of a run does not grow with
+run.pattern_snapshots. Each pattern grid point is steered once per group
+and distinct design level mu* (`run_simulate` runs each level once). Both
+output stages hold a block at a time: the pattern grid is steered in row
+blocks (`beamforming.beam_pattern`) and `write_csv` converts and writes
 CSV_BLOCK_ROWS rows at a time.
 
 Both links, `link_timeseries` (analytic SINR) and `run_compare` (empirical
@@ -33,11 +37,12 @@ bits of its own 2-D call, so the chunk size changes no output byte. The
 channel has no random part, so only `run_compare` draws: its step draws the
 chunk's symbols and noise in the order of a per-step loop. The M_CE-row
 steering stacks come from one `beamforming.steering_ahead` stream, ordered
-[true chunk, steered chunk], so the next chunk's stacks can be filled on its
+[steered chunk, true chunk], so the next chunk's stacks can be filled on its
 helper thread while the current chunk runs; the size of one step's matrix
 alone decides whether the helper runs.
 """
 
+import dataclasses
 import json
 import shutil
 import time
@@ -70,6 +75,13 @@ _FORMATS = {"b": "%d", "i": "%d", "f": "%.17g"}
 # take 12 blocks (traced peak of one write 3.2 MiB as whole columns, 0.3 MiB
 # in blocks), and every ref-long table takes one.
 CSV_BLOCK_ROWS = 4096
+# Precoder entries (snapshot steps * M_CE * N) of one group of pattern
+# snapshots, whose precoders _write_link_csvs holds at once after the link,
+# so the pattern stage holds at most these plus one step's steering and F
+# under construction, whatever the length of run.pattern_snapshots:
+# fleet-n64's three 1024 x 64 snapshots form one group (its grid is steered
+# once), and a 65536 x 4 array takes one snapshot per group.
+PATTERN_GROUP_ENTRIES = 1 << 18
 
 
 def write_csv(path, header, columns):
@@ -201,23 +213,35 @@ def _true_angles(cfg, run):
     return bf.azimuths(run["X"][:cfg.horizon].reshape(cfg.horizon, -1, 2) - cfg.scenario.center)
 
 
+def _receive_rows(cfg, beams):
+    """``beams`` with its steering cut to a copy of the first N_U rows, the
+    receive steering and all that a link evaluation reads of it, so the
+    M_CE-row stack it was built from can be freed."""
+    return dataclasses.replace(beams, a=beams.a[..., :cfg.array.n_u, :].copy())
+
+
 def _link_chunks(cfg, run, angles, step):
     """The link engine: the tracking run in chunks of
     max(1, LINK_CHUNK_ENTRIES // (max(M_CE, noise_draws) * N)) steps, beams
     steered at ``angles`` (step, UAV). Chunk k0..k1-1 ends in ``step(k0, k1,
-    chan, beams, power)``, with its channel, precoder and equal power split."""
+    chan, beams, power)``, with its channel, precoder and equal power split;
+    the precoder's steering holds only its first N_U rows (`_receive_rows`)."""
     size = cfg.scenario.n_uavs * max(cfg.array.m_ce, cfg.noise_draws)
     steps = max(1, LINK_CHUNK_ENTRIES // size)
     chunks = [(k0, min(k0 + steps, cfg.horizon)) for k0 in range(0, cfg.horizon, steps)]
     x = run["X"][:cfg.horizon].reshape(cfg.horizon, -1, 2)
     theta = _true_angles(cfg, run)
-    sets = [s for k0, k1 in chunks for s in (theta[k0:k1], angles[k0:k1])]
+    # steered first: the precoder is built and cut to its receive rows
+    # before the channel's stack is taken, so no build holds both
+    sets = [s for k0, k1 in chunks for s in (angles[k0:k1], theta[k0:k1])]
     with closing(bf.steering_ahead(cfg.array, sets)) as steering:
         for k0, k1 in chunks:
+            beams = _receive_rows(cfg, bf.safe_beamformer(cfg.array, angles[k0:k1],
+                                                          a=next(steering)))
+            power = bf.equal_power_allocation(beams, cfg.total_power)
             chan = bf.ChannelRealization.line_of_sight(
                 cfg.array, x[k0:k1], cfg.scenario.center, cfg.sigma2, a=next(steering))
-            beams = bf.safe_beamformer(cfg.array, angles[k0:k1], a=next(steering))
-            step(k0, k1, chan, beams, bf.equal_power_allocation(beams, cfg.total_power))
+            step(k0, k1, chan, beams, power)
             # hold no chunk while the next one is built
             del chan, beams
 
@@ -247,28 +271,22 @@ def link_timeseries(cfg, run, angles):
     """Analytic per-step link reports along a tracking run, with the beams
     steered at ``angles`` (step, UAV).
 
-    Returns (sinr_db, se, ridge, snapshots): sinr_db and se are (horizon, N),
-    ridge (horizon,) holds the ridge of each step's precoder (0.0 when
-    strict), and snapshots the precoder F of each step in
-    cfg.pattern_snapshots, in that order.
+    Returns (sinr_db, se, ridge): sinr_db and se are (horizon, N) and ridge
+    (horizon,) holds the ridge of each step's precoder (0.0 when strict).
     """
     n = cfg.scenario.n_uavs
     sinr_db = np.empty((cfg.horizon, n))
     se = np.empty((cfg.horizon, n))
     ridge = np.empty(cfg.horizon)
-    kept = {}
 
     def step(k0, k1, chan, beams, power):
         report = bf.link_report(cfg.array, chan, beams, power)
         sinr_db[k0:k1] = report.sinr_db
         se[k0:k1] = report.se
         ridge[k0:k1] = beams.ridge
-        for k in cfg.pattern_snapshots:
-            if k0 <= k < k1:
-                kept[k] = beams.f[k - k0]
 
     _link_chunks(cfg, run, angles, step)
-    return sinr_db, se, ridge, [kept[k] for k in cfg.pattern_snapshots]
+    return sinr_db, se, ridge
 
 
 def _step_uav_columns(n, horizon):
@@ -297,9 +315,16 @@ def _write_tracking_csvs(cfg, run, out_dir, files):
 
 def _write_link_csvs(cfg, run, angles, out_dir, files):
     """se.csv and the pattern_k<k>.csv snapshots; returns the steps whose
-    precoder fell back to the ridge."""
+    precoder fell back to the ridge.
+
+    The link keeps no precoder: after it, the snapshot steps' precoders are
+    built again from their angles, one step at a time, in groups of
+    max(1, PATTERN_GROUP_ENTRIES // (M_CE * N)) steps. Each group's patterns
+    take one `beam_pattern` call, and its files are written before the next
+    group is built. A step's own call has the bits of that step in the
+    link's stacked call, so these are the link's precoders bit for bit."""
     n = cfg.scenario.n_uavs
-    sinr_db, se, ridge, snapshots = link_timeseries(cfg, run, angles)
+    sinr_db, se, ridge = link_timeseries(cfg, run, angles)
     k, uav = _step_uav_columns(n, cfg.horizon)
     files["se.csv"] = write_csv(
         out_dir / "se.csv", ["k", "uav_id", "mode", "sinr_db", "se_bpshz"],
@@ -307,13 +332,19 @@ def _write_link_csvs(cfg, run, angles, out_dir, files):
     )
     grid_deg = np.linspace(-PATTERN_SPAN_DEG, PATTERN_SPAN_DEG, cfg.pattern_points)
     grid = np.deg2rad(grid_deg)
-    patterns = bf.beam_pattern(cfg.array, snapshots, grid)
-    for step, gains_db in zip(cfg.pattern_snapshots, patterns):
-        name = f"pattern_k{step}.csv"
-        files[name] = write_csv(
-            out_dir / name, ["theta_deg", "beam_id", "gain_db"],
-            [np.repeat(grid_deg, n), np.tile(np.arange(n), grid.size), gains_db],
-        )
+    snapshots = cfg.pattern_snapshots
+    group = max(1, PATTERN_GROUP_ENTRIES // (cfg.array.m_ce * n))
+    for g0 in range(0, len(snapshots), group):
+        steps = snapshots[g0:g0 + group]
+        fs = [bf.safe_beamformer(cfg.array, angles[step]).f for step in steps]
+        for step, gains_db in zip(steps, bf.beam_pattern(cfg.array, fs, grid)):
+            name = f"pattern_k{step}.csv"
+            files[name] = write_csv(
+                out_dir / name, ["theta_deg", "beam_id", "gain_db"],
+                [np.repeat(grid_deg, n), np.tile(np.arange(n), grid.size), gains_db],
+            )
+        # hold no group while the next one is built
+        del fs
     return np.flatnonzero(ridge > 0.0).tolist()
 
 
@@ -400,18 +431,21 @@ def _echo_precoders(cfg, chan, k0, sources, held):
     whose channel stack is ``chan``: step k steers with the true angles of
     its last unblocked step sources[k - k0]. Precoders are built on a slice
     (a view) of the channel steering, from the first to the last step that
-    is its own source (steps between them are built too, unused). ``held``
-    (None when the chunk starts on such a step) and the returned hold, the
-    last step of the pool, are (source steps, f, a, theta, ridge, power)
-    stacks. The pool is gathered per step only when its steps differ from
-    ``sources`` (never with one-step chunks); otherwise the precoders and
-    the hold are views of what was built. Returns the precoders and powers
-    of the chunk's steps, and what to hold."""
+    is its own source (steps between them are built too, unused), and keep
+    a copy of its first N_U rows as their steering (`_receive_rows`), so no
+    hold keeps a channel stack alive. ``held`` (None when the chunk starts
+    on such a step) and the returned hold, the last step of the pool, are
+    (source steps, f, a, theta, ridge, power) stacks. The pool is gathered
+    per step only when its steps differ from ``sources`` (never with
+    one-step chunks); otherwise the precoders and the hold are views of what
+    was built. Returns the precoders and powers of the chunk's steps, and
+    what to hold."""
     fresh = np.flatnonzero(sources == k0 + np.arange(sources.size))
     pool = held
     if fresh.size:
         span = slice(fresh[0], fresh[-1] + 1)
-        beams = bf.safe_beamformer(cfg.array, chan.theta[span], a=chan.a[span])
+        beams = _receive_rows(cfg, bf.safe_beamformer(cfg.array, chan.theta[span],
+                                                       a=chan.a[span]))
         built = (k0 + np.arange(span.start, span.stop), beams.f, beams.a, beams.theta,
                  beams.ridge, bf.equal_power_allocation(beams, cfg.total_power))
         pool = built if held is None else tuple(map(np.concatenate, zip(held, built)))

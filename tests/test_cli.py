@@ -428,7 +428,9 @@ def test_compare_holds_few_steering_sized_stacks(tmp_path, traced_peak):
     # 16 UAVs on 1024 antennas, one step per link chunk: a 1024 x 16 stack is
     # 256 KiB. The echo precoder is built on a view of the channel steering,
     # used without a per-step copy and its hold dropped before a clear step's
-    # build; each precoder writes F into the buffer of A*
+    # build; each precoder writes F into the buffer of A*, is built before
+    # the channel's stack is taken and keeps only the first N_U rows of its
+    # steering (5.9 stacks traced)
     rng = np.random.default_rng(16)
     cfg = config_from_mapping({
         "scenario": {"n_uavs": 16, "radii": rng.uniform(100.0, 250.0, 16).tolist(),
@@ -441,7 +443,47 @@ def test_compare_holds_few_steering_sized_stacks(tmp_path, traced_peak):
     stack = cfg.array.m_ce * cfg.scenario.n_uavs * 16
     # a first run imports and caches what every later run shares
     run_compare(cfg, tmp_path / "warm")
-    assert traced_peak(lambda: run_compare(cfg, tmp_path / "out")) <= 9 * stack
+    assert traced_peak(lambda: run_compare(cfg, tmp_path / "out")) <= 6 * stack
+
+
+def test_simulate_holds_few_steering_sized_stacks(tmp_path, traced_peak):
+    # 16 UAVs on 4096 antennas: a 4096 x 16 stack is 1 MiB. The link keeps
+    # only the first N_U rows of each precoder's steering and no snapshot;
+    # after it, the three snapshot steps' precoders are built one at a time
+    # and share one steering of the pattern grid, which sets the peak (5.5
+    # stacks traced)
+    rng = np.random.default_rng(16)
+    cfg = config_from_mapping({
+        "scenario": {"n_uavs": 16, "radii": rng.uniform(100.0, 250.0, 16).tolist(),
+                     "phases": rng.uniform(0.0, 2.0 * np.pi, 16).tolist()},
+        "observer": {"mu_max": [0.05]},
+        "array": {"m_ce": 4096},
+        "run": {"horizon": 16, "seed": 3},
+    })
+    stack = cfg.array.m_ce * cfg.scenario.n_uavs * 16
+    # a first run imports and caches what every later run shares
+    run_simulate(cfg, tmp_path / "warm")
+    assert traced_peak(lambda: run_simulate(cfg, tmp_path / "out")) <= 5.75 * stack
+
+
+def test_simulate_memory_does_not_grow_with_the_snapshot_count(tmp_path, traced_peak):
+    # 4 UAVs on 32768 antennas: a 32768 x 4 stack is 2 MiB, and the snapshot
+    # precoders are built after the link in groups of two steps, so 48
+    # snapshot steps hold no more than three (a few bytes of file bookkeeping
+    # aside)
+    def config(horizon, snapshots):
+        return config_from_mapping({
+            "observer": {"mu_max": [0.05]},
+            "array": {"m_ce": 32768},
+            "run": {"horizon": horizon, "pattern_points": 1, "pattern_snapshots": snapshots},
+        })
+
+    stack = 32768 * 4 * 16
+    run_simulate(config(2, [0]), tmp_path / "warm")
+    few = traced_peak(lambda: run_simulate(config(48, [0, 24, 47]), tmp_path / "few"))
+    many = traced_peak(lambda: run_simulate(config(48, list(range(48))), tmp_path / "many"))
+    assert len(list((tmp_path / "many" / "design_mu0.05").glob("pattern_k*.csv"))) == 48
+    assert many <= few + stack // 16
 
 
 def test_compare_builds_each_steering_matrix_once(tmp_path, steering_shapes):
@@ -468,14 +510,17 @@ def test_compare_builds_each_steering_matrix_once(tmp_path, steering_shapes):
 def test_simulate_builds_the_pattern_grid_once_per_distinct_design(
     tmp_path, steering_shapes, extra, distinct
 ):
-    # per distinct design: one channel and one precoder build per step (the
-    # pattern snapshots reuse the step's precoder) and one pattern grid
+    # per distinct design: one channel and one precoder build per step, one
+    # more precoder build per snapshot step (the link keeps no precoder, so
+    # the snapshots are built again after it) and one pattern grid
     cfg = config_from_mapping({**extra, "run": {"horizon": 20, "pattern_points": 11}})
     manifest = run_simulate(cfg, tmp_path / "out")
     assert len(manifest["zf_fallback_steps"]) == len(cfg.mu_list)
     m_ce = cfg.array.m_ce
     assert steering_shapes.matrices(m_ce, 11) == distinct
-    assert steering_shapes.matrices(m_ce, 4) == 2 * cfg.horizon * distinct
+    snapshots = len(cfg.pattern_snapshots)
+    assert snapshots == 3
+    assert steering_shapes.matrices(m_ce, 4) == (2 * cfg.horizon + snapshots) * distinct
     assert steering_shapes.matrices(cfg.array.n_u) == 0
 
 
