@@ -35,17 +35,21 @@ call, runs the same elementwise ufuncs and reduces along the same axis, so a
 stacked call equals the per-step 2-D calls bit for bit.
 
 The link loops draw their M_CE-row steering stacks from one stream,
-`steering_ahead`, which fills the next stacks on a helper thread while the
-caller runs the current chunk's Gram, solve, precoder and gain products. The
-caller allocates each stack and writes the arguments m*phase into its real
-part (numpy allocates iterator buffers for that broadcast product, so it
-stays on the caller); the helper runs one task per stack, the in-place
-ufuncs `sin` (into the imaginary part) and `cos` (into the real part), so it
-makes no BLAS call, no RNG draw and no array allocation. These are the
-ufuncs of `steering_matrix` on the same values, elementwise, so a stack has
-its bits. The helper runs when one step's matrix (M_CE x N) has at least
-LOOKAHEAD_MIN_ENTRIES entries; otherwise the stream fills each stack inline.
-The size alone decides, and no setting selects the helper.
+`steering_ahead`, which queues one stack beyond the one the caller takes and
+fills it on a helper thread while the caller runs the current chunk's Gram,
+solve, precoder and gain products. The caller allocates each stack and
+writes the arguments m*phase into its real part (numpy allocates iterator
+buffers for that broadcast product, so it stays on the caller); the helper
+runs one task per part of a stack (LOOKAHEAD_PARTS equal runs of its flat
+entries), the in-place ufuncs `sin` (into the imaginary part) and `cos`
+(into the real part), so it makes no BLAS call, no RNG draw and no array
+allocation. Taking a stack, the caller fills the parts the helper has not
+started itself, with the same two ufuncs. These are the ufuncs of
+`steering_matrix` on the same values, elementwise, so a stack has its bits
+whichever thread fills which part. The helper runs when one step's matrix
+(M_CE x N) has at least LOOKAHEAD_MIN_ENTRIES entries; otherwise the stream
+fills each stack inline. The size alone decides, and no setting selects the
+helper.
 """
 
 from collections import deque
@@ -68,7 +72,8 @@ PATTERN_FLOOR = 1e-16
 # Entries (grid points * M_CE) of one pattern grid block: 64 rows at
 # M_CE = 1024 and the whole 721-point grid at M_CE = 64. On fleet-n64 (three
 # precoders of 64 beams, 721 points) the traced numpy peak of beam_pattern
-# fell from 13.7 MiB with one grid matrix to 3.2 MiB.
+# fell from 13.7 MiB with one grid matrix to 3.2 MiB, and to 2.2 MiB with
+# each block dropped before the next is built.
 PATTERN_BLOCK_ENTRIES = 1 << 16
 
 
@@ -140,9 +145,46 @@ def steering_matrix(cfg, thetas):
 # 26% faster in each of 64x64, 1024x4, 2048x2 and 512x8. ref-long's 16-step
 # chunk stacks (16x64x4) stay inline: the helper made them 4-7% slower.
 LOOKAHEAD_MIN_ENTRIES = 1 << 12
-# Stacks queued on the helper beyond the one the caller waits for: one link
-# chunk, its true-angle and its steered-angle stack.
-LOOKAHEAD = 2
+# Stacks queued on the helper beyond the one the caller takes: one, the
+# stream's next stack. Two held one more M_CE x N stack (16 MiB at 4096 x 256,
+# 1 MiB of fleet-n64's peak RSS). With one queued stack filled by the helper
+# alone the caller waited for it, so the caller fills the parts the helper has
+# not started. fleet-n64 in one process on two cores (BLAS at one
+# thread, medians of 20 alternating runs), compare-baseline / simulate: two
+# queued stacks, helper alone 0.823 / 1.304 s; one queued stack, helper alone
+# 0.831 / 1.388 s; one queued stack in 4 parts shared with the caller 0.823 /
+# 1.312 s.
+LOOKAHEAD = 1
+# Equal parts of a stack's flat entries, one helper task each. In the runs
+# above 8 parts took 0.843 / 1.355 s, and 2 parts were slower than 4 in a
+# shorter run.
+LOOKAHEAD_PARTS = 4
+
+
+def _stack_parts(out):
+    """(real, imag) views of LOOKAHEAD_PARTS equal runs of the flat entries
+    of the contiguous stack ``out``."""
+    flat = out.reshape(-1)
+    edges = [flat.size * p // LOOKAHEAD_PARTS for p in range(LOOKAHEAD_PARTS + 1)]
+    return [(flat.real[a:b], flat.imag[a:b]) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _submit_parts(helper, out):
+    """``out`` and the helper's tasks filling its parts, in order."""
+    return out, [helper.submit(_steering_entries, real, imag) for real, imag in _stack_parts(out)]
+
+
+def _take_stack(out, tasks):
+    """``out`` once every part is filled: the caller fills each part whose
+    task it cancels before the helper started it, then waits for the tasks
+    the helper started."""
+    for task, (real, imag) in zip(tasks, _stack_parts(out)):
+        if task.cancel():
+            _steering_entries(real, imag)
+    for task in tasks:
+        if not task.cancelled():
+            task.result()
+    return out
 
 
 def steering_ahead(cfg, angle_sets):
@@ -151,11 +193,14 @@ def steering_ahead(cfg, angle_sets):
     angles (C, N) give a (C, M_CE, N) stack.
 
     With at least LOOKAHEAD_MIN_ENTRIES entries per step matrix (M_CE * N),
-    one helper thread fills up to LOOKAHEAD stacks beyond the one
-    last yielded, one task per stack, and the caller waits for a stack's task
-    before yielding it; otherwise each stack is filled inline. Close the
-    generator (for instance with ``contextlib.closing``) when leaving early:
-    that cancels the tasks not started and waits for the one running."""
+    one helper thread fills up to LOOKAHEAD stacks beyond the one the caller
+    takes, in LOOKAHEAD_PARTS tasks per stack, one per equal part of its
+    flat entries. To take a stack, the caller cancels the tasks the helper
+    has not started, fills those parts itself and waits for the started
+    ones. Below that size each stack is filled inline. The stream keeps no
+    reference to a stack it has yielded. Close the generator (for instance
+    with ``contextlib.closing``) when leaving early: that cancels the tasks
+    not started and waits for the one running."""
     angle_sets = [np.atleast_1d(np.asarray(thetas, float)) for thetas in angle_sets]
     entries = max((cfg.m_ce * thetas.shape[-1] for thetas in angle_sets), default=0)
     if entries < LOOKAHEAD_MIN_ENTRIES:
@@ -164,16 +209,15 @@ def steering_ahead(cfg, angle_sets):
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    queued = deque()  # (stack, future of its fill) in yield order
+    queued = deque()  # (stack, tasks of its parts) in yield order
     helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="uiobeam-steering")
     try:
         for i in range(len(angle_sets) + LOOKAHEAD):
             if i < len(angle_sets):
-                out = _steering_arguments(cfg, angle_sets[i])
-                queued.append((out, helper.submit(_steering_entries, out.real, out.imag)))
+                queued.append(_submit_parts(helper, _steering_arguments(cfg, angle_sets[i])))
             if i >= LOOKAHEAD:
-                queued[0][1].result()
-                yield queued.popleft()[0]
+                # no local name: a stack bound here would outlive its yield
+                yield _take_stack(*queued.popleft())
     finally:
         helper.shutdown(wait=True, cancel_futures=True)
 
@@ -437,13 +481,14 @@ def beam_pattern(cfg, fs, theta_grid):
 
     The grid is steered in row blocks (`_pattern_blocks`): each block's
     steering matrix is built once, multiplied into every precoder and
-    dropped, so only the (grid point, beam) magnitudes of the whole grid are
-    held. A block of the product has the bits of the same rows of the
-    one-matrix product when it reaches the same zgemm: blocks of a multiple
-    of 8 rows do, while a one-row block would go to zgemv (its bits differed
-    by up to 1.6e-13) and so does a one-beam precoder (whose zgemv bits move
-    with cuts that are not a multiple of 4), hence the joined trailing row
-    and the single block."""
+    dropped before the next block is built, so one block and the (grid
+    point, beam) magnitudes of the whole grid are held. A block of the
+    product has the bits of the same rows of the one-matrix product when it
+    reaches the same zgemm: blocks of a multiple of 8 rows do, while a
+    one-row block would go to zgemv (its bits differed by up to 1.6e-13) and
+    so does a one-beam precoder (whose zgemv bits move with cuts that are
+    not a multiple of 4), hence the joined trailing row and the single
+    block."""
     theta_grid = np.atleast_1d(np.asarray(theta_grid, float))
     if np.any(np.abs(theta_grid) >= np.pi / 2):
         raise ShapeError("pattern grid must lie within (-pi/2, pi/2)")
@@ -453,6 +498,8 @@ def beam_pattern(cfg, fs, theta_grid):
         rows = steering_matrix(cfg, theta_grid[r0:r1]).T
         for f, response in zip(fs, responses):
             np.abs(rows @ f, out=response[r0:r1])
+        # hold no block while the next one is built
+        del rows
     for response in responses:
         response /= np.max(response, axis=0)
         np.maximum(response, PATTERN_FLOOR, out=response)

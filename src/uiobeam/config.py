@@ -326,11 +326,11 @@ POWER_HEADROOM = 1e300
 # 1 GiB and rejects a horizon that could not be allocated before anything is.
 MAX_ROLLOUT_PAIRS = 1 << 22
 # The next three bound what one link step or pattern file allocates, so each
-# keeps its arrays within about 750 MiB (the steering within about 350 MiB);
+# keeps its arrays within about 750 MiB (the steering within about 290 MiB);
 # bytes per entry measured as above (max RSS of the reference fleet at
 # horizon 6, two sizes 8x apart).
-# array.m_ce * scenario.n_uavs steering entries of one link step: ~88 B each
-# in compare-baseline, 87 B in simulate (m_ce 2^16 and 2^19).
+# array.m_ce * scenario.n_uavs steering entries of one link step: ~72 B each
+# in compare-baseline, 55 B in simulate (m_ce 2^16 and 2^19).
 MAX_STEERING_ENTRIES = 1 << 22
 # channel.noise_draws * scenario.n_uavs draws of one compare-baseline step:
 # ~88 B each (2^16 and 2^19 draws).

@@ -37,9 +37,10 @@ bits of its own 2-D call, so the chunk size changes no output byte. The
 channel has no random part, so only `run_compare` draws: its step draws the
 chunk's symbols and noise in the order of a per-step loop. The M_CE-row
 steering stacks come from one `beamforming.steering_ahead` stream, ordered
-[steered chunk, true chunk], so the next chunk's stacks can be filled on its
-helper thread while the current chunk runs; the size of one step's matrix
-alone decides whether the helper runs.
+[steered chunk, true chunk]. The stream queues the next stack, which its
+helper thread fills while the current stack is in use and the link finishes
+as it takes it; the size of one step's matrix alone decides whether the
+helper runs.
 """
 
 import dataclasses

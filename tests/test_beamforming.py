@@ -10,8 +10,13 @@ Independent oracles:
     including a bisected half-power point for the main-lobe width.
 """
 
+import concurrent.futures
 import dataclasses
+import sys
 import threading
+import time
+import weakref
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -243,24 +248,48 @@ def test_channel_carries_its_true_angle_steering():
     assert_same_bits(chan.a[:CFG.n_u], steering_matrix(array_of(CFG.n_u), chan.theta))
 
 
+class PendingTask(concurrent.futures.Future):
+    """A task that never starts: waiting for it fails at once rather than
+    hanging."""
+
+    def result(self, timeout=None):
+        return super().result(timeout=0)
+
+
+class IdleExecutor:
+    """An executor that never starts a task: each stays pending until it is
+    cancelled, so the stream's caller fills every part of every stack."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def submit(self, fn, *args, **kwargs):
+        return PendingTask()
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    m_ce=st.sampled_from([8, 64, 1000, 1024, 2048]),
+    m_ce=st.sampled_from([8, 64, 1000, 1001, 1024, 2048]),
     n_u=st.integers(1, 4),
     n=st.integers(1, 64),
     steps=st.integers(1, 3),
     count=st.integers(1, 4),
-    helper=st.booleans(),
+    fill=st.sampled_from(["inline", "helper", "caller"]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(m_ce=1024, n_u=4, n=64, steps=3, count=4, helper=True, seed=0)
-@example(m_ce=1024, n_u=3, n=64, steps=2, count=3, helper=False, seed=1)
-def test_steering_stream_is_steering_matrix_bit_for_bit(m_ce, n_u, n, steps, count, helper,
+@example(m_ce=1024, n_u=4, n=64, steps=3, count=4, fill="helper", seed=0)
+@example(m_ce=1001, n_u=4, n=63, steps=3, count=4, fill="caller", seed=2)
+@example(m_ce=1024, n_u=3, n=64, steps=2, count=3, fill="inline", seed=1)
+def test_steering_stream_is_steering_matrix_bit_for_bit(m_ce, n_u, n, steps, count, fill,
                                                          seed):
     # ``count`` stacks of ``steps`` steps each, on both sides of
-    # LOOKAHEAD_MIN_ENTRIES per step matrix and up to 3 x 1024 x 64 entries
-    # per stack, with the gate as it is or above every stack: the helper
-    # thread runs only above the gate, and fills each stack in one task. The
+    # LOOKAHEAD_MIN_ENTRIES per step matrix and up to 3 x 2048 x 64 entries
+    # per stack (an odd M_CE x N splits into unequal parts): filled inline (the gate above every stack), by the helper
+    # thread (above the gate, the caller filling the parts it has not
+    # started), or by the caller alone (an executor that starts no task). The
     # first N_U rows of each stack, which the link reads as the receive
     # steering, have the bits of an N_U-element build
     cfg = ArrayConfig(m_ce=m_ce, n_u=n_u, wavelength=0.01)
@@ -270,8 +299,11 @@ def test_steering_stream_is_steering_matrix_bit_for_bit(m_ce, n_u, n, steps, cou
     special = rng.random(sets.shape) < 0.1
     sets[special] = rng.choice([0.0, -0.0, np.pi / 2, -np.pi, np.pi], int(special.sum()))
     with pytest.MonkeyPatch.context() as patch:
-        if not helper:
+        if fill == "inline":
             patch.setattr(beamforming, "LOOKAHEAD_MIN_ENTRIES", m_ce * n + 1)
+        elif fill == "caller":
+            patch.setattr(beamforming, "LOOKAHEAD_MIN_ENTRIES", 1)
+            patch.setattr(concurrent.futures, "ThreadPoolExecutor", IdleExecutor)
         got = list(steering_ahead(cfg, sets))
     assert len(got) == len(sets)
     for stack, thetas in zip(got, sets):
@@ -279,11 +311,109 @@ def test_steering_stream_is_steering_matrix_bit_for_bit(m_ce, n_u, n, steps, cou
         assert_same_bits(stack[..., :n_u, :], steering_matrix(receive, thetas))
 
 
+def steering_helpers():
+    return [t for t in threading.enumerate() if t.name.startswith("uiobeam-steering")]
+
+
+def test_caller_fills_the_parts_its_helper_has_not_started(monkeypatch):
+    # the helper is held in the first part of the first stack until the
+    # caller has filled every other part of it: taking that stack, the caller
+    # cancels the parts the helper has not started, fills them itself and
+    # then waits for the held one. Nothing holds the caller, so a stream that
+    # leaves the whole fill to the helper times the hold out
+    cfg = ArrayConfig(m_ce=1024, n_u=4, wavelength=0.01)
+    sets = np.random.default_rng(2).uniform(-np.pi, np.pi, (3, 1, 16))
+    expected = [steering_matrix(cfg, thetas) for thetas in sets]
+    fill, allocate = beamforming._steering_entries, beamforming._steering_arguments
+    parts = beamforming.LOOKAHEAD_PARTS
+    held, released = threading.Event(), threading.Event()
+    allocated, caller_parts, helper_holds = [], [], []
+
+    def entries(real, imag):
+        if threading.current_thread().name.startswith("uiobeam-steering"):
+            if not held.is_set():
+                held.set()
+                helper_holds.append(released.wait(timeout=10.0))
+        else:
+            caller_parts.append(real.size)
+            if len(caller_parts) == parts - 1:
+                released.set()
+        fill(real, imag)
+
+    def arguments(cfg, thetas):
+        # the second stack is allocated before the first is taken: by then the
+        # helper holds the first stack's first part
+        if len(allocated) == 1:
+            assert held.wait(timeout=10.0)
+        allocated.append(thetas.shape)
+        return allocate(cfg, thetas)
+
+    monkeypatch.setattr(beamforming, "_steering_entries", entries)
+    monkeypatch.setattr(beamforming, "_steering_arguments", arguments)
+    with closing(steering_ahead(cfg, sets)) as stream:
+        got = [next(stream)]
+        helpers = steering_helpers()
+        assert helpers
+        assert helper_holds == [True]
+        assert caller_parts == [cfg.m_ce * 16 // parts] * (parts - 1)
+        got.extend(stream)
+    assert len(got) == len(expected)
+    for stack, want in zip(got, expected):
+        assert_same_bits(stack, want)
+    for thread in helpers:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+
+def test_steering_stream_keeps_its_bits_under_constant_thread_switches():
+    # with a switch interval of 1 us the caller and the helper trade the GIL
+    # within almost every part. Streams of 48 stacks, whose flat sizes split
+    # into unequal parts (65 x N for N from 64 to 79), run for about a second:
+    # every stack keeps the bits of steering_matrix, and each stream's helper
+    # ends with it
+    cfg = ArrayConfig(m_ce=65, n_u=4, wavelength=0.01)
+    rng = np.random.default_rng(11)
+    interval = sys.getswitchinterval()
+    deadline = time.monotonic() + 1.0
+    streams = 0
+    sys.setswitchinterval(1e-6)
+    try:
+        while streams < 2 or time.monotonic() < deadline:
+            sets = [rng.uniform(-np.pi, np.pi, (steps, n))
+                    for steps in (1, 2, 3) for n in range(64, 80)]
+            with closing(steering_ahead(cfg, sets)) as stream:
+                stack = next(stream)
+                helpers = steering_helpers()
+                assert helpers
+                for thetas in sets:
+                    assert_same_bits(stack, steering_matrix(cfg, thetas))
+                    stack = next(stream, None)
+                assert stack is None
+            for thread in helpers:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+            streams += 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_steering_stream_keeps_no_stack_it_has_yielded(monkeypatch):
+    # with an executor that holds no task, only the stream itself could keep
+    # a stack alive once the caller drops it, the last one included
+    monkeypatch.setattr(beamforming, "LOOKAHEAD_MIN_ENTRIES", 1)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", IdleExecutor)
+    cfg = ArrayConfig(m_ce=64, n_u=4, wavelength=0.01)
+    with closing(steering_ahead(cfg, np.zeros((3, 1, 4)))) as stream:
+        for _ in range(3):
+            stack = weakref.ref(next(stream))
+            assert stack() is None
+
+
 def test_closing_the_stream_early_stops_its_helper():
     cfg = ArrayConfig(m_ce=1024, n_u=4, wavelength=0.01)
     stream = steering_ahead(cfg, np.zeros((50, 16)))
     next(stream)
-    helpers = [t for t in threading.enumerate() if t.name.startswith("uiobeam-steering")]
+    helpers = steering_helpers()
     assert helpers
     stream.close()
     for thread in helpers:
@@ -407,6 +537,17 @@ def test_beam_pattern_memory_stays_within_a_block(traced_peak):
     # the three 721 x 64 patterns returned are 1.1 MiB
     fs = fleet_precoders()
     assert traced_peak(lambda: beam_pattern(FLEET, fs, FLEET_GRID)) < 4 * 2**20
+
+
+def test_beam_pattern_holds_one_grid_block(traced_peak):
+    # one 1024 x 64 precoder on the 721-point grid: each 64-row block of the
+    # grid steering (1 MiB) is dropped before the next is built, so the peak
+    # is one block, the 721 x 64 response and a few small temporaries
+    (f,) = fleet_precoders()[:1]
+    block = PATTERN_BLOCK_ENTRIES * np.dtype(complex).itemsize
+    responses = FLEET_GRID.size * f.shape[-1] * np.dtype(float).itemsize
+    peak = traced_peak(lambda: beam_pattern(FLEET, [f], FLEET_GRID))
+    assert peak <= block + responses + 2**18
 
 
 def true_angles(positions, center):
