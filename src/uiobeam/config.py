@@ -382,13 +382,21 @@ def require_simulate_config(cfg):
 
 def require_compare_config(cfg):
     """The acceptance rules of compare-baseline: a blockage window, the link
-    rules and at most MAX_DRAW_ENTRIES noise draws in one link step."""
+    rules, at most MAX_DRAW_ENTRIES noise draws in one link step and a step
+    t = k * dt (k < run.horizon) in every window, whose mean spectral
+    efficiency would be undefined without one."""
     if not cfg.windows:
         raise ConfigError("blockage.windows is empty: compare-baseline needs at least one window")
     _require_link_config(cfg)
     require_at_most(MAX_DRAW_ENTRIES, "noise draws in one link step",
                     ("channel.noise_draws", cfg.noise_draws),
                     ("scenario.n_uavs", cfg.scenario.n_uavs))
+    dt = float(cfg.scenario.dt[0])
+    t = np.arange(cfg.horizon) * dt
+    for idx, (t0, t1) in enumerate(cfg.windows):
+        if not np.any((t0 <= t) & (t < t1)):
+            raise ConfigError(f"blockage.windows[{idx}] [{t0}, {t1}) s holds no step of "
+                              f"scenario.dt {dt} s within run.horizon {cfg.horizon}")
 
 
 def _require_link_config(cfg):

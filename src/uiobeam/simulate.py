@@ -11,36 +11,37 @@ precoder fell back to the ridge. Tables are built as whole columns over
 per-mode runs are independent; the orchestration here runs them
 sequentially.
 
-The link builds each precoder once per distinct steering input: the
-echo-fed precoder of `run_compare` is held while the echo stays blocked
-(also across chunk edges) and reuses the channel's steering, and a chunk
-that starts on an unblocked step drops the echo hold before it builds. No
-N_U-row steering is built: the link reads the receive steering from the
-first N_U rows of the M_CE-row stacks, and each precoder keeps a copy of
-those rows only, not the M_CE-row stack it was built on (`_receive_rows`),
-so neither a chunk's prediction-fed precoders nor the echo hold keep a
-steering stack alive. The link keeps no pattern snapshot: after it, the
-snapshot steps' precoders are built again in groups of at most
-PATTERN_GROUP_ENTRIES entries, so the memory of a run does not grow with
-run.pattern_snapshots. Each pattern grid point is steered once per group
-and distinct design level mu* (`run_simulate` runs each level once). Both
-output stages hold a block at a time: the pattern grid is steered in row
-blocks (`beamforming.beam_pattern`) and `write_csv` converts and writes
+The link builds each precoder once per distinct steering input.
+`run_compare`'s link chunks also end where a step stops or starts being its
+own echo source, so each chunk either builds its echo-fed precoders on the
+channel's steering, after dropping the echo hold, or repeats the hold, the
+last step built, as broadcast views (also across chunk edges). No N_U-row
+steering is built: the link reads the receive steering from the first N_U
+rows of the M_CE-row stacks, and each precoder keeps a copy of those rows
+only, not the M_CE-row stack it was built on (`_receive_rows`), so neither
+a chunk's prediction-fed precoders nor the echo hold keep a steering stack
+alive. The link keeps no pattern snapshot: after it, the snapshot steps'
+precoders are built again in groups of at most PATTERN_GROUP_ENTRIES
+entries, so the memory of a run does not grow with run.pattern_snapshots.
+Each pattern grid point is steered once per group and distinct design level
+mu* (`run_simulate` runs each level once). Both output stages hold a block
+at a time: the pattern grid is steered in row blocks
+(`beamforming.beam_pattern`) and `write_csv` converts and writes
 CSV_BLOCK_ROWS rows at a time.
 
 Both links, `link_timeseries` (analytic SINR) and `run_compare` (empirical
 SE), run on one engine, `_link_chunks`, each handing it a ``step`` (the
 chunk's evaluation). The engine runs over chunks of
 max(1, LINK_CHUNK_ENTRIES // (max(M_CE, noise_draws) * N)) steps on
-(step, ...) stacks; the beamforming functions give every step of a stack the
-bits of its own 2-D call, so the chunk size changes no output byte. The
-channel has no random part, so only `run_compare` draws: its step draws the
-chunk's symbols and noise in the order of a per-step loop. The M_CE-row
-steering stacks come from one `beamforming.steering_ahead` stream, ordered
-[steered chunk, true chunk]. The stream queues the next stack, which its
-helper thread fills while the current stack is in use and the link finishes
-as it takes it; the size of one step's matrix alone decides whether the
-helper runs.
+(step, ...) stacks, each also ending before the steps its caller names; the
+beamforming functions give every step of a stack the bits of its own 2-D
+call, so the chunk size changes no output byte. The channel has no random
+part, so only `run_compare` draws: its step draws the chunk's symbols and
+noise in the order of a per-step loop. The M_CE-row steering stacks come
+from one `beamforming.steering_ahead` stream, ordered [steered chunk, true
+chunk]. The stream queues the next stack, which its helper thread fills
+while the current stack is in use and the link finishes as it takes it;
+the size of one step's matrix alone decides whether the helper runs.
 """
 
 import dataclasses
@@ -57,7 +58,7 @@ from . import observer as obs
 from .config import config_hash, mu_label, require_compare_config, require_simulate_config
 from .design import LmiProblem, certify_level, critical_dt, design_level
 from .design import design as solve_design
-from .errors import ConfigError, NumericalError, ShapeError
+from .errors import NumericalError, ShapeError
 from .linalg import row_norms
 
 PATTERN_SPAN_DEG = 89.75
@@ -221,15 +222,16 @@ def _receive_rows(cfg, beams):
     return dataclasses.replace(beams, a=beams.a[..., :cfg.array.n_u, :].copy())
 
 
-def _link_chunks(cfg, run, angles, step):
-    """The link engine: the tracking run in chunks of
+def _link_chunks(cfg, run, angles, step, breaks):
+    """The link engine: the tracking run in chunks of at most
     max(1, LINK_CHUNK_ENTRIES // (max(M_CE, noise_draws) * N)) steps, beams
-    steered at ``angles`` (step, UAV). Chunk k0..k1-1 ends in ``step(k0, k1,
-    chan, beams, power)``, with its channel, precoder and equal power split;
-    the precoder's steering holds only its first N_U rows (`_receive_rows`)."""
+    steered at ``angles`` (step, UAV); a chunk also ends before each step in
+    ``breaks``. Chunk k0..k1-1 ends in ``step(k0, k1, chan, beams, power)``,
+    with its channel, precoder and equal power split; the precoder's steering
+    holds only its first N_U rows (`_receive_rows`)."""
     size = cfg.scenario.n_uavs * max(cfg.array.m_ce, cfg.noise_draws)
-    steps = max(1, LINK_CHUNK_ENTRIES // size)
-    chunks = [(k0, min(k0 + steps, cfg.horizon)) for k0 in range(0, cfg.horizon, steps)]
+    starts = sorted({*range(0, cfg.horizon, max(1, LINK_CHUNK_ENTRIES // size)), *breaks})
+    chunks = list(zip(starts, starts[1:] + [cfg.horizon]))
     x = run["X"][:cfg.horizon].reshape(cfg.horizon, -1, 2)
     theta = _true_angles(cfg, run)
     # steered first: the precoder is built and cut to its receive rows
@@ -253,18 +255,13 @@ def echo_blockage(windows, dt, horizon):
     Returns (in_window, last_clear): whether t lies in any [t_start, t_end)
     window, and the last step at or before k whose echo was not blocked, 0
     when blocked from the start. The echo-fed link steers with the true
-    angles of step last_clear[k]. A window that holds no step would leave its
-    mean spectral efficiency undefined; it raises a ConfigError naming it.
+    angles of step last_clear[k].
     """
     steps = np.arange(horizon)
     t = steps * dt
     in_window = np.zeros(horizon, dtype=bool)
-    for idx, (t0, t1) in enumerate(windows):
-        hit = (t0 <= t) & (t < t1)
-        if not hit.any():
-            raise ConfigError(f"blockage.windows[{idx}] [{t0}, {t1}) s holds no step of "
-                              f"scenario.dt {dt} s within run.horizon {horizon}")
-        in_window |= hit
+    for t0, t1 in windows:
+        in_window |= (t0 <= t) & (t < t1)
     return in_window, np.maximum.accumulate(np.where(in_window, 0, steps))
 
 
@@ -286,7 +283,7 @@ def link_timeseries(cfg, run, angles):
         se[k0:k1] = report.se
         ridge[k0:k1] = beams.ridge
 
-    _link_chunks(cfg, run, angles, step)
+    _link_chunks(cfg, run, angles, step, ())
     return sinr_db, se, ridge
 
 
@@ -427,35 +424,9 @@ def run_sweep_dt(cfg, out_dir):
     return rows
 
 
-def _echo_precoders(cfg, chan, k0, sources, held):
-    """The echo-fed precoders and powers of the chunk starting at step k0
-    whose channel stack is ``chan``: step k steers with the true angles of
-    its last unblocked step sources[k - k0]. Precoders are built on a slice
-    (a view) of the channel steering, from the first to the last step that
-    is its own source (steps between them are built too, unused), and keep
-    a copy of its first N_U rows as their steering (`_receive_rows`), so no
-    hold keeps a channel stack alive. ``held`` (None when the chunk starts
-    on such a step) and the returned hold, the last step of the pool, are
-    (source steps, f, a, theta, ridge, power) stacks. The pool is gathered
-    per step only when its steps differ from ``sources`` (never with
-    one-step chunks); otherwise the precoders and the hold are views of what
-    was built. Returns the precoders and powers of the chunk's steps, and
-    what to hold."""
-    fresh = np.flatnonzero(sources == k0 + np.arange(sources.size))
-    pool = held
-    if fresh.size:
-        span = slice(fresh[0], fresh[-1] + 1)
-        beams = _receive_rows(cfg, bf.safe_beamformer(cfg.array, chan.theta[span],
-                                                       a=chan.a[span]))
-        built = (k0 + np.arange(span.start, span.stop), beams.f, beams.a, beams.theta,
-                 beams.ridge, bf.equal_power_allocation(beams, cfg.total_power))
-        pool = built if held is None else tuple(map(np.concatenate, zip(held, built)))
-    if not np.array_equal(pool[0], sources):
-        pick = np.searchsorted(pool[0], sources)
-        pool = tuple(v[pick] for v in pool)
-    _, f, a, theta, ridge, power = pool
-    beams = bf.BeamformerMatrix(f=f, a=a, theta=theta, ridge=ridge)
-    return beams, power, tuple(v[-1:] for v in pool)
+def _each_stack(pick, beams, power):
+    """``beams`` and ``power`` with ``pick`` applied to each of their stacks."""
+    return bf.BeamformerMatrix(**{k: pick(v) for k, v in vars(beams).items()}), pick(power)
 
 
 def run_compare(cfg, out_dir, force_uio_truth=False):
@@ -464,9 +435,12 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
 
     Both modes consume identical per-step draws (symbols + post-combining
     noise) and the same physical channel; only the steering angles differ.
-    The echo-fed link steers with the true angles of the last unblocked step,
-    so its precoder is built once per distinct last unblocked step, from that
-    step's channel steering, and held through each blockage. force_uio_truth
+    The echo-fed link steers with the true angles of the last unblocked step.
+    Link chunks also end where a step stops or starts being its own echo
+    source, so each chunk is either all unblocked, and builds its echo
+    precoders on its channel steering (cut to the receive rows,
+    `_receive_rows`), or all held, and repeats the last step built as
+    broadcast views, building and copying nothing. force_uio_truth
     substitutes true angles into the prediction path, the paired-noise sanity
     check. The manifest lists, per mode, the steps whose precoder fell back
     to the ridge (``zf_fallback_steps``).
@@ -488,21 +462,28 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
     se_uio = np.empty(cfg.horizon)
     se_echo = np.empty(cfg.horizon)
     fallback_steps = {"uio": [], "echo_baseline": []}
-    held = None  # the last echo precoder built, as _echo_precoders holds it
+    own = last_clear == np.arange(cfg.horizon)  # each step its own echo source
+    held = None  # the last echo step built: (precoder, power) of one step
 
     def step(k0, k1, chan, uio, uio_power):
         nonlocal held
         symbols, noise = bf.draw_link_steps(n, cfg.sigma2, rng, cfg.noise_draws, k1 - k0)
-        if last_clear[k0] == k0:
+        if own[k0]:
             held = None  # not needed: free it before the new build
-        echo, echo_power, held = _echo_precoders(cfg, chan, k0, last_clear[k0:k1], held)
+            echo = _receive_rows(cfg, bf.safe_beamformer(cfg.array, chan.theta, a=chan.a))
+            echo_power = bf.equal_power_allocation(echo, cfg.total_power)
+            held = _each_stack(lambda v: v[-1:], echo, echo_power)
+        else:
+            echo, echo_power = _each_stack(
+                lambda v: np.broadcast_to(v, (k1 - k0, *v.shape[1:])), *held)
         for mode, se, beams, power in (("uio", se_uio, uio, uio_power),
                                        ("echo_baseline", se_echo, echo, echo_power)):
             se[k0:k1] = np.mean(bf.empirical_link_se(
                 cfg.array, chan, beams, power, symbols, noise), axis=-1)
             fallback_steps[mode].extend((k0 + np.flatnonzero(beams.ridge > 0.0)).tolist())
 
-    _link_chunks(cfg, run, predicted, step)
+    # chunks also end where own changes, so none mixes built and held steps
+    _link_chunks(cfg, run, predicted, step, (np.flatnonzero(own[1:] != own[:-1]) + 1).tolist())
     steps = np.arange(cfg.horizon)
     files = {
         "se_compare.csv": write_csv(

@@ -5,16 +5,25 @@ import concurrent.futures
 import importlib
 import inspect
 import json
+import tempfile
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uiobeam import beamforming, errors
 from uiobeam.cli import main
-from uiobeam.config import config_from_mapping, parse_config, require_simulate_config
+from uiobeam.config import (
+    config_from_mapping,
+    parse_config,
+    require_compare_config,
+    require_simulate_config,
+)
 from uiobeam.errors import ConfigError, NumericalError, ShapeError
 from uiobeam.simulate import echo_blockage, run_compare, run_design, run_simulate, write_csv
 
@@ -799,7 +808,8 @@ def test_write_csv_memory_stays_within_a_block(traced_peak, tmp_path):
 # (4 UAVs, max(M_CE, noise_draws) = 64): pattern snapshots on both sides of
 # each chunk edge; the echo is blocked from the start (steps 0-1), held from
 # step 9 across the edge at 16 (blocked 10-18) and rebuilt on the edge at 32
-# (blocked 25-31)
+# (blocked 25-31). compare-baseline's chunks also end where a step stops or
+# starts being its own echo source: at 1, 2, 10, 19, 25 and 32
 CHUNK_EDGE_CONFIG = {
     "observer": {"mu_max": [0.05]},
     "blockage": {"windows": [[0.0, 0.3], [1.5, 2.7], [3.6, 4.8]]},
@@ -817,27 +827,84 @@ def test_link_outputs_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
     starts = []
     engine = simulate_module._link_chunks
 
-    def recorded(cfg, run, angles, step):
+    def recorded(cfg, run, angles, step, breaks):
         def recorded_step(k0, *args):
             starts.append(k0)
             step(k0, *args)
 
-        engine(cfg, run, angles, recorded_step)
+        engine(cfg, run, angles, recorded_step, breaks)
 
     monkeypatch.setattr(simulate_module, "_link_chunks", recorded)
     outputs = []
-    # one step per chunk, the default, and the whole horizon in one chunk
-    for entries, chunk_starts in ((1, list(range(48))),
-                                  (simulate_module.LINK_CHUNK_ENTRIES, [0, 16, 32]),
-                                  (2**30, [0])):
+    # one step per chunk, the default, and the whole horizon in one chunk:
+    # the chunk starts of simulate, then those of compare-baseline
+    for entries, chunk_starts in (
+            (1, (list(range(48)), list(range(48)))),
+            (simulate_module.LINK_CHUNK_ENTRIES, ([0, 16, 32], [0, 1, 2, 10, 16, 19, 25, 32])),
+            (2**30, ([0], [0, 1, 2, 10, 19, 25, 32]))):
         monkeypatch.setattr(simulate_module, "LINK_CHUNK_ENTRIES", entries)
         out = tmp_path / f"entries{entries}"
-        for sub in ("simulate", "compare-baseline"):
+        for sub, sub_starts in zip(("simulate", "compare-baseline"), chunk_starts):
             starts.clear()
             assert main([sub, "--config", path, "--out", str(out / sub)]) == 0
-            assert starts == chunk_starts
+            assert starts == sub_starts
         outputs.append(output_bytes(out))
     assert len(outputs[0]) == 12
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_compare_builds_echo_precoders_only_for_their_own_source_steps(tmp_path, monkeypatch):
+    # the prediction-fed link builds every step once; the echo-fed link builds
+    # only the steps that are their own echo source (last_clear[k] == k) and
+    # holds the rest, blocked step 1 included, though it shares a default
+    # chunk with unblocked steps
+    cfg = config_from_mapping(CHUNK_EDGE_CONFIG)
+    _, last_clear = echo_blockage(cfg.windows, 0.15, cfg.horizon)
+    own = int(np.sum(last_clear == np.arange(cfg.horizon)))
+    assert own == 31
+    handed = []
+    build = beamforming.safe_beamformer
+
+    def counted(array, thetas, a=None):
+        handed.append(len(thetas))
+        return build(array, thetas, a=a)
+
+    monkeypatch.setattr(beamforming, "safe_beamformer", counted)
+    run_compare(cfg, tmp_path / "out")
+    assert sum(handed) == cfg.horizon + own
+
+
+def _window_sets(horizon):
+    """Blockage window sets of the steps ``horizon`` holds: consecutive
+    intervals between sorted cut steps, each a window or not, so a set may
+    hold a window from t = 0, adjacent windows and windows of one step. A
+    window's edges lie half a step off the steps it holds."""
+    cuts = st.lists(st.integers(0, horizon), min_size=2, max_size=7, unique=True).map(sorted)
+
+    def windows(cuts, chosen):
+        spans = [span for span, keep in zip(zip(cuts, cuts[1:]), chosen) if keep]
+        return [[max(0.0, (a - 0.5) * 0.15), (b - 0.5) * 0.15]
+                for a, b in spans or [cuts[:2]]]
+
+    return st.builds(windows, cuts, st.lists(st.booleans(), min_size=6, max_size=6))
+
+
+@settings(max_examples=25, deadline=None)
+@given(windows=_window_sets(40))
+@example(windows=[[0.0, 0.225], [0.225, 0.375], [1.425, 4.425], [4.875, 5.175]])
+def test_compare_outputs_do_not_depend_on_the_chunk_size_for_any_windows(windows):
+    # 40 steps of the reference fleet: chunks of one step, the default 16 and
+    # the whole horizon give the same bytes wherever the echo is held
+    cfg = config_from_mapping({"observer": {"mu_max": [0.05]},
+                               "blockage": {"windows": windows}, "run": {"horizon": 40}})
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        for entries in (1, simulate_module.LINK_CHUNK_ENTRIES, 2**30):
+            patch.setattr(simulate_module, "LINK_CHUNK_ENTRIES", entries)
+            out = Path(tmp) / f"entries{entries}"
+            run_compare(cfg, out)
+            outputs.append(output_bytes(out))
+    assert sorted(outputs[0]) == ["compare_summary.json", "se_compare.csv"]
     assert outputs[0] == outputs[1] == outputs[2]
 
 
@@ -1165,9 +1232,13 @@ def test_a_blockage_window_that_holds_no_step_fails_validation(tmp_path, capsys)
     assert "Traceback" not in err
     assert not out.exists()
     # each window needs a step of its own, even inside another window
-    with pytest.raises(ConfigError, match=r"blockage\.windows\[1\] "):
-        echo_blockage([(0.0, 0.3), (0.01, 0.02)], 0.15, 20)
+    with pytest.raises(ConfigError, match=r"^blockage\.windows\[1\] \[0\.01, 0\.02\) s holds "
+                                          r"no step of scenario\.dt 0\.15 s within run\.horizon 20$"):
+        require_compare_config(config_from_mapping({
+            "blockage": {"windows": [[0.0, 0.3], [0.01, 0.02]]}, "run": {"horizon": 20}}))
     # one step suffices: t = 0.15 s lies in [0.1, 0.16)
+    require_compare_config(config_from_mapping({
+        "blockage": {"windows": [[0.1, 0.16]]}, "run": {"horizon": 20}}))
     blocked, _ = echo_blockage([(0.1, 0.16)], 0.15, 20)
     np.testing.assert_array_equal(np.flatnonzero(blocked), [1])
 
