@@ -336,9 +336,8 @@ MAX_STEERING_ENTRIES = 1 << 22
 # ~88 B each (2^16 and 2^19 draws).
 MAX_DRAW_ENTRIES = 1 << 23
 # run.pattern_points * scenario.n_uavs * len(run.pattern_snapshots) rows of
-# one simulate run's pattern files, of which beam_pattern holds one group of
-# snapshots at a time (all of them on small arrays): ~45 B each (2^16 and
-# 2^19 points).
+# one simulate run's pattern files, of which one snapshot's are held at a
+# time: ~29 B each held (2^16 and 2^19 points, one or three snapshots).
 MAX_PATTERN_ROWS = 1 << 24
 # The link steers at each UAV's offset positions - center, taken in float64,
 # which resolves an orbit of radius R to about |center| 2^-52 / R. The smallest

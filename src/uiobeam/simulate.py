@@ -11,7 +11,7 @@ precoder fell back to the ridge. Tables are built as whole columns over
 per-mode runs are independent; the orchestration here runs them
 sequentially.
 
-The link builds each precoder once per distinct steering input.
+The link builds each precoder once, and nothing builds one again.
 `run_compare`'s link chunks also end where a step stops or starts being its
 own echo source, so each chunk either builds its echo-fed precoders on the
 channel's steering, after dropping the echo hold, or repeats the hold, the
@@ -20,10 +20,10 @@ steering is built: the link reads the receive steering from the first N_U
 rows of the M_CE-row stacks, and each precoder keeps a copy of those rows
 only, not the M_CE-row stack it was built on (`_receive_rows`), so neither
 a chunk's prediction-fed precoders nor the echo hold keep a steering stack
-alive. The link keeps no pattern snapshot: after it, the snapshot steps'
-precoders are built again in groups of at most PATTERN_GROUP_ENTRIES
-entries, so the memory of a run does not grow with run.pattern_snapshots.
-Each pattern grid point is steered once per group and distinct design level
+alive. `link_timeseries` evaluates each pattern snapshot in the chunk that
+builds its step's precoder and writes its file there, keeping nothing of
+it, so the memory of a run does not grow with run.pattern_snapshots; the
+pattern grid is steered once per snapshot step and distinct design level
 mu* (`run_simulate` runs each level once). Both output stages hold a block
 at a time: the pattern grid is steered in row blocks
 (`beamforming.beam_pattern`) and `write_csv` converts and writes
@@ -77,13 +77,6 @@ _FORMATS = {"b": "%d", "i": "%d", "f": "%.17g"}
 # take 12 blocks (traced peak of one write 3.2 MiB as whole columns, 0.3 MiB
 # in blocks), and every ref-long table takes one.
 CSV_BLOCK_ROWS = 4096
-# Precoder entries (snapshot steps * M_CE * N) of one group of pattern
-# snapshots, whose precoders _write_link_csvs holds at once after the link,
-# so the pattern stage holds at most these plus one step's steering and F
-# under construction, whatever the length of run.pattern_snapshots:
-# fleet-n64's three 1024 x 64 snapshots form one group (its grid is steered
-# once), and a 65536 x 4 array takes one snapshot per group.
-PATTERN_GROUP_ENTRIES = 1 << 18
 
 
 def write_csv(path, header, columns):
@@ -265,9 +258,11 @@ def echo_blockage(windows, dt, horizon):
     return in_window, np.maximum.accumulate(np.where(in_window, 0, steps))
 
 
-def link_timeseries(cfg, run, angles):
+def link_timeseries(cfg, run, angles, out_dir, files):
     """Analytic per-step link reports along a tracking run, with the beams
-    steered at ``angles`` (step, UAV).
+    steered at ``angles`` (step, UAV), and the pattern_k<k>.csv snapshot of
+    each step k in run.pattern_snapshots, written into ``out_dir`` (its rows
+    into ``files``) by the chunk that builds that step's precoder.
 
     Returns (sinr_db, se, ridge): sinr_db and se are (horizon, N) and ridge
     (horizon,) holds the ridge of each step's precoder (0.0 when strict).
@@ -276,12 +271,21 @@ def link_timeseries(cfg, run, angles):
     sinr_db = np.empty((cfg.horizon, n))
     se = np.empty((cfg.horizon, n))
     ridge = np.empty(cfg.horizon)
+    grid_deg = np.linspace(-PATTERN_SPAN_DEG, PATTERN_SPAN_DEG, cfg.pattern_points)
+    grid = np.deg2rad(grid_deg)
 
     def step(k0, k1, chan, beams, power):
         report = bf.link_report(cfg.array, chan, beams, power)
         sinr_db[k0:k1] = report.sinr_db
         se[k0:k1] = report.se
         ridge[k0:k1] = beams.ridge
+        for k in (k for k in cfg.pattern_snapshots if k0 <= k < k1):
+            (gains_db,) = bf.beam_pattern(cfg.array, [beams.f[k - k0]], grid)
+            name = f"pattern_k{k}.csv"
+            files[name] = write_csv(
+                out_dir / name, ["theta_deg", "beam_id", "gain_db"],
+                [np.repeat(grid_deg, n), np.tile(np.arange(n), grid.size), gains_db],
+            )
 
     _link_chunks(cfg, run, angles, step, ())
     return sinr_db, se, ridge
@@ -312,37 +316,15 @@ def _write_tracking_csvs(cfg, run, out_dir, files):
 
 
 def _write_link_csvs(cfg, run, angles, out_dir, files):
-    """se.csv and the pattern_k<k>.csv snapshots; returns the steps whose
-    precoder fell back to the ridge.
-
-    The link keeps no precoder: after it, the snapshot steps' precoders are
-    built again from their angles, one step at a time, in groups of
-    max(1, PATTERN_GROUP_ENTRIES // (M_CE * N)) steps. Each group's patterns
-    take one `beam_pattern` call, and its files are written before the next
-    group is built. A step's own call has the bits of that step in the
-    link's stacked call, so these are the link's precoders bit for bit."""
-    n = cfg.scenario.n_uavs
-    sinr_db, se, ridge = link_timeseries(cfg, run, angles)
-    k, uav = _step_uav_columns(n, cfg.horizon)
+    """se.csv and the pattern_k<k>.csv snapshots, which the link writes as it
+    builds their precoders (`link_timeseries`); returns the steps whose
+    precoder fell back to the ridge."""
+    sinr_db, se, ridge = link_timeseries(cfg, run, angles, out_dir, files)
+    k, uav = _step_uav_columns(cfg.scenario.n_uavs, cfg.horizon)
     files["se.csv"] = write_csv(
         out_dir / "se.csv", ["k", "uav_id", "mode", "sinr_db", "se_bpshz"],
         [k, uav, np.full(k.size, "uio"), sinr_db, se],
     )
-    grid_deg = np.linspace(-PATTERN_SPAN_DEG, PATTERN_SPAN_DEG, cfg.pattern_points)
-    grid = np.deg2rad(grid_deg)
-    snapshots = cfg.pattern_snapshots
-    group = max(1, PATTERN_GROUP_ENTRIES // (cfg.array.m_ce * n))
-    for g0 in range(0, len(snapshots), group):
-        steps = snapshots[g0:g0 + group]
-        fs = [bf.safe_beamformer(cfg.array, angles[step]).f for step in steps]
-        for step, gains_db in zip(steps, bf.beam_pattern(cfg.array, fs, grid)):
-            name = f"pattern_k{step}.csv"
-            files[name] = write_csv(
-                out_dir / name, ["theta_deg", "beam_id", "gain_db"],
-                [np.repeat(grid_deg, n), np.tile(np.arange(n), grid.size), gains_db],
-            )
-        # hold no group while the next one is built
-        del fs
     return np.flatnonzero(ridge > 0.0).tolist()
 
 

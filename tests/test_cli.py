@@ -458,11 +458,10 @@ def test_compare_holds_few_steering_sized_stacks(tmp_path, traced_peak):
 
 def test_simulate_holds_few_steering_sized_stacks(tmp_path, traced_peak):
     # 16 UAVs on 4096 antennas: a 4096 x 16 stack is 1 MiB. The link keeps
-    # only the first N_U rows of each precoder's steering and no snapshot;
-    # after it, the three snapshot steps' precoders are built one at a time
-    # and share the steering of the pattern grid, one block of which is held
-    # at a time; the link's steering stream queues one stack beyond the one
-    # it takes (4.55 stacks traced)
+    # only the first N_U rows of each precoder's steering; the step that
+    # builds a snapshot's precoder steers the pattern grid on it, one block
+    # at a time, and keeps nothing of it; the link's steering stream queues
+    # one stack beyond the one it takes (4.39 stacks traced)
     rng = np.random.default_rng(16)
     cfg = config_from_mapping({
         "scenario": {"n_uavs": 16, "radii": rng.uniform(100.0, 250.0, 16).tolist(),
@@ -474,14 +473,14 @@ def test_simulate_holds_few_steering_sized_stacks(tmp_path, traced_peak):
     stack = cfg.array.m_ce * cfg.scenario.n_uavs * 16
     # a first run imports and caches what every later run shares
     run_simulate(cfg, tmp_path / "warm")
-    assert traced_peak(lambda: run_simulate(cfg, tmp_path / "out")) <= 4.75 * stack
+    assert traced_peak(lambda: run_simulate(cfg, tmp_path / "out")) <= 4.5 * stack
 
 
 def test_simulate_memory_does_not_grow_with_the_snapshot_count(tmp_path, traced_peak):
-    # 4 UAVs on 32768 antennas: a 32768 x 4 stack is 2 MiB, and the snapshot
-    # precoders are built after the link in groups of two steps, so 48
-    # snapshot steps hold no more than three (a few bytes of file bookkeeping
-    # aside)
+    # 4 UAVs on 32768 antennas: a 32768 x 4 stack is 2 MiB, and each link
+    # step evaluates its snapshot's pattern on its own precoder and keeps
+    # none, so 48 snapshot steps hold no more than three (a few bytes of file
+    # bookkeeping aside)
     def config(horizon, snapshots):
         return config_from_mapping({
             "observer": {"mu_max": [0.05]},
@@ -513,25 +512,41 @@ def test_compare_builds_each_steering_matrix_once(tmp_path, steering_shapes):
     assert steering_shapes.matrices(cfg.array.n_u) == 0
 
 
+def built_steps(monkeypatch):
+    """The number of steps handed to each later `beamforming.safe_beamformer`
+    call, in call order."""
+    handed = []
+    build = beamforming.safe_beamformer
+
+    def counted(array, thetas, a=None):
+        handed.append(len(thetas))
+        return build(array, thetas, a=a)
+
+    monkeypatch.setattr(beamforming, "safe_beamformer", counted)
+    return handed
+
+
 @pytest.mark.parametrize(
     "extra, distinct",
     [({}, 1), ({"measurement": {"d_scale": 0.7}, "observer": {"mu_max": [0.2, 1.0]}}, 2)],
     ids=["three-equal-designs", "two-distinct-designs"],
 )
-def test_simulate_builds_the_pattern_grid_once_per_distinct_design(
-    tmp_path, steering_shapes, extra, distinct
+def test_simulate_builds_each_precoder_once_per_distinct_design(
+    tmp_path, monkeypatch, steering_shapes, extra, distinct
 ):
-    # per distinct design: one channel and one precoder build per step, one
-    # more precoder build per snapshot step (the link keeps no precoder, so
-    # the snapshots are built again after it) and one pattern grid
+    # per distinct design: one channel and one precoder build per step, and
+    # one pattern grid per snapshot step, steered on the precoder the link
+    # built for that step, which no later stage builds again
+    handed = built_steps(monkeypatch)
     cfg = config_from_mapping({**extra, "run": {"horizon": 20, "pattern_points": 11}})
     manifest = run_simulate(cfg, tmp_path / "out")
     assert len(manifest["zf_fallback_steps"]) == len(cfg.mu_list)
+    assert sum(handed) == cfg.horizon * distinct
     m_ce = cfg.array.m_ce
-    assert steering_shapes.matrices(m_ce, 11) == distinct
     snapshots = len(cfg.pattern_snapshots)
     assert snapshots == 3
-    assert steering_shapes.matrices(m_ce, 4) == (2 * cfg.horizon + snapshots) * distinct
+    assert steering_shapes.matrices(m_ce, 11) == snapshots * distinct
+    assert steering_shapes.matrices(m_ce, 4) == 2 * cfg.horizon * distinct
     assert steering_shapes.matrices(cfg.array.n_u) == 0
 
 
@@ -806,14 +821,14 @@ def test_write_csv_memory_stays_within_a_block(traced_peak, tmp_path):
 
 # 48 steps of the reference fleet, whose link chunks hold 16 steps by default
 # (4 UAVs, max(M_CE, noise_draws) = 64): pattern snapshots on both sides of
-# each chunk edge; the echo is blocked from the start (steps 0-1), held from
-# step 9 across the edge at 16 (blocked 10-18) and rebuilt on the edge at 32
-# (blocked 25-31). compare-baseline's chunks also end where a step stops or
+# each chunk edge and one (step 20) inside a chunk; the echo is blocked from
+# the start (steps 0-1), held from step 9 across the edge at 16 (blocked
+# 10-18) and rebuilt on the edge at 32 (blocked 25-31). compare-baseline's chunks also end where a step stops or
 # starts being its own echo source: at 1, 2, 10, 19, 25 and 32
 CHUNK_EDGE_CONFIG = {
     "observer": {"mu_max": [0.05]},
     "blockage": {"windows": [[0.0, 0.3], [1.5, 2.7], [3.6, 4.8]]},
-    "run": {"horizon": 48, "pattern_snapshots": [0, 15, 16, 31, 32, 47],
+    "run": {"horizon": 48, "pattern_snapshots": [0, 15, 16, 20, 31, 32, 47],
             "pattern_points": 11},
 }
 
@@ -849,7 +864,7 @@ def test_link_outputs_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
             assert main([sub, "--config", path, "--out", str(out / sub)]) == 0
             assert starts == sub_starts
         outputs.append(output_bytes(out))
-    assert len(outputs[0]) == 12
+    assert len(outputs[0]) == 13
     assert outputs[0] == outputs[1] == outputs[2]
 
 
@@ -862,14 +877,7 @@ def test_compare_builds_echo_precoders_only_for_their_own_source_steps(tmp_path,
     _, last_clear = echo_blockage(cfg.windows, 0.15, cfg.horizon)
     own = int(np.sum(last_clear == np.arange(cfg.horizon)))
     assert own == 31
-    handed = []
-    build = beamforming.safe_beamformer
-
-    def counted(array, thetas, a=None):
-        handed.append(len(thetas))
-        return build(array, thetas, a=a)
-
-    monkeypatch.setattr(beamforming, "safe_beamformer", counted)
+    handed = built_steps(monkeypatch)
     run_compare(cfg, tmp_path / "out")
     assert sum(handed) == cfg.horizon + own
 
