@@ -37,19 +37,22 @@ stacked call equals the per-step 2-D calls bit for bit.
 The link loops draw their M_CE-row steering stacks from one stream,
 `steering_ahead`, which queues one stack beyond the one the caller takes and
 fills it on a helper thread while the caller runs the current chunk's Gram,
-solve, precoder and gain products. The caller allocates each stack and
-writes the arguments m*phase into its real part (numpy allocates iterator
-buffers for that broadcast product, so it stays on the caller); the helper
-runs one task per part of a stack (LOOKAHEAD_PARTS equal runs of its flat
-entries), the in-place ufuncs `sin` (into the imaginary part) and `cos`
-(into the real part), so it makes no BLAS call, no RNG draw and no array
-allocation. Taking a stack, the caller fills the parts the helper has not
-started itself, with the same two ufuncs. These are the ufuncs of
-`steering_matrix` on the same values, elementwise, so a stack has its bits
-whichever thread fills which part. The helper runs when one step's matrix
-(M_CE x N) has at least LOOKAHEAD_MIN_ENTRIES entries; otherwise the stream
-fills each stack inline. The size alone decides, and no setting selects the
-helper.
+solve, precoder and gain products. The same stream carries the grid blocks
+of the pattern snapshots (`pattern_blocks`), one M_CE-row steering matrix
+per block, which `beam_pattern` takes while the helper fills the next. The
+caller allocates each stack and writes the arguments m*phase into its real
+part (numpy allocates iterator buffers for that broadcast product, so it
+stays on the caller); the helper runs one task per part of a stack
+(LOOKAHEAD_PARTS equal runs of its flat entries), the in-place ufuncs `sin`
+(into the imaginary part) and `cos` (into the real part), so it makes no
+BLAS call, no RNG draw and no array allocation. Taking a stack, the caller
+fills the parts the helper has not started itself, with the same two
+ufuncs. These are the ufuncs of `steering_matrix` on the same values,
+elementwise, so a stack has its bits whichever thread fills which part.
+The helper runs when one link step's matrix (M_CE x N) has at least
+LOOKAHEAD_MIN_ENTRIES entries; otherwise the stream fills each stack
+inline. That size alone decides, whatever else the stream carries (a
+pattern grid block may be larger), and no setting selects the helper.
 """
 
 from collections import deque
@@ -169,47 +172,61 @@ def _stack_parts(out):
     return [(flat.real[a:b], flat.imag[a:b]) for a, b in zip(edges[:-1], edges[1:])]
 
 
+def _fill_part(parts, p):
+    """Fill part ``p`` of a queued stack from its (real, imag) views in
+    ``parts``."""
+    _steering_entries(*parts[p])
+
+
 def _submit_parts(helper, out):
-    """``out`` and the helper's tasks filling its parts, in order."""
-    return out, [helper.submit(_steering_entries, real, imag) for real, imag in _stack_parts(out)]
+    """``out``, the views of its parts and the helper's tasks filling them,
+    in order."""
+    parts = _stack_parts(out)
+    return out, parts, [helper.submit(_fill_part, parts, p) for p in range(len(parts))]
 
 
-def _take_stack(out, tasks):
+def _take_stack(out, parts, tasks):
     """``out`` once every part is filled: the caller fills each part whose
     task it cancels before the helper started it, then waits for the tasks
-    the helper started."""
-    for task, (real, imag) in zip(tasks, _stack_parts(out)):
+    the helper started. The executor holds a task's arguments after its
+    result is set, and a cancelled task's until its thread reaches it, so
+    the tasks reach the views only through ``parts``, emptied here: a stack
+    the caller drops is freed at once."""
+    for task, (real, imag) in zip(tasks, parts):
         if task.cancel():
             _steering_entries(real, imag)
     for task in tasks:
         if not task.cancelled():
             task.result()
+    parts.clear()
     return out
 
 
-def steering_ahead(cfg, angle_sets):
+def steering_ahead(cfg, angle_sets, columns=None):
     """Yield ``steering_matrix(cfg, thetas)`` (M_CE rows) for each (..., N)
     array ``thetas`` in ``angle_sets``, in order, bit for bit: C steps'
     angles (C, N) give a (C, M_CE, N) stack.
 
-    With at least LOOKAHEAD_MIN_ENTRIES entries per step matrix (M_CE * N),
-    one helper thread fills up to LOOKAHEAD stacks beyond the one the caller
-    takes, in LOOKAHEAD_PARTS tasks per stack, one per equal part of its
-    flat entries. To take a stack, the caller cancels the tasks the helper
+    With at least LOOKAHEAD_MIN_ENTRIES entries per step matrix, M_CE times
+    ``columns`` (the link step's N; by default the widest set's), one helper
+    thread fills up to LOOKAHEAD stacks beyond the one the caller takes, in
+    LOOKAHEAD_PARTS tasks per stack, one per equal part of its flat
+    entries. To take a stack, the caller cancels the tasks the helper
     has not started, fills those parts itself and waits for the started
     ones. Below that size each stack is filled inline. The stream keeps no
     reference to a stack it has yielded. Close the generator (for instance
     with ``contextlib.closing``) when leaving early: that cancels the tasks
     not started and waits for the one running."""
     angle_sets = [np.atleast_1d(np.asarray(thetas, float)) for thetas in angle_sets]
-    entries = max((cfg.m_ce * thetas.shape[-1] for thetas in angle_sets), default=0)
-    if entries < LOOKAHEAD_MIN_ENTRIES:
+    if columns is None:
+        columns = max((thetas.shape[-1] for thetas in angle_sets), default=0)
+    if cfg.m_ce * columns < LOOKAHEAD_MIN_ENTRIES:
         for thetas in angle_sets:
             yield steering_matrix(cfg, thetas)
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    queued = deque()  # (stack, tasks of its parts) in yield order
+    queued = deque()  # (stack, views of its parts, their tasks) in yield order
     helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="uiobeam-steering")
     try:
         for i in range(len(angle_sets) + LOOKAHEAD):
@@ -459,47 +476,56 @@ def empirical_link_se(cfg, chan, bf, power, symbols, noise):
     return np.log2(1.0 + sinr)
 
 
-def _pattern_blocks(cfg, fs, points):
-    """(r0, r1) row ranges of a pattern grid of ``points`` points: blocks of
-    PATTERN_BLOCK_ENTRIES // M_CE rows, rounded down to a multiple of 8 and at
-    least 8, with a trailing one-row block joined to the one before it; a
-    single block when any precoder in ``fs`` has one beam."""
-    rows = max(8, PATTERN_BLOCK_ENTRIES // cfg.m_ce // 8 * 8)
-    if any(f.shape[-1] == 1 for f in fs):
-        rows = points
+def pattern_blocks(cfg, beams, theta_grid):
+    """The row blocks of the pattern grid ``theta_grid`` (views of it, in
+    order) on which `beam_pattern` evaluates precoders of ``beams`` beams
+    each: PATTERN_BLOCK_ENTRIES // M_CE rows, rounded down to a multiple of 8
+    and at least 8, with a trailing one-row block joined to the one before
+    it; the whole grid when any precoder has one beam."""
+    points = theta_grid.size
+    rows = points if 1 in beams else max(8, PATTERN_BLOCK_ENTRIES // cfg.m_ce // 8 * 8)
     edges = list(range(0, points, rows)) + [points]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
-    return list(zip(edges[:-1], edges[1:]))
+    return [theta_grid[r0:r1] for r0, r1 in zip(edges[:-1], edges[1:])]
 
 
-def beam_pattern(cfg, fs, theta_grid):
+def beam_pattern(cfg, fs, theta_grid, blocks=None):
     """Per-beam transmit patterns |a^T(theta) f_i| over the grid, one
     (grid point, beam) array per precoder F in ``fs``, each beam normalized
     to its own maximum, in dB (amplitudes floored at PATTERN_FLOOR so exact
     zero-forcing nulls stay finite).
 
-    The grid is steered in row blocks (`_pattern_blocks`): each block's
-    steering matrix is built once, multiplied into every precoder and
-    dropped before the next block is built, so one block and the (grid
-    point, beam) magnitudes of the whole grid are held. A block of the
-    product has the bits of the same rows of the one-matrix product when it
-    reaches the same zgemm: blocks of a multiple of 8 rows do, while a
-    one-row block would go to zgemv (its bits differed by up to 1.6e-13) and
-    so does a one-beam precoder (whose zgemv bits move with cuts that are
-    not a multiple of 4), hence the joined trailing row and the single
-    block."""
+    The grid is steered in row blocks (`pattern_blocks`): ``blocks`` yields
+    the (M_CE, rows) steering matrix of each, in order (for instance the
+    `steering_ahead` stream of the link, which fills the next block while
+    this one is multiplied), and this takes no more of it than the grid has
+    blocks; without it each block is built here. Each block is multiplied
+    into every precoder and dropped before the next is taken, so one block
+    and the (grid point, beam) magnitudes of the whole grid are held. A
+    block of the product has the bits of the same rows of the one-matrix
+    product when it reaches the same zgemm: blocks of a multiple of 8 rows
+    do, while a one-row block would go to zgemv (its bits differed by up to
+    1.6e-13) and so does a one-beam precoder (whose zgemv bits move with
+    cuts that are not a multiple of 4), hence the joined trailing row and
+    the single block."""
     theta_grid = np.atleast_1d(np.asarray(theta_grid, float))
     if np.any(np.abs(theta_grid) >= np.pi / 2):
         raise ShapeError("pattern grid must lie within (-pi/2, pi/2)")
     fs = [np.asarray(f, complex) for f in fs]
+    grids = pattern_blocks(cfg, [f.shape[-1] for f in fs], theta_grid)
+    blocks = (steering_matrix(cfg, grid) for grid in grids) if blocks is None else iter(blocks)
     responses = [np.empty((theta_grid.size, f.shape[-1])) for f in fs]
-    for r0, r1 in _pattern_blocks(cfg, fs, theta_grid.size):
-        rows = steering_matrix(cfg, theta_grid[r0:r1]).T
+    r0 = 0
+    for grid in grids:
+        # not zip: its reused result tuple would hold a block while the next is taken
+        block = next(blocks)
+        r1 = r0 + grid.size
         for f, response in zip(fs, responses):
-            np.abs(rows @ f, out=response[r0:r1])
-        # hold no block while the next one is built
-        del rows
+            np.abs(block.T @ f, out=response[r0:r1])
+        r0 = r1
+        # hold no block while the next one is taken
+        del block
     for response in responses:
         response /= np.max(response, axis=0)
         np.maximum(response, PATTERN_FLOOR, out=response)

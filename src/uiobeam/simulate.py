@@ -7,8 +7,11 @@ Every CSV body is byte-stable for a fixed config + seed: floats are written
 with 17 significant digits, rows in a fixed order, no timestamps. Wall-clock
 lives only in the manifest, together with the steps whose zero-forcing
 precoder fell back to the ridge. Tables are built as whole columns over
-(step, UAV) and written with one format template per file. Per-design and
-per-mode runs are independent; the orchestration here runs them
+(step, UAV) and written a block of rows at a time, each block in one
+%-call on the file's row template repeated once per row; a float column
+that repeats rows within a block (a grid angle or time per UAV) enters it
+as the texts of its distinct bit patterns, each formatted once. Per-design
+and per-mode runs are independent; the orchestration here runs them
 sequentially.
 
 The link builds each precoder once, and nothing builds one again.
@@ -26,7 +29,7 @@ it, so the memory of a run does not grow with run.pattern_snapshots; the
 pattern grid is steered once per snapshot step and distinct design level
 mu* (`run_simulate` runs each level once). Both output stages hold a block
 at a time: the pattern grid is steered in row blocks
-(`beamforming.beam_pattern`) and `write_csv` converts and writes
+(`beamforming.pattern_blocks`) and `write_csv` converts and writes
 CSV_BLOCK_ROWS rows at a time.
 
 Both links, `link_timeseries` (analytic SINR) and `run_compare` (empirical
@@ -39,9 +42,12 @@ call, so the chunk size changes no output byte. The channel has no random
 part, so only `run_compare` draws: its step draws the chunk's symbols and
 noise in the order of a per-step loop. The M_CE-row steering stacks come
 from one `beamforming.steering_ahead` stream, ordered [steered chunk, true
-chunk]. The stream queues the next stack, which its helper thread fills
-while the current stack is in use and the link finishes as it takes it;
-the size of one step's matrix alone decides whether the helper runs.
+chunk, the pattern grid blocks of each snapshot step in the chunk]; the
+snapshot's `beam_pattern` takes its grid blocks from the stream. The stream
+queues the next stack or block, which its helper thread fills while the
+current one is in use and the link finishes as it takes it; the size of
+one link step's matrix (M_CE x N) alone decides whether the helper runs,
+however large a grid block is.
 """
 
 import dataclasses
@@ -72,25 +78,45 @@ PATTERN_SPAN_DEG = 89.75
 # ran within the run-to-run spread of 2^12.
 LINK_CHUNK_ENTRIES = 1 << 12
 _FORMATS = {"b": "%d", "i": "%d", "f": "%.17g"}
-# Rows formatted and written per block by write_csv, so only one block of
-# each column is held as Python objects: fleet-n64's 46,144-row pattern files
-# take 12 blocks (traced peak of one write 3.2 MiB as whole columns, 0.3 MiB
-# in blocks), and every ref-long table takes one.
-CSV_BLOCK_ROWS = 4096
+# Rows formatted and written per block by write_csv: one block of each column
+# and its text are held as Python objects. Formatting each block in one call,
+# fleet-n64's peak RSS (bench/run.py --seed 0 --seconds 3, medians of six
+# runs, two-core x86-64 VM) read 48.45 MiB at 1024 rows and 48.05 at 512,
+# against 48.33 with 4096-row blocks formatted row by row; 512 to 2048 rows
+# wrote equally fast.
+CSV_BLOCK_ROWS = 512
+
+
+def _repeated_texts(block):
+    """The %.17g texts of the float64 column ``block``, each distinct bit
+    pattern formatted once (so -0.0 and 0.0 stay apart), when at least half
+    its rows repeat the row before (a grid angle or time per UAV); otherwise
+    None. The check compares neighbouring rows only: deduplicating every
+    float column made tables of distinct values (fleet-n64's se.csv and
+    trajectories.csv) 24% and 34% slower to write."""
+    bits = block.view(np.uint64)
+    if 2 * np.count_nonzero(bits[1:] == bits[:-1]) < block.size:
+        return None
+    distinct, index = np.unique(bits, return_inverse=True)
+    texts = np.array(["%.17g" % x for x in distinct.view(float).tolist()], dtype=object)
+    return texts[index].tolist()
 
 
 def write_csv(path, header, columns):
     """Write one row per index of the equal-length ``columns``; returns the
     row count.
 
-    Each file gets one %-template: integer and boolean columns are written
-    with %d, float columns with %.17g (the digits of format(x, '.17g')) and
-    any other column with %s. A nan or inf in a float column raises
-    NumericalError naming the file, the column and the first bad row, and
-    nothing is written: every whole column is checked before the file is
-    opened. The rows are then formatted and written CSV_BLOCK_ROWS at a
-    time, converting one block of each column to Python values; every row
-    goes through the same template, so the block size changes no byte.
+    Integer and boolean columns are written with %d, float columns with
+    %.17g (the digits of format(x, '.17g')) and any other column with %s. A
+    nan or inf in a float column raises NumericalError naming the file, the
+    column and the first bad row, and nothing is written: every whole column
+    is checked before the file is opened. The rows are then written
+    CSV_BLOCK_ROWS at a time, each block in one %-call on the row template
+    repeated once per row, converting one block of each column to Python
+    values. A float64 column whose block repeats rows (`_repeated_texts`)
+    enters that call as the texts of its distinct values, formatted once
+    each with %.17g and put in by %s. Each value gets the text of its own
+    %.17g or %d, so the block size changes no byte.
     """
     columns = [np.ravel(c) for c in columns]
     sizes = {c.size for c in columns}
@@ -102,12 +128,21 @@ def write_csv(path, header, columns):
             row = int(np.argmin(np.isfinite(c)))
             raise NumericalError(f"{path}: column {name} is {c[row]} at row {row} "
                                   f"(rows count from 0)")
-    template = ",".join(_FORMATS.get(c.dtype.kind, "%s") for c in columns) + "\n"
+    formats = [_FORMATS.get(c.dtype.kind, "%s") for c in columns]
+    width = len(columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for r0 in range(0, size, CSV_BLOCK_ROWS):
-            block = (c[r0:r0 + CSV_BLOCK_ROWS].tolist() for c in columns)
-            fh.writelines(template % row for row in zip(*block))
+            block = [c[r0:r0 + CSV_BLOCK_ROWS] for c in columns]
+            rows = block[0].size
+            values = [None] * (rows * width)
+            row_formats = list(formats)
+            for j, c in enumerate(block):
+                texts = _repeated_texts(c) if c.dtype == np.float64 else None
+                if texts is not None:
+                    row_formats[j] = "%s"
+                values[j::width] = c.tolist() if texts is None else texts
+            fh.write(((",".join(row_formats) + "\n") * rows) % tuple(values))
     return size
 
 
@@ -215,13 +250,16 @@ def _receive_rows(cfg, beams):
     return dataclasses.replace(beams, a=beams.a[..., :cfg.array.n_u, :].copy())
 
 
-def _link_chunks(cfg, run, angles, step, breaks):
+def _link_chunks(cfg, run, angles, step, breaks, grid_blocks=()):
     """The link engine: the tracking run in chunks of at most
     max(1, LINK_CHUNK_ENTRIES // (max(M_CE, noise_draws) * N)) steps, beams
     steered at ``angles`` (step, UAV); a chunk also ends before each step in
-    ``breaks``. Chunk k0..k1-1 ends in ``step(k0, k1, chan, beams, power)``,
-    with its channel, precoder and equal power split; the precoder's steering
-    holds only its first N_U rows (`_receive_rows`)."""
+    ``breaks``. Chunk k0..k1-1 ends in ``step(k0, k1, chan, beams, power,
+    steering)``, with its channel, precoder and equal power split; the
+    precoder's steering holds only its first N_U rows (`_receive_rows`).
+    ``steering``, the steering stream, yields next the steering of each block
+    in ``grid_blocks`` (pattern grid angles) once per step of the chunk in
+    run.pattern_snapshots, which the step takes before it returns."""
     size = cfg.scenario.n_uavs * max(cfg.array.m_ce, cfg.noise_draws)
     starts = sorted({*range(0, cfg.horizon, max(1, LINK_CHUNK_ENTRIES // size)), *breaks})
     chunks = list(zip(starts, starts[1:] + [cfg.horizon]))
@@ -229,15 +267,18 @@ def _link_chunks(cfg, run, angles, step, breaks):
     theta = _true_angles(cfg, run)
     # steered first: the precoder is built and cut to its receive rows
     # before the channel's stack is taken, so no build holds both
-    sets = [s for k0, k1 in chunks for s in (angles[k0:k1], theta[k0:k1])]
-    with closing(bf.steering_ahead(cfg.array, sets)) as steering:
+    sets = [s for k0, k1 in chunks
+            for s in (angles[k0:k1], theta[k0:k1],
+                      *(g for k in cfg.pattern_snapshots if k0 <= k < k1 for g in grid_blocks))]
+    # the helper's gate is one link step's matrix, not a larger grid block
+    with closing(bf.steering_ahead(cfg.array, sets, columns=angles.shape[-1])) as steering:
         for k0, k1 in chunks:
             beams = _receive_rows(cfg, bf.safe_beamformer(cfg.array, angles[k0:k1],
                                                           a=next(steering)))
             power = bf.equal_power_allocation(beams, cfg.total_power)
             chan = bf.ChannelRealization.line_of_sight(
                 cfg.array, x[k0:k1], cfg.scenario.center, cfg.sigma2, a=next(steering))
-            step(k0, k1, chan, beams, power)
+            step(k0, k1, chan, beams, power, steering)
             # hold no chunk while the next one is built
             del chan, beams
 
@@ -274,20 +315,20 @@ def link_timeseries(cfg, run, angles, out_dir, files):
     grid_deg = np.linspace(-PATTERN_SPAN_DEG, PATTERN_SPAN_DEG, cfg.pattern_points)
     grid = np.deg2rad(grid_deg)
 
-    def step(k0, k1, chan, beams, power):
+    def step(k0, k1, chan, beams, power, steering):
         report = bf.link_report(cfg.array, chan, beams, power)
         sinr_db[k0:k1] = report.sinr_db
         se[k0:k1] = report.se
         ridge[k0:k1] = beams.ridge
         for k in (k for k in cfg.pattern_snapshots if k0 <= k < k1):
-            (gains_db,) = bf.beam_pattern(cfg.array, [beams.f[k - k0]], grid)
+            (gains_db,) = bf.beam_pattern(cfg.array, [beams.f[k - k0]], grid, steering)
             name = f"pattern_k{k}.csv"
             files[name] = write_csv(
                 out_dir / name, ["theta_deg", "beam_id", "gain_db"],
                 [np.repeat(grid_deg, n), np.tile(np.arange(n), grid.size), gains_db],
             )
 
-    _link_chunks(cfg, run, angles, step, ())
+    _link_chunks(cfg, run, angles, step, (), bf.pattern_blocks(cfg.array, [n], grid))
     return sinr_db, se, ridge
 
 
@@ -447,7 +488,7 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
     own = last_clear == np.arange(cfg.horizon)  # each step its own echo source
     held = None  # the last echo step built: (precoder, power) of one step
 
-    def step(k0, k1, chan, uio, uio_power):
+    def step(k0, k1, chan, uio, uio_power, steering):
         nonlocal held
         symbols, noise = bf.draw_link_steps(n, cfg.sigma2, rng, cfg.noise_draws, k1 - k0)
         if own[k0]:

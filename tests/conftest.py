@@ -28,11 +28,13 @@ class SteeringShapes(list):
 def steering_shapes(monkeypatch):
     """Shapes of the steering arrays the beamforming module allocates while
     the test runs, in build order (clear the list to restart the count); a
-    step stack of C matrices is one (C, count, N) allocation, and
-    ``matrices`` counts matrices. Every matrix, whether steering_matrix or
-    the steering_ahead stream fills it, and on whichever thread, starts in
-    one array allocated by _steering_arguments on the caller's thread, which
-    is what is recorded."""
+    step stack of C matrices is one (C, count, N) allocation, a pattern grid
+    block of R points one (M_CE, R) allocation, and ``matrices`` counts
+    matrices. Every matrix, whether steering_matrix or the steering_ahead
+    stream fills it (the link's stream carries the pattern grid blocks of its
+    snapshots after each chunk's two stacks), and on whichever thread, starts
+    in one array allocated by _steering_arguments on the caller's thread,
+    which is what is recorded."""
     shapes = SteeringShapes()
     allocate = beamforming._steering_arguments
 

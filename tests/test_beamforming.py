@@ -38,6 +38,7 @@ from uiobeam.beamforming import (
     equal_power_allocation,
     half_power_width,
     link_report,
+    pattern_blocks,
     safe_beamformer,
     steering_ahead,
     steering_matrix,
@@ -397,16 +398,44 @@ def test_steering_stream_keeps_its_bits_under_constant_thread_switches():
         sys.setswitchinterval(interval)
 
 
-def test_steering_stream_keeps_no_stack_it_has_yielded(monkeypatch):
-    # with an executor that holds no task, only the stream itself could keep
-    # a stack alive once the caller drops it, the last one included
+class HoldingExecutor(IdleExecutor):
+    """An IdleExecutor that keeps the arguments of every task it was given,
+    as a thread pool keeps a cancelled task's until its thread reaches it."""
+
+    def __init__(self, *args, **kwargs):
+        self.held = []
+
+    def submit(self, fn, *args, **kwargs):
+        self.held.append(args)
+        return PendingTask()
+
+
+def stacks_alive_once_dropped(monkeypatch, executor):
+    """Whether each stack a three-stack stream yields is still alive once
+    the caller drops it, with ``executor`` in place of the thread pool."""
     monkeypatch.setattr(beamforming, "LOOKAHEAD_MIN_ENTRIES", 1)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", IdleExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", executor)
     cfg = ArrayConfig(m_ce=64, n_u=4, wavelength=0.01)
+    alive = []
     with closing(steering_ahead(cfg, np.zeros((3, 1, 4)))) as stream:
         for _ in range(3):
             stack = weakref.ref(next(stream))
-            assert stack() is None
+            alive.append(stack() is not None)
+    return alive
+
+
+def test_steering_stream_keeps_no_stack_it_has_yielded(monkeypatch):
+    # with an executor that holds no task, only the stream itself could keep
+    # a stack alive once the caller drops it, the last one included
+    assert stacks_alive_once_dropped(monkeypatch, IdleExecutor) == [False] * 3
+
+
+def test_tasks_the_executor_still_holds_keep_no_stack_alive(monkeypatch):
+    # a thread pool keeps a finished task's arguments until its thread runs
+    # again and a cancelled one's until its thread reaches it; a stack the
+    # caller drops must be freed at once all the same (else simulate's
+    # pattern grid blocks held one stack more, now and then)
+    assert stacks_alive_once_dropped(monkeypatch, HoldingExecutor) == [False] * 3
 
 
 def test_closing_the_stream_early_stops_its_helper():
@@ -463,6 +492,47 @@ def test_pattern_blocks_keep_the_one_block_bits(m_ce, beams, block_rows, blocks,
         patterns = beam_pattern(cfg, fs, grid)
     for got, f in zip(patterns, fs):
         assert_same_bits(got, one_block_pattern(cfg, f, grid))
+
+
+@pytest.mark.parametrize("block_rows", [None, 8])
+@pytest.mark.parametrize("points", [1, 9, 721])
+@pytest.mark.parametrize("beams", [1, 4, 64])
+@pytest.mark.parametrize("m_ce", [64, 1024])
+def test_beam_pattern_fed_by_the_steering_stream_keeps_the_inline_bits(m_ce, beams, points,
+                                                                       block_rows):
+    # the grid blocks of one precoder, taken from a steering stream between
+    # two link stacks, filled inline, by the helper thread (the caller
+    # filling the parts it has not started) or by the caller alone. Blocks
+    # of PATTERN_BLOCK_ENTRIES // M_CE rows (64 on 1024 antennas, the whole
+    # grid on 64) or of 8 rows, where 9 and 721 points end in a joined
+    # trailing row; a one-beam precoder takes the whole grid as one block.
+    # beam_pattern takes as many stacks as the grid has blocks, so the
+    # stream's next stack is the link stack after them
+    cfg = ArrayConfig(m_ce=m_ce, n_u=4, wavelength=0.01)
+    rng = np.random.default_rng(m_ce + beams + points)
+    grid = np.deg2rad(np.linspace(-89.75, 89.75, points))
+    f = rng.standard_normal((m_ce, beams)) + 1j * rng.standard_normal((m_ce, beams))
+    link = rng.uniform(-np.pi, np.pi, (2, 1, beams))
+    with pytest.MonkeyPatch.context() as patch:
+        if block_rows:
+            patch.setattr(beamforming, "PATTERN_BLOCK_ENTRIES", block_rows * m_ce)
+        (inline,) = beam_pattern(cfg, [f], grid)
+        blocks = pattern_blocks(cfg, [beams], grid)
+        assert sum(block.size for block in blocks) == points
+        if block_rows and beams > 1 and points > 1:
+            assert blocks[-1].size == 9
+        for fill in ("inline", "helper", "caller"):
+            patch.setattr(beamforming, "LOOKAHEAD_MIN_ENTRIES",
+                          m_ce * beams + 1 if fill == "inline" else 1)
+            if fill == "caller":
+                patch.setattr(concurrent.futures, "ThreadPoolExecutor", IdleExecutor)
+            with closing(steering_ahead(cfg, [link[0], *blocks, link[1]], columns=beams)) as stream:
+                assert_same_bits(next(stream), steering_matrix(cfg, link[0]))
+                assert bool(steering_helpers()) == (fill == "helper")
+                (streamed,) = beam_pattern(cfg, [f], grid, stream)
+                assert_same_bits(next(stream), steering_matrix(cfg, link[1]))
+                assert next(stream, None) is None
+            assert_same_bits(streamed, inline)
 
 
 FLEET = ArrayConfig(m_ce=1024, n_u=4, wavelength=0.01)

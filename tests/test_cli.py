@@ -626,7 +626,10 @@ def test_steering_helper_leaves_every_output_byte_unchanged(tmp_path, monkeypatc
             super().__init__(*args, **kwargs)
 
         def submit(self, fn, *args, **kwargs):
-            submitted.append((fn, args))
+            # a task reads its part's views from the stack's list of parts,
+            # which the caller empties once it has taken the stack
+            parts, p = args
+            submitted.append((fn, parts[p]))
             return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
@@ -645,13 +648,40 @@ def test_steering_helper_leaves_every_output_byte_unchanged(tmp_path, monkeypatc
     # the helper runs the in-place sin/cos fill of one part of a stack and
     # nothing else (no BLAS call, no RNG draw, no allocation): each task gets
     # the real and imaginary views of a part of a stack the caller allocated.
-    # Each link runs 8 one-step chunks of two stacks, each stack in
-    # LOOKAHEAD_PARTS parts
-    assert {fn for fn, _ in submitted} == {beamforming._steering_entries}
-    assert all(len(args) == 2 and all(a.dtype == float and not a.flags.owndata for a in args)
-               for _, args in submitted)
-    assert len(submitted) == 2 * 2 * 8 * beamforming.LOOKAHEAD_PARTS
+    # Each link runs 8 one-step chunks of two stacks, and simulate's link
+    # also the one 11-row grid block of each of its 3 pattern snapshots,
+    # each stack in LOOKAHEAD_PARTS parts
+    assert {fn for fn, _ in submitted} == {beamforming._fill_part}
+    assert all(len(views) == 2 and all(a.dtype == float and not a.flags.owndata for a in views)
+               for _, views in submitted)
+    assert len(submitted) == (2 * 2 * 8 + 3) * beamforming.LOOKAHEAD_PARTS
     assert not steering_helpers()
+
+
+def test_the_steering_helper_runs_by_the_link_step_matrix_alone(tmp_path, monkeypatch):
+    # the reference fleet's 64 x 4 link steps fill their steering inline,
+    # although the stream also carries simulate's pattern grid as one
+    # 64 x 721 block, above the helper's gate (a helper started by the
+    # largest matrix in the stream made ref-long's simulate 10-14% slower);
+    # 16 UAVs on 1024 elements still start one helper per link
+    prefixes = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            prefixes.append(kwargs.get("thread_name_prefix"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    reference = parse_config(None)
+    assert (reference.array.m_ce * reference.scenario.n_uavs < beamforming.LOOKAHEAD_MIN_ENTRIES
+            <= reference.array.m_ce * reference.pattern_points)
+    run_simulate(reference, tmp_path / "reference")
+    assert "uiobeam-steering" not in prefixes
+    cfg = link_config(tmp_path, 16, 1024)
+    for sub in ("simulate", "compare-baseline"):
+        prefixes.clear()
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+        assert prefixes.count("uiobeam-steering") == 1
 
 
 def test_degenerate_geometry_mid_loop_exits_1_and_stops_the_helper(
@@ -810,6 +840,72 @@ def test_write_csv_reports_a_bad_value_of_a_later_block_at_its_file_row(tmp_path
     assert not path.exists()
 
 
+def per_row_csv(path, header, columns):
+    """The writer that formatted one ``template % row`` per row, kept as the
+    oracle of write_csv's block formatting."""
+    columns = [np.ravel(c) for c in columns]
+    template = ",".join({"b": "%d", "i": "%d", "f": "%.17g"}.get(c.dtype.kind, "%s")
+                        for c in columns) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(template % row for row in zip(*(c.tolist() for c in columns)))
+
+
+# zeros of both signs, subnormals, the smallest normal and the largest finite
+# magnitudes next to ordinary values
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+               2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+               1.0 / 3.0, -2.5, 0.1, 1e22, 123456789012345678.0]
+BLOCK = simulate_module.CSV_BLOCK_ROWS
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    rows=st.sampled_from([1, 2, 3, 17, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK]),
+    kinds=st.lists(st.sampled_from(["runs", "distinct", "tiled", "int", "bool", "uio"]),
+                   min_size=1, max_size=6),
+    run=st.sampled_from([1, 2, 4, 64, 4 * BLOCK]),
+    bad=st.sampled_from([None, None, None, np.nan, 1.8e308, -1.8e308]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_csv_writes_the_bytes_of_per_row_formatting(rows, kinds, run, bad, seed):
+    # float columns of repeated runs (each starting with a run of 0.0 and
+    # one of -0.0), of mostly distinct and of tiled values, drawn from
+    # EDGE_FLOATS and values of any exponent, next to int, bool and text
+    # columns, on both sides of the block size. A nan or an overflow to inf
+    # (1.8e308) writes nothing
+    rng = np.random.default_rng(seed)
+
+    def spread(count):
+        return rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, count)
+
+    pool = np.concatenate([EDGE_FLOATS, spread(16)])
+    makers = {
+        "runs": lambda: np.repeat(np.concatenate([[0.0, -0.0], rng.choice(pool, rows)]),
+                                  run)[:rows],
+        "distinct": lambda: np.where(rng.random(rows) < 0.2, rng.choice(pool, rows), spread(rows)),
+        "tiled": lambda: np.tile(rng.choice(pool, 5), rows)[:rows],
+        "int": lambda: rng.integers(-2**62, 2**62, rows),
+        "bool": lambda: rng.random(rows) < 0.5,
+        "uio": lambda: np.full(rows, "uio"),
+    }
+    if bad is not None and "runs" not in kinds:
+        kinds = [*kinds, "runs"]
+    columns = [makers[kind]() for kind in kinds]
+    header = [f"{kind}{i}" for i, kind in enumerate(kinds)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, oracle = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        if bad is None:
+            per_row_csv(oracle, header, columns)
+            assert write_csv(path, header, columns) == rows
+            assert path.read_bytes() == oracle.read_bytes()
+        else:
+            columns[kinds.index("runs")][rng.integers(rows)] = bad
+            with pytest.raises(NumericalError):
+                write_csv(path, header, columns)
+            assert not path.exists()
+
+
 def test_write_csv_memory_stays_within_a_block(traced_peak, tmp_path):
     # a 64-UAV pattern file: 721 grid points x 64 beams; converting whole
     # columns to Python lists peaked at 3.2 MiB
@@ -842,12 +938,12 @@ def test_link_outputs_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
     starts = []
     engine = simulate_module._link_chunks
 
-    def recorded(cfg, run, angles, step, breaks):
+    def recorded(cfg, run, angles, step, breaks, grid_blocks=()):
         def recorded_step(k0, *args):
             starts.append(k0)
             step(k0, *args)
 
-        engine(cfg, run, angles, recorded_step, breaks)
+        engine(cfg, run, angles, recorded_step, breaks, grid_blocks)
 
     monkeypatch.setattr(simulate_module, "_link_chunks", recorded)
     outputs = []
