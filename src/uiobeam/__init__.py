@@ -11,34 +11,9 @@ angular positions (:mod:`uiobeam.beamforming`). :mod:`uiobeam.simulate` and
 
 __version__ = "0.1.0"
 
-from .beamforming import (
-    ArrayConfig,
-    BeamformerMatrix,
-    ChannelRealization,
-    LinkReport,
-    beam_pattern,
-    beamformer,
-    link_report,
-)
-from .design import (
-    LmiProblem,
-    LmiSolution,
-    ObserverGains,
-    assemble_lmi_blocks,
-    critical_dt,
-    design,
-    diagonal_feasible,
-    feasible,
-    gain_point_feasible,
-    mu_feasible,
-)
-from .dynamics import (
-    MeasurementModel,
-    UavScenario,
-    initial_state,
-    scenario_inputs,
-    simulate_truth,
-)
+from .beamforming import ArrayConfig, beam_pattern, beamformer
+from .design import LmiProblem, ObserverGains, critical_dt, design, gain_point_feasible
+from .dynamics import MeasurementModel, UavScenario
 from .errors import (
     BracketError,
     ConditioningError,
@@ -50,19 +25,3 @@ from .errors import (
     SingularMatrixError,
     UiobeamError,
 )
-from .linalg import (
-    DefinitenessReport,
-    check_definiteness,
-    eig_sym_bounds,
-    pinv_full_col_rank,
-    row_norms,
-    solve_hermitian,
-)
-from .observer import (
-    BoundMonitor,
-    estimate_input,
-    input_pinv,
-    predict,
-    track,
-)
-from .config import RunConfig, config_hash, parse_config

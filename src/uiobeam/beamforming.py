@@ -254,25 +254,25 @@ class BeamformerMatrix:
     ridge: np.ndarray
 
 
-def _close_pairs(thetas, min_sin_gap):
+def _close_pairs(thetas):
     """|sin gap| matrices of the (..., N) angles, and the mask of their pairs
-    i < j closer than ``min_sin_gap``, both (..., N, N)."""
+    i < j closer than MIN_SIN_GAP, both (..., N, N)."""
     sines = np.sin(thetas)
     gaps = np.abs(sines[..., :, None] - sines[..., None, :])
-    return gaps, np.triu(gaps < min_sin_gap, k=1)
+    return gaps, np.triu(gaps < MIN_SIN_GAP, k=1)
 
 
-def _check_sine_gaps(thetas, min_sin_gap):
+def _check_sine_gaps(thetas):
     """Raise ConditioningError naming the first pair i < j of angles closer
-    than ``min_sin_gap`` in sine."""
-    gaps, close = _close_pairs(thetas, min_sin_gap)
+    than MIN_SIN_GAP in sine."""
+    gaps, close = _close_pairs(thetas)
     # np.argwhere scans row-major, so the first hit is the first i < j pair
     hits = np.argwhere(close)
     if len(hits):
         i, j = hits[0][-2:]
         raise ConditioningError(
             f"steering angles {i} and {j} collide: "
-            f"|sin gap| = {gaps[tuple(hits[0])]:.3e} < {min_sin_gap:.0e}"
+            f"|sin gap| = {gaps[tuple(hits[0])]:.3e} < {MIN_SIN_GAP:.0e}"
         )
 
 
@@ -295,18 +295,18 @@ def _precoder(cfg, thetas, a, loads):
     return BeamformerMatrix(f=f, a=a, theta=thetas, ridge=loads)
 
 
-def beamformer(cfg, thetas, min_sin_gap=MIN_SIN_GAP, ridge=0.0):
+def beamformer(cfg, thetas, ridge=0.0):
     """Zero-forcing precoder F = A*(A^T A*)^{-1} at the angle estimates
     (..., N), one precoder per step of a stack.
 
     Raises ConditioningError (naming the colliding pair) when two angles are
-    closer than ``min_sin_gap`` in sine. With ridge > 0 the gap check is
+    closer than MIN_SIN_GAP in sine. With ridge > 0 the gap check is
     skipped and the Gram matrix is diagonally loaded by ridge*M_CE, trading
     exact nulls for a bounded-norm precoder near collisions.
     """
     thetas = np.atleast_1d(np.asarray(thetas, float))
     if ridge == 0.0:
-        _check_sine_gaps(thetas, min_sin_gap)
+        _check_sine_gaps(thetas)
     return _precoder(cfg, thetas, steering_matrix(cfg, thetas),
                      np.full(thetas.shape[:-1], float(ridge)))
 
@@ -326,7 +326,7 @@ def safe_beamformer(cfg, thetas, a=None):
     thetas = np.atleast_1d(np.asarray(thetas, float))
     if a is None:
         a = steering_matrix(cfg, thetas)
-    collide = np.any(_close_pairs(thetas, MIN_SIN_GAP)[1], axis=(-2, -1))
+    collide = np.any(_close_pairs(thetas)[1], axis=(-2, -1))
     loads = np.where(collide, FALLBACK_RIDGE, 0.0)
     try:
         return _precoder(cfg, thetas, a, loads)

@@ -40,11 +40,6 @@ Smaller stacks stay on the calling thread; the size alone decides, and no
 setting selects the helper. Every step is elementwise per grid point and
 LAPACK takes each 3x3 block on its own, so a coordinate's certificate has
 the same bits whatever rows share its stack and wherever the stack is cut.
-
-The dense blocks (assemble_lmi_blocks, feasible) are the test oracle for
-that certificate: they take dense P and Z, build B_T, D and H from the
-vectors and are not assembled at run time. Both the certificate and its
-oracle issue their verdicts at the one tolerance linalg.DEFINITENESS_TOL.
 """
 
 from dataclasses import dataclass
@@ -163,40 +158,6 @@ class ObserverGains:
         return 1.0 - self.l
 
 
-def assemble_lmi_blocks(prob, p, z, mu):
-    """Dense blocks (M1, M2) at the candidate (P, Z, mu); P is checked and
-    symmetrized within the kernel tolerance. Any dense (P, Z), not only
-    diagonal ones, against B_T, D and H built from the problem's vectors:
-    this is the oracle the per-coordinate certificate is tested against."""
-    p = linalg.symmetrize_checked(p, "P")
-    z = np.asarray(z, float)
-    n = prob.dim
-    if p.shape != (n, n) or z.shape != (n, n):
-        raise ShapeError(f"P/Z shapes {p.shape}/{z.shape} != problem dimension {(n, n)}")
-    zeros = np.zeros((n, n))
-    eye = np.eye(n)
-    pz = p - z
-    zd_pb = z @ np.diag(prob.d) - p @ np.diag(prob.b_t)
-    m1 = np.block([
-        [(prob.alpha - 1.0) * p, zeros, pz.T],
-        [zeros, -prob.alpha * eye, zd_pb.T],
-        [pz, zd_pb, -p],
-    ])
-    h = np.diag(prob.h)
-    m2 = np.block([[p, h.T], [h, mu * eye]])
-    return m1, m2
-
-
-def feasible(prob, p, z, mu):
-    """True iff M1 is NSD and M2 is PSD at linalg.DEFINITENESS_TOL, checked on
-    the dense blocks at dense P and Z. The test oracle of diagonal_feasible(),
-    which design() uses."""
-    m1, m2 = assemble_lmi_blocks(prob, p, z, mu)
-    nsd = linalg.check_definiteness(m1, "NSD").verdict == "NSD"
-    psd = linalg.check_definiteness(m2, "PSD").verdict == "PSD"
-    return nsd and psd
-
-
 def tracking_blocks(alpha, b, d, p, z):
     """Per-coordinate 3x3 reduction of M1: for diagonal B_T, D, P and Z the
     dense block is permutation-similar to one block per state coordinate
@@ -229,9 +190,10 @@ def performance_blocks(h, p, mu):
 
 
 def diagonal_feasible(prob, p_diag, z_diag, mu):
-    """feasible() at P = diag(p_diag), Z = diag(z_diag), certified on the
-    per-coordinate block stacks: one NSD check of the (dim, 3, 3) tracking
-    stack and one PSD check of the (dim, 2, 2) performance stack."""
+    """True iff M1 is NSD and M2 is PSD at P = diag(p_diag), Z = diag(z_diag)
+    and linalg.DEFINITENESS_TOL, certified on the per-coordinate block
+    stacks: one NSD check of the (dim, 3, 3) tracking stack and one PSD check
+    of the (dim, 2, 2) performance stack."""
     m1 = linalg.check_definiteness(
         tracking_blocks(prob.alpha, prob.b_t, prob.d, p_diag, z_diag), "NSD")
     m2 = linalg.check_definiteness(performance_blocks(prob.h, p_diag, mu), "PSD")

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lmi_oracle import feasible
 from uiobeam import beamforming, linalg
 
 # the package re-exports the function design(), which shadows the module name
@@ -83,9 +84,9 @@ def definiteness_shapes(monkeypatch):
 @pytest.fixture(autouse=True)
 def dense_certificate_oracle(monkeypatch):
     """Every per-coordinate certificate verdict issued during a test (each
-    design() call issues one) must equal the dense oracle feasible()
-    at the same (P, Z, mu); the dense check runs after the test, with its
-    patches undone."""
+    design() call issues one) must equal the dense oracle
+    lmi_oracle.feasible() at the same (P, Z, mu); the dense check runs after
+    the test, with its patches undone."""
     issued = []
     certify = design_module.diagonal_feasible
 
@@ -98,7 +99,7 @@ def dense_certificate_oracle(monkeypatch):
     yield
     monkeypatch.undo()
     for prob, p, z, mu, verdict in issued:
-        assert design_module.feasible(prob, p, z, mu) == verdict
+        assert feasible(prob, p, z, mu) == verdict
 
 
 @pytest.fixture(autouse=True)

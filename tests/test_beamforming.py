@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from uiobeam import beamforming
 from uiobeam.beamforming import (
     FALLBACK_RIDGE,
+    MIN_SIN_GAP,
     PATTERN_BLOCK_ENTRIES,
     PATTERN_FLOOR,
     ArrayConfig,
@@ -160,21 +161,35 @@ def test_beamformer_names_colliding_pair():
 
 
 def test_collision_scan_matches_pairwise_loop():
-    # the array scan reports what a loop over pairs i < j would report first
+    # the array scan reports what a loop over pairs i < j would report first.
+    # Each set gets up to three partners made to collide with another angle:
+    # pi - theta (equal sines) or theta + delta, whose sine gap lies between
+    # MIN_SIN_GAP / 100 and 10 * MIN_SIN_GAP, so it falls on either side
     rng = np.random.default_rng(8)
+    outcomes = {"named": 0, "clear": 0}
     for _ in range(200):
         thetas = rng.uniform(-1.2, 1.2, int(rng.integers(2, 12)))
+        for _ in range(int(rng.integers(0, 4))):
+            i, j = rng.choice(thetas.size, 2, replace=False)
+            if rng.random() < 0.5:
+                thetas[j] = np.pi - thetas[i]
+            else:
+                gap = MIN_SIN_GAP * 10.0 ** rng.uniform(-2.0, 1.0)
+                thetas[j] = np.arcsin(np.sin(thetas[i]) + rng.choice([-gap, gap]))
         sines = np.sin(thetas)
         first = next(
             ((i, j) for i in range(thetas.size) for j in range(i + 1, thetas.size)
-             if abs(sines[i] - sines[j]) < 0.05),
+             if abs(sines[i] - sines[j]) < MIN_SIN_GAP),
             None,
         )
         if first is None:
-            beamformer(CFG, thetas, min_sin_gap=0.05)
+            beamformer(CFG, thetas)
+            outcomes["clear"] += 1
         else:
             with pytest.raises(ConditioningError, match=f"angles {first[0]} and {first[1]} "):
-                beamformer(CFG, thetas, min_sin_gap=0.05)
+                beamformer(CFG, thetas)
+            outcomes["named"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_beamformer_names_first_colliding_pair_in_row_major_order():

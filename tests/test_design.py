@@ -6,8 +6,8 @@ Independent oracles used here:
   * the closed-form critical interval dt* = d + sqrt((1 + 4 mu) / 8) valid
     for alpha = 1/2, d = 1/2, h = 1, derived by maximizing the admissible
     certificate scale over the gain ratio;
-  * the dense LMI check feasible(), against which the closed-form floor and
-    its optimal gain are property-tested.
+  * the dense LMI check feasible() of lmi_oracle, against which the
+    closed-form floor and its optimal gain are property-tested.
 Derived example points (p, z, mu) were verified against the minors by hand
 before being frozen.
 """
@@ -21,16 +21,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lmi_oracle import assemble_lmi_blocks, feasible
 from uiobeam.design import (
     LmiProblem,
     LmiSolution,
     ObserverGains,
-    assemble_lmi_blocks,
     critical_dt,
     design,
     diagonal_feasible,
     dt_interval,
-    feasible,
     gain_point_feasible,
     mu_feasible,
     mu_floor,
