@@ -28,7 +28,6 @@ from .beamforming import MIN_RANGE, ArrayConfig, default_noise_power
 from .design import MU_BRACKET, P_GRID_SPAN
 from .dynamics import MeasurementModel, UavScenario
 from .errors import ConfigError, ShapeError
-from .observer import DEFAULT_TRANSIENT_CUTOFF
 
 _SCHEMA = {
     "scenario": {
@@ -41,7 +40,7 @@ _SCHEMA = {
     "channel": {"sigma2", "target_snr_db", "snr_ref_range", "total_power", "noise_draws"},
     "blockage": {"windows"},
     "run": {
-        "horizon", "seed", "transient_cutoff", "pattern_snapshots",
+        "horizon", "seed", "pattern_snapshots",
         "pattern_points", "sweep_dt_low", "sweep_dt_high",
     },
 }
@@ -64,7 +63,6 @@ class RunConfig:
     windows: tuple
     horizon: int
     seed: int
-    transient_cutoff: int
     pattern_snapshots: tuple
     pattern_points: int
     sweep_dt_low: float
@@ -259,9 +257,6 @@ def config_from_mapping(data):
     seed = _read(data, "run.seed", 0, int)
     if seed < 0:
         raise ConfigError(f"run.seed must be non-negative, got {seed}")
-    transient_cutoff = _read(data, "run.transient_cutoff", DEFAULT_TRANSIENT_CUTOFF, int)
-    if transient_cutoff < 0:
-        raise ConfigError("run.transient_cutoff must be non-negative")
 
     # the run ends at horizon * dt as the time column rounds it; a horizon past
     # the float range is compared exactly instead
@@ -304,8 +299,8 @@ def config_from_mapping(data):
         scenario=scenario, model=model, alpha=alpha, mu_list=mu_list, h_diag=h_diag,
         observer_init=observer_init, array=array, sigma2=sigma2, total_power=total_power,
         noise_draws=noise_draws, windows=tuple(windows), horizon=horizon, seed=seed,
-        transient_cutoff=transient_cutoff, pattern_snapshots=snapshots,
-        pattern_points=pattern_points, sweep_dt_low=sweep_dt_low, sweep_dt_high=sweep_dt_high,
+        pattern_snapshots=snapshots, pattern_points=pattern_points,
+        sweep_dt_low=sweep_dt_low, sweep_dt_high=sweep_dt_high,
     )
 
 

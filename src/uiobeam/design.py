@@ -27,9 +27,10 @@ Feron, Balakrishnan, LMIs in System and Control Theory, SIAM 1994): a
 coordinate is feasible iff mu >= mu_floor(alpha, b, d, h), and this floor
 decides every feasibility question here. The numeric search (p grid, golden
 section over z on the max-eigenvalue oracle) only picks the certificate at
-the final mu (design_level gives that mu, certify_level the certificate);
-one definiteness check of the (dim, 3, 3) tracking-block stack and one of
-the (dim, 2, 2) performance-block stack certify it, per coordinate.
+the final mu (design_level gives that mu, certify_level the certificate).
+Two yes/no questions certify it, per coordinate: is the (dim, 3, 3)
+tracking-block stack NSD, and is the (dim, 2, 2) performance-block stack
+PSD, both at linalg.DEFINITENESS_TOL.
 
 The search runs once per level: the p grids of all distinct coordinates form
 one flat stack of grid points, and each golden-section iteration evaluates
@@ -158,18 +159,14 @@ class ObserverGains:
         return 1.0 - self.l
 
 
-def tracking_blocks(alpha, b, d, p, z):
+def _tracking_blocks(alpha, b, d, p, z):
     """Per-coordinate 3x3 reduction of M1: for diagonal B_T, D, P and Z the
     dense block is permutation-similar to one block per state coordinate
     (b, d) at certificate entries (p, z). Broadcasts over array arguments to
-    a (..., 3, 3) stack."""
-    return _tracking_blocks(alpha, b, d, p, z)
-
-
-def _tracking_blocks(alpha, b, d, p, z):
-    """tracking_blocks() for the certificate search's helper thread:
-    bench/tracer.py times the public functions on one span stack, so only
-    private ones may run off the main thread."""
+    a (..., 3, 3) stack. The one builder of these blocks, for the certificate
+    and its search alike; private, so that bench/tracer.py, which times the
+    public functions on one span stack, never wraps it on the search's
+    helper thread."""
     blocks = np.zeros(np.broadcast(b, d, p, z).shape + (3, 3))
     blocks[..., 0, 0] = (alpha - 1.0) * p
     blocks[..., 0, 2] = blocks[..., 2, 0] = p - z
@@ -194,10 +191,10 @@ def diagonal_feasible(prob, p_diag, z_diag, mu):
     and linalg.DEFINITENESS_TOL, certified on the per-coordinate block
     stacks: one NSD check of the (dim, 3, 3) tracking stack and one PSD check
     of the (dim, 2, 2) performance stack."""
-    m1 = linalg.check_definiteness(
-        tracking_blocks(prob.alpha, prob.b_t, prob.d, p_diag, z_diag), "NSD")
-    m2 = linalg.check_definiteness(performance_blocks(prob.h, p_diag, mu), "PSD")
-    return m1.verdict == "NSD" and m2.verdict == "PSD"
+    nsd = linalg.check_definiteness(
+        _tracking_blocks(prob.alpha, prob.b_t, prob.d, p_diag, z_diag), "NSD")
+    psd = linalg.check_definiteness(performance_blocks(prob.h, p_diag, mu), "PSD")
+    return nsd and psd
 
 
 def _golden_section(alpha, b, d, ps):

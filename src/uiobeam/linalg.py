@@ -1,10 +1,10 @@
 """Small dense linear-algebra kernel used by the observer design and the
-beamformer: symmetric eigenvalue bounds, definiteness verdicts, the
+beamformer: a yes/no PSD/NSD check of symmetric matrices, the
 normal-equation pseudo-inverse and Hermitian positive-definite solves.
 
 The symmetric routines take one matrix or a stack of shape (..., k, k); a
-stack stands for the block-diagonal matrix of its blocks, so bounds and
-verdicts are taken over the union of the block spectra.
+stack stands for the block-diagonal matrix of its blocks, so a check is
+taken over the union of the block spectra.
 
 Every tolerance that the certificate checks and the tests share is a named
 constant here, so the solver and its verification cannot drift apart; every
@@ -12,8 +12,6 @@ definiteness verdict is issued at DEFINITENESS_TOL.
 Everything is a pure function over immutable inputs, safe to call from
 any thread; this module starts none and reads no CPU count.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,46 +58,23 @@ def symmetrize_checked(m, name="matrix"):
     return 0.5 * (m + mt)
 
 
-def eig_sym_bounds(m):
-    """Extreme eigenvalues (min, max) of a symmetric real matrix, or over all
-    blocks of a stack (the spectrum of its block-diagonal matrix)."""
-    w = np.linalg.eigvalsh(symmetrize_checked(m))
-    if not w.size:
-        raise ShapeError(f"matrix of shape {np.shape(m)} has no eigenvalues")
-    return float(np.min(w[..., 0])), float(np.max(w[..., -1]))
-
-
-@dataclass(frozen=True)
-class DefinitenessReport:
-    """Eigenvalue bounds plus a verdict ('PSD', 'NSD' or 'indefinite') issued
-    at DEFINITENESS_TOL."""
-
-    min_eigenvalue: float
-    max_eigenvalue: float
-    verdict: str
-
-
 def check_definiteness(m, sense):
-    """Classify a symmetric matrix as PSD/NSD/indefinite at DEFINITENESS_TOL.
+    """True iff a symmetric matrix is PSD (smallest eigenvalue at least
+    -DEFINITENESS_TOL) or NSD (largest eigenvalue at most DEFINITENESS_TOL),
+    as ``sense`` ('PSD' or 'NSD') asks.
 
-    A stack of shape (..., k, k) is classified as its block-diagonal matrix:
+    A stack of shape (..., k, k) is checked as its block-diagonal matrix:
     PSD iff every block is, NSD iff every block is, so a certificate whose
     blocks decouple is checked without assembling the dense matrix.
-
-    ``sense`` ('PSD' or 'NSD') states which verdict the caller is testing for;
-    a matrix satisfying both (e.g. the zero matrix) is reported in the
-    requested sense.
     """
     if sense not in ("PSD", "NSD"):
         raise ValueError(f"sense must be 'PSD' or 'NSD', got {sense!r}")
-    lo, hi = eig_sym_bounds(m)
-    is_psd = lo >= -DEFINITENESS_TOL
-    is_nsd = hi <= DEFINITENESS_TOL
+    w = np.linalg.eigvalsh(symmetrize_checked(m))
+    if not w.size:
+        raise ShapeError(f"matrix of shape {np.shape(m)} has no eigenvalues")
     if sense == "PSD":
-        verdict = "PSD" if is_psd else ("NSD" if is_nsd else "indefinite")
-    else:
-        verdict = "NSD" if is_nsd else ("PSD" if is_psd else "indefinite")
-    return DefinitenessReport(lo, hi, verdict)
+        return bool(np.min(w[..., 0]) >= -DEFINITENESS_TOL)
+    return bool(np.max(w[..., -1]) <= DEFINITENESS_TOL)
 
 
 def row_norms(a):

@@ -109,16 +109,19 @@ def write_csv(path, header, columns):
     Integer and boolean columns are written with %d, float columns with
     %.17g (the digits of format(x, '.17g')) and any other column with %s. A
     nan or inf in a float column raises NumericalError naming the file, the
-    column and the first bad row, and nothing is written: every whole column
-    is checked before the file is opened. The rows are then written
-    CSV_BLOCK_ROWS at a time, each block in one %-call on the row template
-    repeated once per row, converting one block of each column to Python
-    values. A float64 column whose block repeats rows (`_repeated_texts`)
+    column and the first bad row, and a header whose length differs from the
+    column count raises ShapeError; either way nothing is written: every
+    whole column is checked before the file is opened. The rows are then
+    written CSV_BLOCK_ROWS at a time, each block in one %-call on the row
+    template repeated once per row, converting one block of each column to
+    Python values. A float64 column whose block repeats rows (`_repeated_texts`)
     enters that call as the texts of its distinct values, formatted once
     each with %.17g and put in by %s. Each value gets the text of its own
     %.17g or %d, so the block size changes no byte.
     """
     columns = [np.ravel(c) for c in columns]
+    if len(header) != len(columns):
+        raise ShapeError(f"{path}: {len(header)} header names for {len(columns)} columns")
     sizes = {c.size for c in columns}
     if len(sizes) != 1:
         raise ShapeError(f"CSV columns differ in length: {sorted(sizes)}")
@@ -410,7 +413,7 @@ def run_simulate(cfg, out_dir):
         if solution.mu not in written:
             run = obs.track(
                 cfg.scenario, cfg.model, gains, cfg.horizon, gamma=solution.gamma,
-                init=cfg.observer_init, transient_cutoff=cfg.transient_cutoff,
+                init=cfg.observer_init,
             )
             angles = _predicted_angles(cfg, run["XHAT"])
             sub_files = {}
@@ -477,7 +480,7 @@ def run_compare(cfg, out_dir, force_uio_truth=False):
     solution, gains = solve_design(design_problem(cfg, cfg.mu_list[0]))
     run = obs.track(
         cfg.scenario, cfg.model, gains, cfg.horizon, gamma=solution.gamma,
-        init=cfg.observer_init, transient_cutoff=cfg.transient_cutoff,
+        init=cfg.observer_init,
     )
     rng = np.random.default_rng(cfg.seed)
     n = cfg.scenario.n_uavs

@@ -41,6 +41,6 @@ def feasible(prob, p, z, mu):
     the dense blocks at dense P and Z: the oracle of design.diagonal_feasible,
     which design() uses."""
     m1, m2 = assemble_lmi_blocks(prob, p, z, mu)
-    nsd = check_definiteness(m1, "NSD").verdict == "NSD"
-    psd = check_definiteness(m2, "PSD").verdict == "PSD"
+    nsd = check_definiteness(m1, "NSD")
+    psd = check_definiteness(m2, "PSD")
     return nsd and psd

@@ -801,6 +801,18 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
         write_csv(path, ["i", "f"], [ints, floats[:-1]])
 
 
+def test_write_csv_refuses_a_header_of_the_wrong_length(tmp_path):
+    # a short header let a column skip the finite gate, a long one wrote more
+    # names than fields; both are refused before the file is opened
+    path = tmp_path / "t.csv"
+    for header, columns in ((["x"], [np.arange(2.0), np.array([1.0, np.nan])]),
+                            (["x", "y", "z"], [np.arange(2.0)])):
+        counts = f"{len(header)} header names for {len(columns)} columns"
+        with pytest.raises(ShapeError, match=rf"t\.csv: {counts}"):
+            write_csv(path, header, columns)
+        assert not path.exists()
+
+
 def csv_table(rows):
     """The columns of a pattern file of ``rows`` rows: theta, beam id, gain."""
     rng = np.random.default_rng(11)

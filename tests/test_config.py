@@ -20,7 +20,6 @@ def test_empty_config_resolves_reference_defaults():
     assert cfg.array.m_ce == 64 and cfg.array.n_u == 4
     assert cfg.array.wavelength == pytest.approx(299792458.0 / 30.0e9)
     assert cfg.horizon == 400 and cfg.seed == 0
-    assert cfg.transient_cutoff == 50
     assert cfg.windows == ()
     # 10 dB per-stream reference SNR at 250 m
     h_ref = cfg.array.wavelength / (4 * np.pi * 250.0)
@@ -51,12 +50,14 @@ def test_negative_dt_rejected_with_field_name():
 def test_unknown_keys_listed():
     # channel.phase_mode is not a key: the channel's phase is always the
     # propagation phase of its range; array.wavelength is not one either:
-    # array.carrier_hz alone sets the wavelength
+    # array.carrier_hz alone sets the wavelength; nor is run.transient_cutoff:
+    # no output reads the bound monitor it would start
     for mapping, keys in (
         ({"observerx": {}, "run": {"horzon": 10}, "array": {"bandwidth_hz": 50.0e6}},
          "array.bandwidth_hz, observerx, run.horzon"),
         ({"channel": {"phase_mode": "chaotic"}}, "channel.phase_mode"),
         ({"array": {"wavelength": 0.01, "carrier_hz": 1.0e9}}, "array.wavelength"),
+        ({"run": {"transient_cutoff": float("inf")}}, "run.transient_cutoff"),
     ):
         with pytest.raises(ConfigError) as excinfo:
             config_from_mapping(mapping)
@@ -189,7 +190,6 @@ MALFORMED = {
     # integer fields: each used to escape as a traceback or truncate silently
     "seed-inf": ("run.seed", {"run": {"seed": float("inf")}}),
     "horizon-nan": ("run.horizon", {"run": {"horizon": float("nan")}}),
-    "cutoff-inf": ("run.transient_cutoff", {"run": {"transient_cutoff": float("inf")}}),
     "snapshot-nan": ("run.pattern_snapshots", {"run": {"pattern_snapshots": [float("nan")]}}),
     "seed-text": ("run.seed", {"run": {"seed": "abc"}}),
     "draws-fraction": ("channel.noise_draws", {"channel": {"noise_draws": 1.5}}),

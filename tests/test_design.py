@@ -34,10 +34,9 @@ from uiobeam.design import (
     mu_feasible,
     mu_floor,
     performance_blocks,
-    tracking_blocks,
 )
 from uiobeam.errors import BracketError, InfeasibleError, ShapeError
-from uiobeam.linalg import DEFINITENESS_TOL, DefinitenessReport, check_definiteness
+from uiobeam.linalg import DEFINITENESS_TOL, check_definiteness
 
 # the package re-exports the function design(), which shadows the module name
 design_module = importlib.import_module("uiobeam.design")
@@ -69,7 +68,7 @@ def test_assemble_scalar_reduction_matches_dense():
     prob = reference_problem()
     p_val, z_val = 22.68, 8.85
     m1, m2 = assemble_lmi_blocks(prob, p_val * np.eye(8), z_val * np.eye(8), 0.0441)
-    block = tracking_blocks(0.5, 0.15, 0.5, p_val, z_val)
+    block = design_module._tracking_blocks(0.5, 0.15, 0.5, p_val, z_val)
     expected_block = np.array([
         [-0.5 * p_val, 0.0, p_val - z_val],
         [0.0, -0.5, 0.5 * z_val - 0.15 * p_val],
@@ -85,7 +84,7 @@ def test_assemble_scalar_reduction_matches_dense():
 
 def test_assemble_identity_case():
     prob = LmiProblem(alpha=0.5, b_t=np.ones(2), d=np.zeros(2), h=np.ones(2), mu_max=1.0)
-    block = tracking_blocks(0.5, 1.0, 0.0, 1.0, 1.0)
+    block = design_module._tracking_blocks(0.5, 1.0, 0.0, 1.0, 1.0)
     np.testing.assert_allclose(
         block, [[-0.5, 0.0, 0.0], [0.0, -0.5, -1.0], [0.0, -1.0, -1.0]]
     )
@@ -98,9 +97,8 @@ def test_assemble_identity_case():
 def test_assemble_m2_boundary_psd():
     prob = reference_problem()
     _, m2 = assemble_lmi_blocks(prob, np.eye(8), np.eye(8), 1.0)
-    lo = check_definiteness(m2, "PSD")
-    assert lo.verdict == "PSD"
-    assert abs(lo.min_eigenvalue) <= 1e-10
+    assert check_definiteness(m2, "PSD")
+    assert abs(np.linalg.eigvalsh(m2)[0]) <= 1e-10
 
 
 def test_feasible_hand_verified_point():
@@ -134,7 +132,7 @@ def test_feasible_agrees_with_minor_oracle_on_grid():
         via_minors = minor_feasible(0.5, 0.15, 0.5, 1.0, p_val, z_val, mu)
         # minors use a small slack; skip points within it of the boundary
         if via_dense != via_minors:
-            block = tracking_blocks(0.5, 0.15, 0.5, p_val, z_val)
+            block = design_module._tracking_blocks(0.5, 0.15, 0.5, p_val, z_val)
             assert abs(np.max(np.linalg.eigvalsh(block))) < 1e-6
             continue
         assert via_dense == via_minors
@@ -240,8 +238,6 @@ def test_state_matrix_is_derived_from_the_gain():
     # each record stores a value once: gamma and Q are derived from mu and L
     assert [f.name for f in dataclasses.fields(ObserverGains)] == ["l", "h"]
     assert [f.name for f in dataclasses.fields(LmiSolution)] == ["p", "z", "mu", "certified"]
-    assert [f.name for f in dataclasses.fields(DefinitenessReport)] == [
-        "min_eigenvalue", "max_eigenvalue", "verdict"]
 
 
 def test_gains_validation():
@@ -381,7 +377,7 @@ def search_bits(pairs):
 
 def search_one_row(alpha, b, d, h, mu):
     """Reference for the stacked certificate search: one coordinate at a
-    time, one eigvalsh call per section point, through the public block
+    time, one eigvalsh call per section point, through the block
     builders. The stacked search must give each row these bits."""
     p_lo = max(h * h / mu, design_module.P_FLOOR)
     ps = np.geomspace(p_lo, design_module.P_GRID_SPAN * p_lo, design_module.P_GRID_POINTS)
@@ -389,7 +385,7 @@ def search_one_row(alpha, b, d, h, mu):
     z_a, z_b = ps * (1.0 - half), ps * (1.0 + half)
 
     def top(zs):
-        return np.linalg.eigvalsh(tracking_blocks(alpha, b, d, ps, zs))[:, -1]
+        return np.linalg.eigvalsh(design_module._tracking_blocks(alpha, b, d, ps, zs))[:, -1]
 
     for _ in range(design_module._GOLDEN_ITERS):
         z_c = z_b - design_module._INVPHI * (z_b - z_a)
@@ -485,5 +481,6 @@ def test_stacked_certificate_agrees_with_dense_oracle(alpha, b, coords, mu):
     assume(abs(np.linalg.eigvalsh(m2)[0] + tol) > 1e-9 * scale)
     verdict = diagonal_feasible(prob, p_diag, z_diag, mu)
     assert verdict == feasible(prob, np.diag(p_diag), np.diag(z_diag), mu)
-    stacks = tracking_blocks(alpha, b, d, p_diag, z_diag), performance_blocks(h, p_diag, mu)
+    stacks = (design_module._tracking_blocks(alpha, b, d, p_diag, z_diag),
+              performance_blocks(h, p_diag, mu))
     assert [s.shape for s in stacks] == [(n, 3, 3), (n, 2, 2)]

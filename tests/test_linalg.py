@@ -1,6 +1,6 @@
-"""Kernel tests: eigenvalue bounds, definiteness verdicts, pseudo-inverse and
-Hermitian solves. Derived expected values are computed by hand from the
-characteristic polynomial or closed-form inverses and frozen here."""
+"""Kernel tests: PSD/NSD checks, pseudo-inverse and Hermitian solves.
+Derived expected values are computed by hand from the characteristic
+polynomial or closed-form inverses and frozen here."""
 
 import numpy as np
 import pytest
@@ -10,82 +10,49 @@ from hypothesis import strategies as st
 from uiobeam.errors import ShapeError, SingularMatrixError
 from uiobeam.linalg import (
     DEFINITENESS_TOL,
-    DefinitenessReport,
     PINV_IDENTITY_TOL,
     SOLVE_RESIDUAL_TOL,
     check_definiteness,
-    eig_sym_bounds,
     pinv_full_col_rank,
     solve_hermitian,
 )
 
 
-def test_eig_bounds_identity():
-    lo, hi = eig_sym_bounds(np.eye(3))
-    assert lo == pytest.approx(1.0, rel=1e-12)
-    assert hi == pytest.approx(1.0, rel=1e-12)
-
-
-def test_eig_bounds_hand_computed_2x2():
-    # det([[1-l, 2], [2, 1-l]]) = (1-l)^2 - 4 = 0  ->  l = -1, 3
-    lo, hi = eig_sym_bounds([[1.0, 2.0], [2.0, 1.0]])
-    assert lo == pytest.approx(-1.0, rel=1e-10)
-    assert hi == pytest.approx(3.0, rel=1e-10)
-
-
-def test_eig_bounds_zero_matrix():
-    assert eig_sym_bounds(np.zeros((4, 4))) == (0.0, 0.0)
-
-
-def test_eig_bounds_negation_swaps():
-    rng = np.random.default_rng(7)
-    for n in (2, 5, 17):
-        a = rng.standard_normal((n, n))
-        m = a + a.T
-        lo, hi = eig_sym_bounds(m)
-        neg_lo, neg_hi = eig_sym_bounds(-m)
-        assert neg_lo == pytest.approx(-hi, rel=1e-10, abs=1e-12)
-        assert neg_hi == pytest.approx(-lo, rel=1e-10, abs=1e-12)
-
-
-def test_eig_bounds_rejects_non_square_and_asymmetric():
-    with pytest.raises(ShapeError):
-        eig_sym_bounds(np.ones((2, 3)))
-    with pytest.raises(ShapeError):
-        eig_sym_bounds([[0.0, 1.0], [0.0, 0.0]])
-
-
-def test_eig_bounds_symmetrizes_tiny_asymmetry():
-    m = np.array([[1.0, 2.0], [2.0 + 1e-13, 1.0]])
-    lo, hi = eig_sym_bounds(m)
-    assert lo == pytest.approx(-1.0, rel=1e-9)
-    assert hi == pytest.approx(3.0, rel=1e-9)
-
-
 def test_definiteness_identity_psd():
-    report = check_definiteness(np.eye(3), "PSD")
-    assert report.verdict == "PSD"
-    assert report.min_eigenvalue <= report.max_eigenvalue
+    assert check_definiteness(np.eye(3), "PSD") is True
+    assert check_definiteness(np.eye(3), "NSD") is False
 
 
 def test_definiteness_negative_identity_nsd():
-    assert check_definiteness(-np.eye(3), "NSD").verdict == "NSD"
+    assert check_definiteness(-np.eye(3), "NSD") is True
+    assert check_definiteness(-np.eye(3), "PSD") is False
 
 
 def test_definiteness_indefinite_2x2():
     # eigenvalues -1 and 3
-    report = check_definiteness([[1.0, 2.0], [2.0, 1.0]], "PSD")
-    assert report.verdict == "indefinite"
+    m = [[1.0, 2.0], [2.0, 1.0]]
+    assert not check_definiteness(m, "PSD")
+    assert not check_definiteness(m, "NSD")
 
 
 def test_definiteness_zero_matrix_takes_requested_sense():
     z = np.zeros((2, 2))
-    assert check_definiteness(z, "PSD").verdict == "PSD"
-    assert check_definiteness(z, "NSD").verdict == "NSD"
+    assert check_definiteness(z, "PSD")
+    assert check_definiteness(z, "NSD")
 
 
-def test_definiteness_report_type():
-    assert isinstance(check_definiteness(np.eye(2), "PSD"), DefinitenessReport)
+def test_definiteness_rejects_non_square_and_asymmetric():
+    with pytest.raises(ShapeError, match="square"):
+        check_definiteness(np.ones((2, 3)), "PSD")
+    with pytest.raises(ShapeError, match="asymmetric"):
+        check_definiteness([[0.0, 1.0], [0.0, 0.0]], "NSD")
+
+
+def test_definiteness_symmetrizes_tiny_asymmetry():
+    # eigenvalues 1 and 3, 1e-13 off symmetric: averaged with the transpose
+    m = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
+    assert check_definiteness(m, "PSD")
+    assert not check_definiteness(m, "NSD")
 
 
 def block_diagonal(stack):
@@ -99,32 +66,39 @@ def block_diagonal(stack):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1),
        st.floats(-6.0, 6.0), st.floats(-0.5, 0.5))
-def test_stack_bounds_and_verdict_match_block_diagonal(k, n, seed, log_scale, shift):
-    # a stack stands for its block-diagonal matrix: same bounds, same verdict
+def test_stack_verdict_matches_block_diagonal(k, n, seed, log_scale, shift):
+    # a stack stands for its block-diagonal matrix: same verdict in each sense
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((k, n, n))
     stack = 10.0**log_scale * (a + np.swapaxes(a, 1, 2) + shift * n * np.eye(n))
     dense = block_diagonal(stack)
     scale = max(1.0, float(np.max(np.abs(dense))))
-    lo, hi = eig_sym_bounds(stack)
-    dense_lo, dense_hi = eig_sym_bounds(dense)
-    assert abs(lo - dense_lo) <= 1e-12 * scale
-    assert abs(hi - dense_hi) <= 1e-12 * scale
-    for sense in ("PSD", "NSD"):
-        report = check_definiteness(stack, sense)
-        dense_report = check_definiteness(dense, sense)
-        assert (report.min_eigenvalue, report.max_eigenvalue) == (lo, hi)
-        # verdicts agree unless an extreme eigenvalue sits within rounding of the tolerance
-        if (min(abs(dense_lo + DEFINITENESS_TOL), abs(dense_hi - DEFINITENESS_TOL))
-                > 1e-12 * scale):
-            assert report.verdict == dense_report.verdict
+    dense_w = np.linalg.eigvalsh(dense)
+    # verdicts agree unless an extreme eigenvalue sits within rounding of the tolerance
+    if abs(dense_w[0] + DEFINITENESS_TOL) > 1e-12 * scale:
+        assert check_definiteness(stack, "PSD") == check_definiteness(dense, "PSD")
+    if abs(dense_w[-1] - DEFINITENESS_TOL) > 1e-12 * scale:
+        assert check_definiteness(stack, "NSD") == check_definiteness(dense, "NSD")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_definiteness_tolerance_is_inclusive(n):
+    # eigvalsh returns +-t exactly for these scaled identities, so each check
+    # sits on its edge: at t the verdict holds, at 2t it fails
+    t, eye = DEFINITENESS_TOL, np.eye(n)
+    assert check_definiteness(-t * eye, "PSD")
+    assert check_definiteness(t * eye, "NSD")
+    assert not check_definiteness(-2 * t * eye, "PSD")
+    assert not check_definiteness(2 * t * eye, "NSD")
+    assert check_definiteness(np.stack([eye, -t * eye]), "PSD")
+    assert not check_definiteness(np.stack([eye, -2 * t * eye]), "PSD")
+    assert check_definiteness(np.stack([-eye, t * eye]), "NSD")
+    assert not check_definiteness(np.stack([-eye, 2 * t * eye]), "NSD")
 
 
 def test_stack_with_one_asymmetric_block_raises():
     stack = np.tile(np.eye(3), (4, 1, 1))
     stack[2, 0, 1] = 1e-3
-    with pytest.raises(ShapeError, match="asymmetric"):
-        eig_sym_bounds(stack)
     with pytest.raises(ShapeError, match="asymmetric"):
         check_definiteness(stack, "PSD")
 
@@ -134,7 +108,7 @@ def test_stack_symmetry_tolerance_is_relative_to_the_whole_stack():
     # scale of 1e3 (allowed 1e-9), and fails on its own (allowed 1e-12)
     stack = np.stack([np.eye(2), 1e3 * np.eye(2)])
     stack[0, 0, 1] = 1e-10
-    assert check_definiteness(stack, "PSD").verdict == "PSD"
+    assert check_definiteness(stack, "PSD")
     with pytest.raises(ShapeError, match="asymmetric"):
         check_definiteness(stack[:1], "PSD")
 

@@ -58,7 +58,6 @@ VALID = {
     "channel.noise_draws": [1, 8],
     "blockage.windows": [[[0.15, 0.45], [0.5, 0.6]], [[0.01, 0.02]], [[0.3, 0.2]]],
     "run.seed": [7],
-    "run.transient_cutoff": [3],
     "run.pattern_snapshots": [[0], [0, 1, 1]],
     "run.pattern_points": [3, 1],
     "run.sweep_dt_low": [0.05],
