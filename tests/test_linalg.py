@@ -41,6 +41,31 @@ def test_definiteness_zero_matrix_takes_requested_sense():
     assert check_definiteness(z, "NSD")
 
 
+def test_definiteness_singular_2x2_sits_on_the_boundary():
+    # det([[1-l, 1], [1, 1-l]]) = (1-l)^2 - 1 = 0  ->  l = 0, 2
+    m = np.array([[1.0, 1.0], [1.0, 1.0]])
+    assert check_definiteness(m, "PSD") is True
+    assert check_definiteness(m, "NSD") is False
+    assert check_definiteness(-m, "NSD") is True
+    assert check_definiteness(-m, "PSD") is False
+
+
+def test_definiteness_negation_swaps_senses():
+    # PSD of m is NSD of -m; the cases sit far from the tolerance edge and
+    # cover both verdicts, for single matrices and for stacks
+    rng = np.random.default_rng(7)
+    for n in (2, 5, 17):
+        for k in (None, 3):
+            shape = (n, n) if k is None else (k, n, n)
+            a = rng.standard_normal(shape)
+            at = np.swapaxes(a, -1, -2)
+            for m, psd in ((a @ at + np.eye(n), True), (a + at, False)):
+                assert check_definiteness(m, "PSD") is psd
+                assert check_definiteness(-m, "NSD") is psd
+                assert check_definiteness(-m, "PSD") is False
+                assert check_definiteness(m, "NSD") is False
+
+
 def test_definiteness_rejects_non_square_and_asymmetric():
     with pytest.raises(ShapeError, match="square"):
         check_definiteness(np.ones((2, 3)), "PSD")
